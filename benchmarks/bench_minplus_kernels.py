@@ -4,13 +4,12 @@ Times the four kernel-screened operations — min-plus convolution,
 deconvolution (both ``on_dip="fill"``, the RTC production path where
 pair pruning is sound), horizontal deviation, and the batched
 pseudo-inverse delay maximisation — under the ``exact``, ``hybrid``
-and ``auto`` (cost-model dispatch) backends across segment counts
+and ``auto`` (size-threshold dispatch) backends across segment counts
 {5, 10, 100, 1000}, asserting bit-identical results every time and
 recording the per-op dispatch decision the ``auto`` backend takes.
 Two fused-pipeline rows (the GPC triple and the pay-bursts-only-once
 chain) compare the fused kernels against the unfused hybrid op
-sequence, and the compiled tier is timed on conv/deconv when the C
-library builds (skipped cleanly otherwise).
+sequence.
 
 Workloads are the canonical RTC shapes: concave staircase arrival
 curves (flat treads with upward bursts, sublinear long-run rate) and a
@@ -22,8 +21,7 @@ Two modes:
 
 * full (default): all sizes, writes ``out/BENCH_minplus_kernels.json``
   and asserts the >= 3x acceptance speedup on the 1000-segment
-  conv/deconv/hdev cases plus the >= 32.5x conv top line (staircase
-  pruning + native must beat the pre-dispatch mark);
+  conv/deconv/hdev cases plus the >= 32.5x hybrid conv top line;
 * smoke (``REPRO_BENCH_SMOKE=1``, the CI job): sizes {5, 10, 100}
   only, does *not* rewrite the committed JSON — instead it fails when
   any measured speedup regresses more than 25% below the committed
@@ -32,8 +30,8 @@ Two modes:
 
 Both modes enforce the small-``n`` no-regression gate: ``auto`` must
 stay within 0.95x of ``exact`` on **every** (op, n) cell — the
-dispatch prior exists precisely so tiny deconv/hdev operands never pay
-the screen overhead.
+dispatch threshold exists precisely so tiny deconv/hdev operands never
+pay the screen overhead.
 """
 
 import json
@@ -49,9 +47,8 @@ from repro.minplus import (
     min_plus_deconv,
     use_backend,
 )
-from repro.minplus import _native, kernels
+from repro.minplus import kernels
 from repro.minplus import backend as backend_mod
-from repro.minplus import costmodel
 from repro.minplus.curve import Curve
 from repro.minplus.deviation import (
     lower_pseudo_inverse_batch,
@@ -65,8 +62,7 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 SIZES = [5, 10, 100] if SMOKE else [5, 10, 100, 1000]
 ACCEPT_OPS = ("conv", "deconv", "hdev")
 MIN_SPEEDUP_1000 = 3.0
-#: The pre-dispatch conv top line at n=1000; staircase-witness pruning
-#: (plus the compiled tier when it builds) must beat it.
+#: The committed hybrid conv top line at n=1000.
 MIN_CONV_SPEEDUP_1000 = 32.5
 #: Small-n floor: `auto` may never fall below 0.95x of `exact`.
 MIN_AUTO_RATIO = 0.95
@@ -238,7 +234,6 @@ def _fused_cases(n):
 
 def test_bench_minplus_kernels():
     """Exact vs hybrid vs auto throughput; identical results; gates."""
-    costmodel.apply_table(None)  # default dispatch: the built-in prior
     results = []
     for n in SIZES:
         for op, exact_fn, hybrid_fn, auto_fn in _cases(n):
@@ -247,8 +242,6 @@ def test_bench_minplus_kernels():
                 ("hybrid", "hybrid", hybrid_fn),
                 ("auto", "auto", auto_fn),
             ]
-            if op in ("conv", "deconv") and _native.available():
-                fns.append(("native", "native", exact_fn))
             t, r = _time_cell(fns, n)
             assert r["exact"] == r["hybrid"], (
                 f"{op} n={n}: hybrid changed result"
@@ -266,12 +259,6 @@ def test_bench_minplus_kernels():
                 "speedup": t["exact"] / t["hybrid"],
                 "speedup_auto": t["exact"] / t["auto"],
             }
-            if "native" in t:
-                assert r["exact"] == r["native"], (
-                    f"{op} n={n}: native changed result"
-                )
-                row["native_s"] = t["native"]
-                row["speedup_native"] = t["exact"] / t["native"]
             results.append(row)
         for op, unfused_fn, fused_fn in _fused_cases(n):
             t, r = _time_cell(
@@ -296,7 +283,7 @@ def test_bench_minplus_kernels():
     report(
         "minplus_kernels",
         "min-plus kernels: exact vs hybrid vs auto dispatch "
-        f"(identical results; native {_native.available()})",
+        "(identical results)",
         ["op", "segments", "exact s", "hybrid s", "auto s", "dispatch",
          "speedup", "auto x"],
         [
@@ -326,10 +313,9 @@ def test_bench_minplus_kernels():
                 f"< required {MIN_SPEEDUP_1000}x"
             )
         if r["n"] == 1000 and r["op"] == "conv":
-            top = max(r["speedup"], r.get("speedup_native", 0.0))
-            assert top >= MIN_CONV_SPEEDUP_1000, (
-                f"conv top line at 1000 segments: {top:.2f}x < required "
-                f"{MIN_CONV_SPEEDUP_1000}x"
+            assert r["speedup"] >= MIN_CONV_SPEEDUP_1000, (
+                f"conv top line at 1000 segments: {r['speedup']:.2f}x < "
+                f"required {MIN_CONV_SPEEDUP_1000}x"
             )
     write_json(
         "minplus_kernels",
@@ -341,7 +327,6 @@ def test_bench_minplus_kernels():
             "min_required_speedup_1000": MIN_SPEEDUP_1000,
             "min_required_conv_speedup_1000": MIN_CONV_SPEEDUP_1000,
             "min_auto_ratio": MIN_AUTO_RATIO,
-            "native_available": _native.available(),
             "results": results,
         },
     )

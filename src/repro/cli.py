@@ -7,7 +7,6 @@ Usage::
     python -m repro.cli task.json --rate 1/2 --latency 4 --per-job --dot g.dot
     python -m repro.cli serve --port 8177 --jobs auto
     python -m repro.cli cluster --workers 4 --port 8178
-    python -m repro.cli calibrate --reps 3
     python -m repro.cli diff base.json edited.json --json
     python -m repro.cli whatif task.json --rate 1/2 --edits edits.json
     python -m repro.cli mp dag1.json dag2.dot -m 4 --policy rm
@@ -16,16 +15,12 @@ The ``serve`` subcommand boots the analysis service
 (:mod:`repro.service`): an HTTP/JSON front end with micro-batching,
 admission control and a metrics plane.  ``cluster`` fronts a fleet of
 such workers with cache-aware consistent-hash routing
-(:mod:`repro.cluster`).  The ``calibrate`` subcommand
-runs the kernel microbenchmark and persists a per-(op, size) cost table
-that the ``auto`` backend consults to dispatch each min-plus operation
-to the exact or the hybrid tier (:mod:`repro.minplus.costmodel`).
-``diff`` prints the structural blast radius of a model edit
-(:func:`repro.drt.digest.structural_diff`) and ``whatif`` runs a warm
-incremental sweep of model edits (:mod:`repro.whatif`).  ``mp`` analyses
-parallel DAG tasks on identical multiprocessors (:mod:`repro.mp`):
-per-task long-path response-time bounds or a global FP/RM
-schedulability verdict.
+(:mod:`repro.cluster`).  ``diff`` prints the structural blast radius of
+a model edit (:func:`repro.drt.digest.structural_diff`) and ``whatif``
+runs a warm incremental sweep of model edits (:mod:`repro.whatif`).
+``mp`` analyses parallel DAG tasks on identical multiprocessors
+(:mod:`repro.mp`): per-task long-path response-time bounds or a global
+FP/RM schedulability verdict.
 """
 
 from __future__ import annotations
@@ -92,10 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "min-plus kernel backend: 'exact' (pure rational arithmetic), "
             "'hybrid' (vectorized float64 screens with certified exact "
-            "fallback; identical results), 'auto' (per-op cost-model "
-            "dispatch between the two; default when numpy is available) "
-            "or 'native' (hybrid plus a compiled pruning inner loop, "
-            "built on first use and falling back to hybrid)"
+            "fallback; identical results) or 'auto' (per-op size "
+            "threshold between the two; default when numpy is available)"
         ),
     )
     parser.add_argument(
@@ -162,87 +155,6 @@ def _parse_budget(args) -> "Budget | None":
         )
     except ValueError as exc:
         raise ReproError(f"invalid budget: {exc}") from exc
-
-
-def _calibrate_main(argv) -> int:
-    """``repro-analyze calibrate``: benchmark kernels, persist cost table."""
-    from repro.minplus import costmodel
-
-    parser = argparse.ArgumentParser(
-        prog="repro-analyze calibrate",
-        description=(
-            "Run the one-shot kernel microbenchmark and persist the "
-            "per-(op, size) cost table consulted by the 'auto' backend"
-        ),
-    )
-    parser.add_argument(
-        "--sizes",
-        metavar="N,N,...",
-        help="comma-separated curve sizes to probe (default: "
-        + ",".join(str(n) for n in costmodel.CALIBRATION_SIZES),
-    )
-    parser.add_argument(
-        "--reps", type=int, default=3, help="timing repetitions per cell"
-    )
-    parser.add_argument(
-        "--time-budget",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="soft wall-clock cap on the whole calibration",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="FILE",
-        help=(
-            "where to write the table (default: REPRO_COSTMODEL or "
-            "<cache-dir>/costmodel.json; '-' prints without persisting)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="persistent cache directory the table is stored next to",
-    )
-    args = parser.parse_args(argv)
-    try:
-        if args.cache_dir:
-            result_cache.configure(args.cache_dir)
-        sizes = costmodel.CALIBRATION_SIZES
-        if args.sizes:
-            sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
-        persist = args.out != "-"
-        rows = costmodel.calibrate(
-            sizes=sizes,
-            reps=args.reps,
-            time_budget_s=args.time_budget,
-            persist=persist and args.out is None,
-        )
-        print(f"{'op':>6} {'n':>6} {'exact_s':>12} {'hybrid_s':>12}  choice")
-        for row in rows:
-            print(
-                f"{row['op']:>6} {row['n']:>6} {row['exact_s']:>12.6f} "
-                f"{row['hybrid_s']:>12.6f}  {row['choice']}"
-            )
-        if persist and args.out is not None:
-            costmodel.save(to=args.out)
-            print(f"cost table written to {args.out}")
-        elif persist:
-            dest = costmodel.path()
-            if dest is None:
-                print(
-                    "cost table installed for this process only "
-                    "(no cache dir; set --cache-dir, REPRO_CACHE_DIR or "
-                    "REPRO_COSTMODEL to persist)"
-                )
-            else:
-                print(f"cost table written to {dest}")
-        else:
-            print("cost table not persisted (--out -)")
-        return 0
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def _diff_main(argv) -> int:
@@ -619,8 +531,6 @@ def main(argv=None) -> int:
         from repro.cluster.fleet import cluster_main
 
         return cluster_main(list(argv[1:]))
-    if argv and argv[0] == "calibrate":
-        return _calibrate_main(list(argv[1:]))
     if argv and argv[0] == "diff":
         return _diff_main(list(argv[1:]))
     if argv and argv[0] == "whatif":
@@ -643,13 +553,8 @@ def main(argv=None) -> int:
                 result_cache.configure(args.cache_dir)
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)
-        be = backend_mod.get_backend()
-        if be == "auto":
-            from repro.minplus import costmodel
-
-            be = f"auto({costmodel.describe()})"
         print(
-            f"engine: backend={be} "
+            f"engine: backend={backend_mod.get_backend()} "
             f"jobs={plane.resolve_jobs()} cache={result_cache.describe()}"
         )
         task = load_task(args.task, validate=not args.no_validate)

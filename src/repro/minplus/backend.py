@@ -1,6 +1,6 @@
 """Kernel backend selection for the min-plus algebra.
 
-Four backend names select how every min-plus operation runs:
+Three backend names select how every min-plus operation runs:
 
 * ``"exact"`` — the historical pure-:class:`~fractions.Fraction` pairwise
   segment algorithms, bit-identical to every release before the kernel
@@ -14,16 +14,11 @@ Four backend names select how every min-plus operation runs:
   therefore **identical** (same Fractions, same tie-breaking, same
   exceptions) to exact results — the screens never decide anything, they
   only *skip work whose outcome is already certified*;
-* ``"auto"`` (the default) — per-call cost-model dispatch: every
-  operation consults the calibrated cost table of
-  :mod:`repro.minplus.costmodel` (or its conservative built-in prior)
-  and runs under whichever of ``exact``/``hybrid`` is measured cheaper
-  for its operand size.  Since both candidates are bit-identical, the
-  dispatch decision can only ever cost time, never correctness;
-* ``"native"`` — hybrid plus the optional compiled tier of
-  :mod:`repro.minplus._native`: the envelope-pair pruning inner loops
-  run in a small C library built on first use.  When the toolchain is
-  absent or the build fails, native degrades silently to hybrid.
+* ``"auto"`` (the default) — per-call size dispatch: tiny operands of the
+  ops where hybrid's per-call lowering never amortizes go ``exact``
+  (:data:`EXACT_BELOW`), everything else goes ``hybrid``.  Since both
+  candidates are bit-identical, the dispatch decision can only ever cost
+  time, never correctness.
 
 Resolution order for the active backend:
 
@@ -33,8 +28,8 @@ Resolution order for the active backend:
 4. the default, ``"auto"`` when NumPy is importable, else ``"exact"``.
 
 NumPy is optional: without it every resolution collapses to ``"exact"``
-(requesting ``"hybrid"``/``"native"`` explicitly raises, so
-misconfiguration is loud; ``"auto"`` simply routes everything exact).
+(requesting ``"hybrid"`` explicitly raises, so misconfiguration is loud;
+``"auto"`` simply routes everything exact).
 """
 
 from __future__ import annotations
@@ -43,20 +38,29 @@ import os
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
+from repro import perf
+
 __all__ = [
     "BACKENDS",
+    "EXACT_BELOW",
     "HAVE_NUMPY",
     "get_backend",
     "resolve_backend",
     "op_backend",
     "screens_enabled",
-    "native_enabled",
-    "native_preferred",
     "set_backend",
     "use_backend",
 ]
 
-BACKENDS = ("exact", "hybrid", "auto", "native")
+BACKENDS = ("exact", "hybrid", "auto")
+
+#: ``auto`` routes an op to ``"exact"`` strictly below this operand
+#: segment count, to ``"hybrid"`` otherwise (ops not listed always go
+#: hybrid).  The thresholds come from ``BENCH_minplus_kernels.json``:
+#: at n=10 hybrid runs deconv at 0.98x and hdev at 0.75x of exact, and
+#: both are comfortably above 1x by n=100; the cut-offs leave headroom
+#: on the losing side.
+EXACT_BELOW = {"deconv": 24, "hdev": 48}
 
 try:  # NumPy is an optional accelerator, never a hard dependency.
     import numpy  # noqa: F401
@@ -68,20 +72,18 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 #: Process-wide override installed by :func:`set_backend` (None = unset).
 _override: Optional[str] = None
 
-#: Lazy module refs and interned counter keys for the per-call dispatch
-#: path — :func:`op_backend` sits on every operation, so it must not pay
-#: module lookups or f-string formatting on a hot tiny-curve loop.
-_costmodel = None
-_perf = None
+#: Interned ``dispatch.<op>.<tier>`` counter keys — :func:`op_backend`
+#: sits on every operation, so it must not pay f-string formatting on a
+#: hot tiny-curve loop.
 _dispatch_keys: dict = {}
 
 
 def _validate(name: str) -> str:
     if name not in BACKENDS:
         raise ValueError(
-            f"unknown backend {name!r}; expected one of {BACKENDS}"
+            f"unknown backend {name!r}; expected one of {', '.join(BACKENDS)}"
         )
-    if name in ("hybrid", "native") and not HAVE_NUMPY:
+    if name == "hybrid" and not HAVE_NUMPY:
         raise RuntimeError(
             f"backend {name!r} requires numpy, which is not importable"
         )
@@ -96,7 +98,7 @@ def get_backend() -> str:
     if env:
         if env not in BACKENDS:
             raise ValueError(
-                f"REPRO_BACKEND={env!r} is not one of {BACKENDS}"
+                f"REPRO_BACKEND={env!r} is not one of {', '.join(BACKENDS)}"
             )
         if env != "exact" and not HAVE_NUMPY:
             return "exact"
@@ -119,16 +121,14 @@ def op_backend(op: str, n: int, backend: Optional[str] = None) -> str:
     """The concrete tier (``"exact"``/``"hybrid"``) one operation runs on.
 
     Args:
-        op: Operation name from :data:`repro.minplus.costmodel.OPS`
-            (``conv``/``deconv``/``hdev``/``pinv``).
+        op: Operation name (``conv``/``deconv``/``hdev``/``pinv``).
         n: Operand size — the larger segment count of the two curves.
         backend: Optional API-level override, resolved like
             :func:`resolve_backend`.
 
-    ``exact`` and ``hybrid`` pass through unchanged; ``native`` runs on
-    the hybrid tier (its compiled inner loops are engaged inside the
-    kernels); ``auto`` asks the cost model which tier is measured
-    cheaper at this operand size.  Either answer yields bit-identical
+    ``exact`` and ``hybrid`` pass through unchanged; ``auto`` applies the
+    :data:`EXACT_BELOW` size threshold and counts its decision as
+    ``dispatch.<op>.<tier>``.  Either answer yields bit-identical
     results, so this decision is purely a matter of speed.
     """
     mode = resolve_backend(backend)
@@ -136,17 +136,11 @@ def op_backend(op: str, n: int, backend: Optional[str] = None) -> str:
         return "exact"
     if mode != "auto":
         return "hybrid"
-    global _costmodel, _perf
-    if _costmodel is None:
-        from repro import perf
-        from repro.minplus import costmodel
-
-        _costmodel, _perf = costmodel, perf
-    choice = _costmodel.choose(op, n)
+    choice = "exact" if n < EXACT_BELOW.get(op, 0) else "hybrid"
     key = _dispatch_keys.get((op, choice))
     if key is None:
         key = _dispatch_keys[(op, choice)] = f"dispatch.{op}.{choice}"
-    _perf.record(key)
+    perf.record(key)
     return choice
 
 
@@ -159,41 +153,6 @@ def screens_enabled() -> bool:
     available and the backend is not explicitly ``exact``.
     """
     return HAVE_NUMPY and get_backend() != "exact"
-
-
-def native_enabled() -> bool:
-    """True iff the compiled tier is requested *and* actually loadable."""
-    if get_backend() != "native":
-        return False
-    from repro.minplus import _native
-
-    return _native.available()
-
-
-def native_preferred(op: str, n: int) -> bool:
-    """True iff *this* operation should engage its compiled inner loop.
-
-    Under the explicit ``native`` backend every op with a compiled loop
-    uses it (when the library loaded).  Under ``auto``, the cost model
-    may pick ``"native"`` for an (op, size) bucket where calibration
-    measured the compiled tier fastest — :func:`costmodel.choose_tier`
-    only ever answers ``"native"`` after confirming the library is
-    available, so no availability re-check is needed on that path.
-    """
-    mode = get_backend()
-    if mode == "native":
-        from repro.minplus import _native
-
-        return _native.available()
-    if mode != "auto" or not HAVE_NUMPY:
-        return False
-    global _costmodel, _perf
-    if _costmodel is None:
-        from repro import perf
-        from repro.minplus import costmodel
-
-        _costmodel, _perf = costmodel, perf
-    return _costmodel.choose_tier(op, n) == "native"
 
 
 def set_backend(name: Optional[str]) -> None:

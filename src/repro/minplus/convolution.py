@@ -156,8 +156,7 @@ def min_plus_conv(
             prunes certifiably dominated segment pairs before the exact
             envelope, and screens the exact point evaluations; the
             resulting curve is identical to the ``"exact"`` backend's.
-            ``"auto"`` (the default) picks between the two per call from
-            the calibrated cost model and the operand segment counts.
+            ``"auto"`` (the default) runs this op hybrid at every size.
     """
     mode = backend_mod.op_backend(
         "conv", max(len(f.segments), len(g.segments)), backend
@@ -268,7 +267,7 @@ def min_plus_deconv(
         on_dip: Dip policy for isolated unattained suprema.
         backend: Kernel backend override (see :mod:`repro.minplus.backend`);
             ``"hybrid"`` results are identical to ``"exact"``, and
-            ``"auto"`` dispatches between them from the cost model (tiny
+            ``"auto"`` dispatches between them by operand size (tiny
             curves route to the exact path, whose fixed costs are lower).
 
     Raises:

@@ -221,10 +221,9 @@ def horizontal_deviation(f: Curve, g: Curve, backend: Optional[str] = None) -> M
             The ``"hybrid"`` backend enumerates the same pull-back pairs
             through float64 window screens and memoizes on curve
             fingerprints; its result is identical to ``"exact"``.
-            ``"auto"`` (the default) picks between the two per call from
-            the calibrated cost model — tiny-curve deviations are where
-            the hybrid tier's fixed lowering cost shows, so the
-            conservative prior routes them exact.
+            ``"auto"`` (the default) picks between the two per call by
+            operand size — tiny-curve deviations are where the hybrid
+            tier's fixed lowering cost shows, so they route exact.
     """
     from repro.minplus import backend as backend_mod
 

@@ -563,7 +563,6 @@ def _conv_witness_grid(fl, gl, cap_hi):
     """
     tau = np.linspace(0.0, max(cap_hi, 0.0), _CONV_GRID)
     best = np.full(tau.shape, _POS)
-    native = backend_mod.native_preferred("conv", max(fl.n, gl.n))
     for lw_a, lw_b in ((fl, gl), (gl, fl)):
         s_all = np.unique(
             np.concatenate([np.maximum(lw_a.S_lo, 0.0), [0.0]])
@@ -573,11 +572,6 @@ def _conv_witness_grid(fl, gl, cap_hi):
             idx = np.linspace(0, len(s_all) - 1, _CONV_PROBES).astype(int)
             s_all = s_all[idx]
         _, fs_hi = lw_a.eval_bounds(s_all, s_all)
-        if native:
-            from repro.minplus import _native
-
-            if _native.conv_witness_grid(tau, s_all, fs_hi, lw_b, best):
-                continue
         for k in range(len(s_all)):
             s = s_all[k]
             u = np.clip(_up(tau - s), 0.0, tau)
@@ -602,12 +596,6 @@ def conv_prune_mask(f, g, fp, gp, cap):
     dropping it provably leaves the computed curve (and its breakpoint
     corrections) unchanged.
 
-    Under :func:`repro.minplus.backend.native_enabled` the pairwise
-    inner loop runs in the compiled tier, which makes one pass with no
-    ``n^2`` temporaries; it prunes a sound subset of the vectorized
-    mask (the subset-envelope bound is grid-quantized there), so the
-    result curve is identical either way.
-
     Returns a boolean ``(len(fp), len(gp))`` keep-mask, or None when the
     screen is unavailable or unsound (non-monotone inputs).
     """
@@ -623,17 +611,6 @@ def conv_prune_mask(f, g, fp, gp, cap):
     b_lo_lo, _, b_hi_lo, b_hi_hi, b_v_lo, b_v_hi = _piece_arrays(gp)
     cap_lo, cap_hi = q_bounds([cap])
     tau, stair = _conv_witness_grid(fl, gl, float(cap_hi[0]))
-    if backend_mod.native_preferred("conv", max(fl.n, gl.n)):
-        from repro.minplus import _native
-
-        keep = _native.conv_keep_mask(
-            a_v_lo, b_v_lo, a_lo_lo, b_lo_lo, a_hi_hi, b_hi_hi,
-            float(cap_hi[0]), tau, stair,
-        )
-        if keep is not None:
-            perf.record("kernel.pairs_pruned", int(keep.size - keep.sum()))
-            perf.record("kernel.pairs_kept", int(keep.sum()))
-            return keep
     f0_hi = float(_up(np.array([float(f.at(0))]))[0])
     g0_hi = float(_up(np.array([float(g.at(0))]))[0])
     # Pair start values (certified lower) and domain right ends
@@ -677,12 +654,6 @@ def _deconv_witness_grid(fl, gl, u_probe, cap_hi):
     """
     tau = np.linspace(0.0, max(cap_hi, 0.0), _DECONV_GRID)
     best = np.full(tau.shape, _NEG)
-    if backend_mod.native_preferred("deconv", max(fl.n, gl.n)):
-        from repro.minplus import _native
-
-        probes = np.ascontiguousarray(u_probe, dtype=np.float64)
-        if _native.deconv_witness_grid(tau, probes, fl, gl, best):
-            return tau, best
     for u in u_probe:
         x = _down(tau + u)
         f_lo, _ = fl.eval_bounds(x, x)
@@ -733,17 +704,6 @@ def deconv_prune_mask(f, g, fp, gp, u_max, cap):
         idx = np.linspace(0, len(u_all) - 1, _DECONV_PROBES).astype(int)
         u_all = u_all[idx]
     tau, d_lo = _deconv_witness_grid(fl, gl, u_all, float(cap_hi[0]))
-    if backend_mod.native_preferred("deconv", max(fl.n, gl.n)):
-        from repro.minplus import _native
-
-        keep = _native.deconv_keep_mask(
-            a_lo_lo, a_hi_hi, b_lo_lo, b_hi_hi,
-            float(cap_hi[0]), _DECONV_SPLITS, tau, d_lo, fl, gl,
-        )
-        if keep is not None:
-            perf.record("kernel.pairs_pruned", int(keep.size - keep.sum()))
-            perf.record("kernel.pairs_kept", int(keep.sum()))
-            return keep
     # Pair domains [t0, t1] (outward-rounded floats).
     t0_lo = np.maximum(_down(a_lo_lo[:, None] - b_hi_hi[None, :]), 0.0)
     t1_hi = np.minimum(

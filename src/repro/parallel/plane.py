@@ -75,7 +75,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro import perf
 from repro.errors import BudgetExhaustedError, WorkerError
 from repro.minplus import backend as backend_mod
-from repro.minplus import costmodel
 from repro.parallel import cache as result_cache
 from repro.resilience import chaos
 from repro.resilience.budget import Budget, budget_scope
@@ -209,15 +208,10 @@ def _run_job(payload):
         fresh,
         chaos_config,
         chaos_key,
-        cost_table,
     ) = payload
     backend_mod.set_backend(backend)
     result_cache.apply_config(cache_config)
     chaos.apply_config(chaos_config)
-    # Workers never read the calibration file themselves — they inherit
-    # the parent's dispatch table, so parent and worker take identical
-    # exact/hybrid decisions for every op.
-    costmodel.apply_table(cost_table)
     # Injected worker faults, keyed by (item index, attempt) so a retry
     # draws a fresh decision — injected faults are transient, like the
     # real ones they model.
@@ -362,7 +356,6 @@ def parallel_map(
     backend = backend_mod.get_backend()
     cache_config = result_cache.current_config()
     chaos_config = chaos.current_config()
-    cost_table = costmodel.current_table()
 
     def payload(i: int, attempt: int):
         return (
@@ -373,7 +366,6 @@ def parallel_map(
             fresh_caches,
             chaos_config,
             (i, attempt),
-            cost_table,
         )
 
     outcomes: List = [None] * len(items)

@@ -20,7 +20,6 @@ a bit-identical result, a sound degraded bound, or a typed
 ``cache.enospc``       a cache write fails with ``ENOSPC`` (disk full)
 ``cache.eperm.read``   a cache read fails with ``EPERM``
 ``cache.eperm.write``  a cache write fails with ``EPERM``
-``costmodel.corrupt``  a calibration-table read sees a truncated blob
 ``cluster.worker_crash``  the cluster coordinator's proxy connection to
                        the owning worker fails as if the worker died
                        mid-request (exercises ring ejection + bounded
@@ -88,7 +87,6 @@ KNOWN_SITES = frozenset(
         "cache.enospc",
         "cache.eperm.read",
         "cache.eperm.write",
-        "costmodel.corrupt",
         "cluster.worker_crash",
         "cluster.partition",
         "cluster.slow_worker",

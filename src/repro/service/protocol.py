@@ -75,6 +75,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.io.json_io import curve_from_dict, task_from_dict
+from repro.minplus.backend import BACKENDS
 from repro.minplus.curve import Curve
 from repro.mp.bounds import DagRtaResult
 from repro.mp.global_sched import GlobalSchedResult
@@ -695,6 +696,12 @@ def decode_request(data: Any, trace_id: Optional[str] = None) -> DecodedRequest:
         raise _bad(
             f"unknown params {unknown} for kind {kind!r}; "
             f"allowed: {sorted(spec.params)}"
+        )
+    backend = raw_params.get("backend")
+    if backend is not None and backend not in BACKENDS:
+        raise _bad(
+            f"unknown params.backend {backend!r}; "
+            f"allowed: {', '.join(BACKENDS)}"
         )
     params = dict(raw_params)
     for name in spec.rational_params & set(params):

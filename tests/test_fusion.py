@@ -1,10 +1,10 @@
-"""Fused op pipelines and the compiled tier: bit-identity to unfused exact.
+"""Fused op pipelines: bit-identity to unfused exact.
 
 ``fused_deconv_hdev`` / ``fused_conv_hdev`` may only change *how* the
 GPC and pay-bursts-only-once bounds are computed, never their values:
 every test drives the fused hybrid path and the unfused pure-exact path
 over random and adversarial (one-ulp tie) curves and asserts full
-equality — including the ``native`` backend when the C library builds.
+equality.
 """
 
 from fractions import Fraction as F
@@ -15,16 +15,15 @@ from hypothesis import strategies as st
 
 from repro import perf
 from repro._numeric import Q, is_inf
-from repro.minplus import backend as backend_mod
 from repro.minplus import kernels
 from repro.minplus.backend import use_backend
 from repro.minplus.convolution import min_plus_conv, min_plus_deconv
-from repro.minplus.costmodel import _service, _stair
 from repro.minplus.curve import Curve
 from repro.minplus.deviation import horizontal_deviation, vertical_deviation
 from repro.minplus.segment import Segment
 
 from .conftest import monotone_curves, service_curves
+from .test_kernels import _service, _stair
 
 pytestmark = pytest.mark.skipif(
     not kernels.AVAILABLE, reason="fused pipelines need numpy"
@@ -248,52 +247,3 @@ class TestCounters:
         after = perf.snapshot()["counters"].get("curve.intern_evictions", 0)
         assert after >= before + 5
         curve_mod.clear_intern_table()
-
-
-@pytest.mark.skipif(
-    not kernels.AVAILABLE, reason="native tier needs the hybrid tier"
-)
-class TestNativeTier:
-    def test_native_matches_exact_when_built(self):
-        from repro.minplus import _native
-
-        if not _native.available():
-            pytest.skip(f"compiled tier unavailable: {_native.build_error()}")
-        f, g = _stair(60, 21), _service(60, 22)
-        with use_backend("exact"):
-            want = (
-                min_plus_conv(f, f, on_dip="fill"),
-                min_plus_deconv(f, g, on_dip="fill"),
-            )
-        kernels.op_cache_clear()
-        with use_backend("native"):
-            got = (
-                min_plus_conv(f, f, on_dip="fill"),
-                min_plus_deconv(f, g, on_dip="fill"),
-            )
-        kernels.op_cache_clear()
-        assert got == want
-
-    @settings(max_examples=25, deadline=None)
-    @given(f=monotone_curves(), g=monotone_curves())
-    def test_native_conv_property(self, f, g):
-        from repro.minplus import _native
-
-        if not _native.available():
-            pytest.skip("compiled tier unavailable")
-        with use_backend("exact"):
-            want = min_plus_conv(f, g, on_dip="fill")
-        kernels.op_cache_clear()
-        with use_backend("native"):
-            got = min_plus_conv(f, g, on_dip="fill")
-        kernels.op_cache_clear()
-        assert got == want
-
-    def test_native_enabled_reflects_backend(self):
-        from repro.minplus import _native
-
-        with use_backend("hybrid"):
-            assert not backend_mod.native_enabled()
-        if _native.available():
-            with use_backend("native"):
-                assert backend_mod.native_enabled()

@@ -9,6 +9,8 @@ the nested-phase accounting of ``repro.perf``.
 """
 
 import copy
+import os
+import random
 import time
 from fractions import Fraction as F
 
@@ -16,25 +18,60 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro import perf
+from repro import cli, perf
 from repro._numeric import Q, is_inf
 from repro.core.facade import StructuralAnalysis
+from repro.drt.model import DRTTask
+from repro.errors import SerializationError
+from repro.io.json_io import task_to_dict
 from repro.minplus import (
+    BACKENDS,
+    get_backend,
     horizontal_deviation,
     min_plus_conv,
     min_plus_deconv,
     use_backend,
 )
 from repro.minplus import kernels
+from repro.minplus.backend import op_backend
 from repro.minplus.curve import Curve
 from repro.minplus.deviation import lower_pseudo_inverse_batch
 from repro.minplus.segment import Segment
+from repro.service.protocol import decode_request
 
 from .conftest import monotone_curves, service_curves, small_drt_tasks
 
 pytestmark = pytest.mark.skipif(
     not kernels.AVAILABLE, reason="hybrid backend needs numpy"
 )
+
+
+def _stair(n: int, seed: int, scale: int = 1) -> Curve:
+    """Synthetic staircase arrival curve (the RTC request-bound shape)."""
+    rng = random.Random(seed)
+    segs = []
+    t, v = Q(0), Q(0)
+    for i in range(max(n - 1, 1)):
+        segs.append(Segment(t, v, Q(0)))
+        t += Q(rng.randint(1, 3))
+        v += Q(max(1, 2 * (n - i) // max(n, 1) * scale + rng.randint(0, 1)), 2)
+    segs.append(Segment(t, v, Q(1, 2)))
+    return Curve(segs)
+
+
+def _service(n: int, seed: int) -> Curve:
+    """Synthetic convex ramp-up service curve (rate-2 tail)."""
+    rng = random.Random(seed)
+    segs = [Segment(Q(0), Q(0), Q(0))]
+    t, v = Q(2), Q(0)
+    for i in range(1, max(n - 1, 2)):
+        slope = Q(i, n)
+        segs.append(Segment(t, v, slope))
+        dt = Q(rng.randint(1, 2))
+        v += slope * dt
+        t += dt
+    segs.append(Segment(t, v, Q(2)))
+    return Curve(segs)
 
 
 def _both(fn):
@@ -192,3 +229,164 @@ class TestTimedNestedPhases:
         with reg.timed("a"):
             time.sleep(0.01)
         assert reg.timers()["a"] >= 0.02
+
+
+# ----------------------------------------------------------------------
+# ``auto`` dispatch: fixed size threshold between exact and hybrid
+# ----------------------------------------------------------------------
+
+OPS = ("conv", "deconv", "hdev", "pinv")
+
+
+class TestPrior:
+    def test_small_deconv_hdev_route_exact_cold(self):
+        for n in (5, 10):
+            assert op_backend("deconv", n, "auto") == "exact"
+            assert op_backend("hdev", n, "auto") == "exact"
+
+    def test_conv_pinv_route_hybrid_at_any_size(self):
+        for n in (1, 5, 10, 1000):
+            assert op_backend("conv", n, "auto") == "hybrid"
+            assert op_backend("pinv", n, "auto") == "hybrid"
+
+    def test_all_ops_route_hybrid_large(self):
+        for op in OPS:
+            assert op_backend(op, 500, "auto") == "hybrid"
+
+    def test_unknown_op_defaults_hybrid(self):
+        assert op_backend("frobnicate", 3, "auto") == "hybrid"
+
+    def test_op_backend_counts_dispatch_under_auto(self):
+        before = perf.snapshot()["counters"]
+        with use_backend("auto"):
+            assert op_backend("deconv", 1) == "exact"
+            assert op_backend("deconv", 300) == "hybrid"
+        after = perf.snapshot()["counters"]
+        for key in ("dispatch.deconv.exact", "dispatch.deconv.hybrid"):
+            assert after.get(key, 0) == before.get(key, 0) + 1
+
+    def test_op_backend_passes_concrete_backends_through(self):
+        with use_backend("exact"):
+            assert op_backend("conv", 1000) == "exact"
+        with use_backend("hybrid"):
+            assert op_backend("hdev", 1) == "hybrid"
+
+
+class TestAutoBitIdentity:
+    def test_auto_equals_exact_on_kernel_ops(self):
+        f, g = _stair(20, 7), _service(20, 9)
+        with use_backend("exact"):
+            want = (
+                min_plus_conv(f, f, on_dip="fill"),
+                min_plus_deconv(f, g, on_dip="fill"),
+                horizontal_deviation(f, g),
+            )
+        kernels.op_cache_clear()
+        with use_backend("auto"):
+            got = (
+                min_plus_conv(f, f, on_dip="fill"),
+                min_plus_deconv(f, g, on_dip="fill"),
+                horizontal_deviation(f, g),
+            )
+        kernels.op_cache_clear()
+        assert got == want
+
+
+class TestSmallNFloor:
+    """The n=10 regression the threshold exists to prevent: tiny
+    deconv/hdev must not pay the screen overhead under ``auto``."""
+
+    def _medians(self, fn, backends, reps=15):
+        """Per-backend medians over interleaved samples on one CPU, so
+        machine drift and per-CPU speed hit every backend equally
+        instead of biasing whichever was timed last."""
+        samples = {be: [] for be in backends}
+        pin = hasattr(os, "sched_setaffinity")
+        if pin:
+            allowed = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {min(allowed)})
+        try:
+            for _ in range(reps):
+                for be in backends:
+                    with use_backend(be):
+                        kernels.op_cache_clear()
+                        t0 = time.perf_counter()
+                        fn()
+                        samples[be].append(time.perf_counter() - t0)
+        finally:
+            if pin:
+                os.sched_setaffinity(0, allowed)
+        return [sorted(s)[len(s) // 2] for s in samples.values()]
+
+    @pytest.mark.parametrize("n", [5, 10])
+    def test_auto_within_095x_of_exact(self, n):
+        f, g = _stair(n, 3), _service(n, 5)
+
+        def run():
+            min_plus_deconv(f, g, on_dip="fill")
+            horizontal_deviation(f, g)
+
+        with use_backend("auto"):
+            # Both ops route to exact, so the only admissible overhead
+            # is the dispatch lookup itself.
+            assert op_backend("deconv", n) == "exact"
+            assert op_backend("hdev", n) == "exact"
+        t_exact, t_auto = self._medians(run, ("exact", "auto"))
+        # >= 0.95x of exact throughput, with headroom for timer noise.
+        assert t_auto <= t_exact / 0.95 + 5e-4, (t_exact, t_auto)
+
+
+def _reject_use_backend(monkeypatch):
+    with use_backend("native"):
+        pass  # pragma: no cover - the context must not be entered
+
+
+def _reject_env(monkeypatch):
+    monkeypatch.setenv("REPRO_BACKEND", "native")
+    get_backend()
+
+
+def _reject_cli(*argv):
+    return lambda monkeypatch: cli.main([*argv, "--backend", "native"])
+
+
+def _reject_params(monkeypatch):
+    task = DRTTask.build("t", jobs={"x": (1, 5)}, edges=[("x", "x", 10)])
+    decode_request(
+        {
+            "kind": "delay",
+            "task": task_to_dict(task),
+            "beta": {"rate": "1/2"},
+            "params": {"backend": "native"},
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "attempt",
+    [
+        _reject_use_backend,
+        _reject_env,
+        _reject_cli("task.json"),
+        _reject_cli("serve"),
+        _reject_cli("cluster"),
+        _reject_params,
+    ],
+    ids=["use_backend", "REPRO_BACKEND", "analyze", "serve", "cluster",
+         "params"],
+)
+def test_removed_backend_name_fails_loudly(attempt, monkeypatch, capsys):
+    """``native`` is gone: every entry point names the live backends."""
+    assert BACKENDS == ("exact", "hybrid", "auto")
+    with pytest.raises(
+        (ValueError, SerializationError, SystemExit)
+    ) as info:
+        attempt(monkeypatch)
+    if info.type is SystemExit:
+        assert info.value.code == 2
+        message = capsys.readouterr().err
+    else:
+        message = str(info.value)
+    assert "'native'" in message
+    for name in BACKENDS:
+        assert name in message

@@ -103,6 +103,9 @@ class TestProtocol:
             {"beta": {"rate": "0"}},
             {"beta": {}},
             {"params": {"no_such_param": 1}},
+            {"params": {"backend": "bogus"}},
+            {"params": {"backend": 7}},
+            {"params": {"backend": "native"}},
             {"deadline_ms": -5},
         ):
             with pytest.raises((SerializationError, ValidationError)):
@@ -414,6 +417,19 @@ class TestServiceEndToEnd:
             client.analyze_raw({"kind": "delay"})  # no task, no beta
         assert info.value.status == 400
         assert info.value.code == "bad_request"
+
+    def test_unknown_backend_param_is_bad_request(self, client, demo_task):
+        spec = ServiceClient.build_request(
+            "delay", demo_task, _beta(), params={"backend": "bogus"}
+        )
+        with pytest.raises(ServiceError) as info:
+            client.analyze_raw(spec)
+        assert info.value.status == 400
+        assert info.value.code == "bad_request"
+        (env,) = client.batch([spec])
+        assert env["ok"] is False
+        assert env["error"]["code"] == "bad_request"
+        assert "exact, hybrid, auto" in env["error"]["message"]
 
     def test_unknown_route_and_method(self, client):
         status, _, _ = client.request("GET", "/no/such/route")

@@ -80,7 +80,7 @@ The min-plus operations run on a backend selected by
 `repro.minplus.backend` (explicit `backend=` keyword > `set_backend` /
 `use_backend` override > `REPRO_BACKEND` environment variable > default,
 which is `auto` when NumPy is importable and `exact` otherwise; the CLI
-exposes `--backend {exact,hybrid,auto,native}`):
+exposes `--backend {exact,hybrid,auto}`):
 
 - **`exact`** — the pure-`fractions.Fraction` pairwise-segment
   algorithms, bit-identical to every release before the kernel layer.
@@ -89,30 +89,14 @@ exposes `--backend {exact,hybrid,auto,native}`):
   bounds, critical tuples, raised exceptions) are **identical** to
   `exact`: the screens never decide an outcome, they only skip work
   whose outcome is already certified.
-- **`auto`** (default) — per-operation *cost-model dispatch* between the
-  two concrete tiers above.  `repro.minplus.costmodel` keeps a
-  per-(op, size-bucket) table of measured exact/hybrid runtimes;
-  `op_backend(op, n)` consults it on every call and routes the
-  operation to whichever tier the table predicts cheaper (counters
-  `dispatch.<op>.exact` / `dispatch.<op>.hybrid`).  Cold, the table is
-  a conservative built-in prior that routes only the small-curve
-  regimes where the hybrid screens are known overhead (tiny `deconv` /
-  `hdev`) to `exact`.  `repro-analyze calibrate` (or
-  `costmodel.calibrate()`) populates the table with a one-shot
-  microbenchmark and persists it as JSON next to the persistent result
-  cache (`REPRO_COSTMODEL` overrides the path); a corrupt or truncated
-  table file is discarded for the prior (counter
-  `costmodel.load_errors`).  Worker processes inherit the parent's
-  table through the plane payload and never read the file themselves.
-  Because both tiers are bit-identical, dispatch only ever changes
-  *speed*, never results.
-- **`native`** — `hybrid` plus a small compiled C library for the
-  envelope-pair pruning inner loops (`repro.minplus._native`), built
-  with the system C compiler on first use and loaded via `ctypes`.
-  Any build or load failure falls back silently to the pure-NumPy
-  screens (`native_enabled()` / `build_error()` report the state); the
-  native mask prunes a sound subset of pairs, so results remain
-  bit-identical.
+- **`auto`** (default) — per-operation *size-threshold dispatch*
+  between the two concrete tiers above.  `op_backend(op, n)` routes
+  `deconv` below 24 segments and `hdev` below 48 to `exact` (the
+  regimes where `BENCH_minplus_kernels.json` shows hybrid's per-call
+  lowering as pure overhead: 0.98x and 0.75x at n=10) and everything
+  else to `hybrid` (`backend.EXACT_BELOW`; counters
+  `dispatch.<op>.exact` / `dispatch.<op>.hybrid`).  Because both tiers
+  are bit-identical, dispatch only ever changes *speed*, never results.
 
 **Fused pipelines.**  `repro.minplus.kernels` exposes fused chains for
 the hot multi-op sequences: `fused_deconv_hdev(alpha, beta)` produces
