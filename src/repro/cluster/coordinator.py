@@ -11,10 +11,11 @@ included — points at a coordinator unchanged.  What it adds:
   (:mod:`repro.cluster.ring`) pins the key to one worker, so warm
   persistent-cache entries, interned curves and what-if session state
   stay on the node that built them;
-* **fan-out/merge** — ``/v1/batch`` splits by owner, runs the
-  sub-batches concurrently and re-merges envelopes in the original
-  request order; ``/v1/whatif`` splits a sweep's *edits* by per-edit
-  digest and re-merges the per-edit results in edit order.  Merged
+* **fan-out/merge** — one split-by-owner path: ``/v1/batch`` (plain or
+  streamed) splits by owner, runs the sub-batches concurrently and
+  settles every envelope exactly once at its original index;
+  ``/v1/whatif`` splits a sweep's *edits* by per-edit digest and
+  re-merges the per-edit results in edit order.  Merged
   results are bit-identical to a single-node run because every worker
   computes with the same exact arithmetic and the coordinator never
   rewrites a result payload;
@@ -35,33 +36,37 @@ included — points at a coordinator unchanged.  What it adds:
   ``X-Repro-Worker`` / ``X-Repro-Ring-Generation`` / ``X-Trace-Id``,
   and incoming trace IDs propagate coordinator → worker.
 
-Deterministic chaos: the ``cluster.worker_crash`` site
-(:mod:`repro.resilience.chaos`) fails a proxy attempt as if the owning
-worker died mid-request, driving the ejection + retry path under test
-control.
+Every worker exchange — single, sub-batch or stream — takes the same
+path: one ``request_timeout_s`` ceiling, the ``cluster.partition`` /
+``cluster.slow_worker`` / ``cluster.worker_crash`` chaos sites
+(:mod:`repro.resilience.chaos`), ejection on transport failure, and one
+``429`` policy (wait out ``Retry-After`` once, then reroute without
+ejecting).  Framing lives in :mod:`repro.service.http`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import perf
+from repro.parallel import transport
 from repro.resilience import chaos
 from repro.service import protocol
 from repro.service.admission import AdmissionController
 from repro.service.metrics import ServiceMetrics
-from repro.service.server import (
-    _HttpError,
-    _chunk,
-    head_bytes,
-    read_body,
-    read_head,
+from repro.service import http
+from repro.service.http import (
+    HttpEndpoint,
+    Request,
+    end_ndjson,
+    error_body,
+    http_error,
     send_json,
+    start_ndjson,
 )
 from repro.cluster.membership import (
     DEFAULT_LEASE_S,
@@ -203,17 +208,21 @@ class _WorkerDown(Exception):
     """Internal: a proxy attempt could not reach the worker."""
 
 
-def _error_envelope(
-    trace_id: str, kind: Optional[str], code: str, message: str
-) -> Dict[str, Any]:
-    env: Dict[str, Any] = {
+def _cache_counts(doc: Any) -> Tuple[int, int]:
+    """Result-cache ``(hits, misses)`` of one worker ``/metrics`` doc."""
+    cache = (doc.get("cache") if isinstance(doc, dict) else None) or {}
+    return int(cache.get("hits") or 0), int(cache.get("misses") or 0)
+
+
+def _edit_error(edit: Any, message: str, code: str) -> Dict[str, Any]:
+    """One failed row of a merged what-if sweep."""
+    return {
+        "edit": edit,
         "ok": False,
-        "trace_id": trace_id,
-        "error": {"code": code, "message": message},
+        "summary": None,
+        "error": message,
+        "error_code": code,
     }
-    if kind:
-        env["kind"] = kind
-    return env
 
 
 class _RecordingWriter:
@@ -248,10 +257,23 @@ class _RecordingWriter:
         return b"".join(self._chunks)
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(HttpEndpoint):
     """One coordinator instance: ring + proxy + admission + rollup."""
 
+    ROUTES = {
+        "/healthz": ("GET", "_handle_healthz"),
+        "/metrics": ("GET", "_handle_metrics"),
+        "/v1/analyze": ("POST", "_handle_analyze"),
+        "/v1/whatif": ("POST", "_handle_whatif"),
+        "/v1/batch": ("POST", "_handle_batch"),
+        "/admin/membership": ("GET", "_handle_membership"),
+        "/admin/add-worker": ("POST", "_handle_add_worker"),
+        "/admin/remove-worker": ("POST", "_handle_remove_worker"),
+    }
+    ROLE = "coordinator"
+
     def __init__(self, config: Optional[ClusterConfig] = None) -> None:
+        super().__init__()
         self.config = config or ClusterConfig()
         self.workers: Dict[str, WorkerState] = {}
         for index, (host, port) in enumerate(self.config.workers):
@@ -294,14 +316,9 @@ class ClusterCoordinator:
             shed_fraction=self.config.shed_fraction,
             shed_deadline_ms=self.config.shed_deadline_ms,
         )
-        self.draining = False
-        self.port: Optional[int] = None
         self._inflight = 0
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._handlers: set = set()
         self._probe_task: Optional[asyncio.Task] = None
         self._lease_task: Optional[asyncio.Task] = None
-        self._stopped: Optional[asyncio.Event] = None
         #: Completed responses keyed by X-Idempotency-Key: a client that
         #: lost a response (timeout, dropped connection) re-issues the
         #: request with the same key and gets the recorded response back
@@ -371,11 +388,7 @@ class ClusterCoordinator:
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
-        self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen(self.config.host, self.config.port)
         if self.config.state_dir:
             self._lease = CoordinatorLease(
                 self.config.state_dir,
@@ -393,17 +406,7 @@ class ClusterCoordinator:
             if not self.draining:
                 self._lease.renew(port=self.port)
 
-    async def wait_stopped(self) -> None:
-        assert self._stopped is not None, "start() was not called"
-        await self._stopped.wait()
-
-    async def shutdown(self, drain: bool = True) -> bool:
-        if self.draining:
-            return True
-        self.draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _wind_down(self, drain: bool) -> bool:
         for task in (self._probe_task, self._lease_task):
             if task is not None:
                 task.cancel()
@@ -413,15 +416,9 @@ class ClusterCoordinator:
                     pass
         if self._lease is not None:
             self._lease.release()
-        clean = True
-        if drain:
-            deadline = time.monotonic() + self.config.drain_grace_s
-            while self._handlers and time.monotonic() < deadline:
-                await asyncio.sleep(0.005)
-            clean = not self._handlers
-        if self._stopped is not None:
-            self._stopped.set()
-        return clean
+        if not drain:
+            return True
+        return await self._await_handlers(self.config.drain_grace_s)
 
     async def crash(self) -> None:
         """Abrupt stop for the failover tests: no drain, no lease release.
@@ -446,8 +443,7 @@ class ClusterCoordinator:
         # *now* (and fail over), not sit out their read timeout.
         if to_cancel:
             await asyncio.gather(*to_cancel, return_exceptions=True)
-        if self._stopped is not None:
-            self._stopped.set()
+        self._mark_stopped()
 
     # -- health probes ---------------------------------------------------
 
@@ -460,31 +456,25 @@ class ClusterCoordinator:
             await asyncio.sleep(self.config.probe_interval_s)
 
     async def _probe_one(self, state: WorkerState) -> None:
+        error = reason = None
         try:
-            status, _headers, _body = await self._worker_http(
-                state, "GET", "/healthz", None,
-                timeout=self.config.probe_timeout_s,
+            status, _headers, _doc = await self._worker_json(
+                state, "GET", "/healthz", timeout=self.config.probe_timeout_s
             )
+            # A drained worker (503) is alive but unschedulable; for
+            # ring membership it counts as a failed probe.
+            if status == 503:
+                error = reason = "draining"
         except _WorkerDown as exc:
+            error, reason = str(exc), f"probe: {exc}"
+        if error is not None:
             state.consecutive_failures += 1
-            state.last_error = str(exc)
+            state.last_error = error
             if (
                 state.consecutive_failures >= self.config.probe_failures
                 and state.worker_id in self.ring
             ):
-                self._eject(state, f"probe: {exc}")
-            return
-        # A drained worker (503) is alive but unschedulable; treat it
-        # like a failure for ring membership without counting transport
-        # errors against it.
-        if status == 503:
-            state.consecutive_failures += 1
-            state.last_error = "draining"
-            if (
-                state.consecutive_failures >= self.config.probe_failures
-                and state.worker_id in self.ring
-            ):
-                self._eject(state, "draining")
+                self._eject(state, reason)
             return
         state.consecutive_failures = 0
         state.last_error = None
@@ -505,19 +495,23 @@ class ClusterCoordinator:
 
     # -- worker HTTP -----------------------------------------------------
 
-    async def _worker_http(
+    async def _worker_json(
         self,
         state: WorkerState,
         method: str,
         path: str,
-        body: Optional[bytes],
+        body: Optional[bytes] = None,
         timeout: Optional[float] = None,
         trace_id: Optional[str] = None,
-    ) -> Tuple[int, Dict[str, str], bytes]:
-        """One ``Connection: close`` HTTP exchange with a worker.
+        on_line=None,
+    ) -> Tuple[int, Dict[str, str], Any]:
+        """One exchange with a worker; returns (status, headers, JSON doc).
 
-        Raises :class:`_WorkerDown` on any transport-level failure
-        (connect, timeout, truncated response).
+        With *on_line* a streamed reply is handed over line by line and
+        the doc is None.  The whole exchange, a stream included, is
+        bounded by *timeout* (default ``request_timeout_s``).  Raises
+        :class:`_WorkerDown` on any transport-level failure (connect,
+        timeout, truncated or undecodable response).
         """
         timeout = self.config.request_timeout_s if timeout is None else timeout
         # Gray-failure injection: a partition refuses this worker+route
@@ -533,167 +527,33 @@ class ClusterCoordinator:
         ):
             perf.record("cluster.chaos_slow_workers")
             await asyncio.sleep(min(chaos.HANG_SECONDS, timeout))
-        head = [f"{method} {path} HTTP/1.1", f"Host: {state.host}"]
-        head.append("Connection: close")
-        if trace_id:
-            head.append(f"X-Trace-Id: {trace_id}")
-        if body is not None:
-            head.append("Content-Type: application/json")
-            head.append(f"Content-Length: {len(body)}")
-        request = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
-        if body is not None:
-            request += body
         try:
-            return await asyncio.wait_for(
-                self._worker_exchange(state, request), timeout
+            status, headers, payload = await asyncio.wait_for(
+                http.exchange(
+                    state.host,
+                    state.port,
+                    method,
+                    path,
+                    body,
+                    {"X-Trace-Id": trace_id} if trace_id else None,
+                    on_line=on_line,
+                ),
+                timeout,
             )
+            doc = json.loads(payload.decode("utf-8")) if payload else None
         except asyncio.TimeoutError:
             raise _WorkerDown(
                 f"{state.worker_id} timed out after {timeout}s"
             ) from None
-        except (ConnectionError, OSError, asyncio.IncompleteReadError) as exc:
+        except (OSError, asyncio.IncompleteReadError, ValueError) as exc:
             raise _WorkerDown(
                 f"{state.worker_id}: {type(exc).__name__}: {exc}"
             ) from exc
-
-    async def _worker_exchange(
-        self, state: WorkerState, request: bytes
-    ) -> Tuple[int, Dict[str, str], bytes]:
-        reader, writer = await asyncio.open_connection(state.host, state.port)
-        try:
-            writer.write(request)
-            await writer.drain()
-            status, headers = await self._read_response_head(reader)
-            payload = await self._read_response_body(reader, headers)
-            return status, headers, payload
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:  # noqa: BLE001
-                pass
-
-    @staticmethod
-    async def _read_response_head(
-        reader: asyncio.StreamReader,
-    ) -> Tuple[int, Dict[str, str]]:
-        status_line = await reader.readline()
-        parts = status_line.decode("latin-1").split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise _WorkerDown(f"malformed status line {status_line!r}")
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        return int(parts[1]), headers
-
-    @staticmethod
-    async def _read_response_body(
-        reader: asyncio.StreamReader, headers: Dict[str, str]
-    ) -> bytes:
-        if headers.get("transfer-encoding", "").lower() == "chunked":
-            out = b""
-            async for piece in ClusterCoordinator._iter_chunks(reader):
-                out += piece
-            return out
-        raw_length = headers.get("content-length")
-        if raw_length is None:
-            return await reader.read()
-        return await reader.readexactly(int(raw_length))
-
-    @staticmethod
-    async def _iter_chunks(reader: asyncio.StreamReader):
-        """Decode HTTP/1.1 chunked framing, yielding raw chunk payloads."""
-        while True:
-            size_line = await reader.readline()
-            try:
-                size = int(size_line.strip().split(b";", 1)[0], 16)
-            except ValueError:
-                raise _WorkerDown(
-                    f"malformed chunk size {size_line!r}"
-                ) from None
-            if size == 0:
-                await reader.readline()  # trailing CRLF
-                return
-            payload = await reader.readexactly(size)
-            await reader.readexactly(2)  # chunk CRLF
-            yield payload
+        return status, headers, doc
 
     # -- connection handling ---------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._handlers.add(task)
-        t0 = time.perf_counter()
-        endpoint = "?"
-        ok = False
-        try:
-            method, path, headers = await read_head(reader)
-            endpoint = f"{method} {path}"
-            body = await read_body(reader, headers)
-            # Injected coordinator crash: drop the connection after the
-            # request was read but before any response byte — the shape
-            # a real coordinator death mid-request has on the wire.
-            # Clients recover by failing over their coordinator list
-            # and re-issuing under the same idempotency key.
-            if chaos.should_fire(
-                "cluster.coordinator_crash",
-                key=(path, headers.get("x-idempotency-key"), len(body)),
-            ):
-                perf.record("cluster.chaos_coordinator_crashes")
-                self.metrics.record("chaos_connection_drops")
-                return
-            ok = await self._dispatch(method, path, headers, body, writer)
-        except _HttpError as exc:
-            await send_json(
-                writer, exc.status, exc.body, extra_headers=exc.headers
-            )
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            asyncio.LimitOverrunError,
-        ):
-            pass
-        except Exception:  # noqa: BLE001 - a handler bug must not kill the loop
-            try:
-                await send_json(
-                    writer,
-                    500,
-                    {
-                        "ok": False,
-                        "error": {
-                            "code": "internal",
-                            "message": "internal error",
-                        },
-                    },
-                )
-            except Exception:  # noqa: BLE001
-                pass
-        finally:
-            self._handlers.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:  # noqa: BLE001
-                pass
-            if endpoint != "?":
-                self.metrics.observe_request(
-                    endpoint, time.perf_counter() - t0, ok
-                )
-
-    async def _dispatch(
-        self,
-        method: str,
-        path: str,
-        headers: Dict[str, str],
-        body: bytes,
-        writer: asyncio.StreamWriter,
-    ) -> bool:
+    async def handle(self, request: Request, writer) -> bool:
         """Route one request, deduplicating by ``X-Idempotency-Key``.
 
         A keyed POST whose response was already recorded is replayed
@@ -704,12 +564,25 @@ class ClusterCoordinator:
         every analysis is pure: the re-executed response is
         bit-identical to the lost one.
         """
-        trace_id = headers.get("x-trace-id")
-        idem = headers.get("x-idempotency-key")
-        if not idem or method != "POST" or not path.startswith("/v1/"):
-            return await self._route(
-                method, path, body, writer, trace_id=trace_id
-            )
+        idem = request.headers.get("x-idempotency-key")
+        # Injected coordinator crash: drop the connection after the
+        # request was read but before any response byte — the shape
+        # a real coordinator death mid-request has on the wire.
+        # Clients recover by failing over their coordinator list
+        # and re-issuing under the same idempotency key.
+        if chaos.should_fire(
+            "cluster.coordinator_crash",
+            key=(request.path, idem, len(request.body)),
+        ):
+            perf.record("cluster.chaos_coordinator_crashes")
+            self.metrics.record("chaos_connection_drops")
+            return False
+        if (
+            not idem
+            or request.method != "POST"
+            or not request.path.startswith("/v1/")
+        ):
+            return await self.route(request, writer)
         recorded = self._idempotent.get(idem)
         if recorded is not None:
             self._idempotent.move_to_end(idem)
@@ -719,9 +592,7 @@ class ClusterCoordinator:
             await writer.drain()
             return True
         recording = _RecordingWriter(writer)
-        ok = await self._route(
-            method, path, body, recording, trace_id=trace_id
-        )
+        ok = await self.route(request, recording)
         self._remember_idempotent(idem, recording.raw())
         return ok
 
@@ -732,106 +603,12 @@ class ClusterCoordinator:
         are not recorded: errors should re-execute on retry, and a
         stream replay would need the full body buffered anyway.
         """
-        if not raw.startswith(b"HTTP/1.1 200"):
-            return
-        if len(raw) > IDEMPOTENT_MAX_BYTES:
-            return
-        head = raw.split(b"\r\n\r\n", 1)[0]
-        if b"Transfer-Encoding: chunked" in head:
+        if len(raw) > IDEMPOTENT_MAX_BYTES or not http.replayable(raw):
             return
         self._idempotent[key] = raw
         self._idempotent.move_to_end(key)
         while len(self._idempotent) > IDEMPOTENCY_CAP:
             self._idempotent.popitem(last=False)
-
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        body: bytes,
-        writer: asyncio.StreamWriter,
-        trace_id: Optional[str] = None,
-    ) -> bool:
-        if path == "/healthz":
-            if method != "GET":
-                raise self._method_not_allowed()
-            return await self._handle_healthz(writer)
-        if path == "/metrics":
-            if method != "GET":
-                raise self._method_not_allowed()
-            await send_json(writer, 200, await self._metrics_rollup())
-            return True
-        if path in ("/v1/analyze", "/v1/whatif"):
-            if method != "POST":
-                raise self._method_not_allowed()
-            if path == "/v1/whatif":
-                return await self._handle_whatif(body, writer, trace_id)
-            return await self._handle_analyze(body, writer, trace_id)
-        if path == "/v1/batch":
-            if method != "POST":
-                raise self._method_not_allowed()
-            return await self._handle_batch(body, writer, trace_id)
-        if path == "/admin/membership":
-            if method != "GET":
-                raise self._method_not_allowed()
-            return await self._handle_membership(writer)
-        if path == "/admin/add-worker":
-            if method != "POST":
-                raise self._method_not_allowed()
-            return await self._handle_add_worker(body, writer)
-        if path == "/admin/remove-worker":
-            if method != "POST":
-                raise self._method_not_allowed()
-            return await self._handle_remove_worker(body, writer)
-        raise _HttpError(
-            404,
-            {
-                "ok": False,
-                "error": {"code": "bad_request", "message": f"no route {path}"},
-            },
-        )
-
-    @staticmethod
-    def _method_not_allowed() -> _HttpError:
-        return _HttpError(
-            405,
-            {
-                "ok": False,
-                "error": {
-                    "code": "bad_request",
-                    "message": "method not allowed",
-                },
-            },
-        )
-
-    def _parse_json(self, body: bytes):
-        try:
-            return json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _HttpError(
-                400,
-                {
-                    "ok": False,
-                    "error": {
-                        "code": "bad_request",
-                        "message": f"invalid JSON body: {exc}",
-                    },
-                },
-            ) from exc
-
-    def _refuse_if_draining(self) -> None:
-        if self.draining:
-            raise _HttpError(
-                503,
-                {
-                    "ok": False,
-                    "error": {
-                        "code": "draining",
-                        "message": "coordinator is draining",
-                    },
-                },
-                headers={"Retry-After": "1"},
-            )
 
     # -- admission -------------------------------------------------------
 
@@ -854,21 +631,13 @@ class ClusterCoordinator:
         )
         if not decision.accepted:
             self.metrics.record("rejected", len(specs))
-            raise _HttpError(
+            raise http_error(
                 429,
-                {
-                    "ok": False,
-                    "error": {
-                        "code": "queue_full",
-                        "message": (
-                            f"cluster queue is full "
-                            f"(in-flight {self._inflight} of "
-                            f"{self.admission.max_queue})"
-                        ),
-                    },
-                    "retry_after": decision.retry_after,
-                },
+                "queue_full",
+                f"cluster queue is full (in-flight {self._inflight} of "
+                f"{self.admission.max_queue})",
                 headers={"Retry-After": str(decision.retry_after)},
+                retry_after=decision.retry_after,
             )
         if decision.action == "shed":
             self.metrics.record("shed", len(specs))
@@ -897,13 +666,46 @@ class ClusterCoordinator:
         chain = self.ring.owners(digest, 1 + self.config.retry_next_owner)
         return [self.workers[wid] for wid in chain]
 
-    def _crash_injected(self, state: WorkerState, trace_id: str) -> bool:
-        if chaos.should_fire(
-            "cluster.worker_crash", key=f"{trace_id}:{state.worker_id}"
-        ):
-            perf.record("cluster.chaos_crashes")
-            return True
-        return False
+    def _fail_over(self, state: WorkerState, exc: _WorkerDown) -> None:
+        self._eject(state, str(exc))
+        self.metrics.record("proxy_failovers")
+
+    async def _ask(
+        self,
+        state: WorkerState,
+        path: str,
+        body: bytes,
+        trace_id: str,
+        on_line=None,
+    ) -> Optional[Tuple[int, Any]]:
+        """POST *body* to one worker under the one proxy policy.
+
+        A crash — injected at ``cluster.worker_crash`` or real — raises
+        :class:`_WorkerDown` and the caller ejects.  A ``429`` is
+        back-pressure, not death: wait out the worker's ``Retry-After``
+        (capped at 5 s) once and ask again; if it still refuses, return
+        None and leave it on the ring.  Otherwise returns
+        ``(status, doc)``.
+        """
+        for attempt in range(2):
+            if chaos.should_fire(
+                "cluster.worker_crash", key=f"{trace_id}:{state.worker_id}"
+            ):
+                perf.record("cluster.chaos_crashes")
+                raise _WorkerDown(f"{state.worker_id}: injected worker crash")
+            status, headers, doc = await self._worker_json(
+                state, "POST", path, body, trace_id=trace_id, on_line=on_line
+            )
+            if status != 429:
+                return status, doc
+            if attempt == 0:
+                try:
+                    wait = min(float(headers.get("retry-after", "1")), 5.0)
+                except ValueError:
+                    wait = 1.0
+                await asyncio.sleep(wait)
+        self.metrics.record("proxy_failovers")
+        return None
 
     async def _proxy_spec(
         self,
@@ -919,9 +721,8 @@ class ClusterCoordinator:
         """
         digest = routing_digest(spec)
         body = json.dumps(spec).encode("utf-8")
-        attempts = 1 + max(0, self.config.retry_next_owner)
         tried: List[str] = []
-        for _ in range(attempts):
+        for _ in range(1 + self.config.retry_next_owner):
             chain = [
                 s for s in self._owner_chain(digest)
                 if s.worker_id not in tried
@@ -931,67 +732,50 @@ class ClusterCoordinator:
             state = chain[0]
             tried.append(state.worker_id)
             try:
-                if self._crash_injected(state, trace_id):
-                    raise _WorkerDown(
-                        f"{state.worker_id}: injected worker crash"
-                    )
-                status, headers, payload = await self._worker_http(
-                    state, "POST", path, body, trace_id=trace_id
-                )
+                reply = await self._ask(state, path, body, trace_id)
             except _WorkerDown as exc:
-                self._eject(state, str(exc))
-                self.metrics.record("proxy_failovers")
+                self._fail_over(state, exc)
                 continue
-            if status == 429:
-                # The worker is saturated, not dead: wait out its own
-                # Retry-After hint once, then fall through to the next
-                # owner if it still refuses.
-                try:
-                    wait = min(float(headers.get("retry-after", "1")), 5.0)
-                except ValueError:
-                    wait = 1.0
-                await asyncio.sleep(wait)
-                try:
-                    if self._crash_injected(state, trace_id):
-                        raise _WorkerDown(
-                            f"{state.worker_id}: injected worker crash"
-                        )
-                    status, headers, payload = await self._worker_http(
-                        state, "POST", path, body, trace_id=trace_id
-                    )
-                except _WorkerDown as exc:
-                    self._eject(state, str(exc))
-                    self.metrics.record("proxy_failovers")
-                    continue
-                if status == 429:
-                    # Still saturated: leave it on the ring but move on
-                    # to the next owner for this request.
-                    self.metrics.record("proxy_failovers")
-                    continue
-            try:
-                envelope = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                self._eject(state, "undecodable response")
-                self.metrics.record("proxy_failovers")
-                continue
+            if reply is None:
+                continue  # still saturated: next owner, same ring
+            envelope = reply[1]
             if not isinstance(envelope, dict):
                 envelope = {"ok": False, "result": envelope}
             return envelope, state.worker_id
         kind = spec.get("kind") if isinstance(spec, dict) else None
-        return (
-            _error_envelope(
-                trace_id,
-                kind,
-                "worker_unreachable",
-                "no live worker could serve this request "
-                f"(tried {', '.join(tried) or 'none'})",
-            ),
-            None,
+        envelope = error_body(
+            "worker_unreachable",
+            "no live worker could serve this request "
+            f"(tried {', '.join(tried) or 'none'})",
+            trace_id=trace_id,
         )
+        if kind:
+            envelope["kind"] = kind
+        return envelope, None
+
+    async def _by_owner(
+        self, digests: Sequence[str], run_group, inflight: int
+    ) -> None:
+        """The one split-by-owner path.
+
+        Groups the indices of *digests* by ring owner and awaits
+        ``run_group(owner, indices)`` for every group concurrently,
+        holding *inflight* admitted units in ``_inflight`` meanwhile.
+        """
+        groups: Dict[Optional[str], List[int]] = {}
+        for index, digest in enumerate(digests):
+            groups.setdefault(self.ring.owner(digest), []).append(index)
+        self._inflight += inflight
+        try:
+            await asyncio.gather(
+                *(run_group(owner, group) for owner, group in groups.items())
+            )
+        finally:
+            self._inflight -= inflight
 
     # -- endpoints -------------------------------------------------------
 
-    async def _handle_healthz(self, writer: asyncio.StreamWriter) -> bool:
+    async def _handle_healthz(self, request: Request, writer) -> bool:
         healthy = len(self.ring)
         status = 503 if self.draining or healthy == 0 else 200
         await send_json(
@@ -1022,7 +806,7 @@ class ClusterCoordinator:
 
     # -- planned resize + membership admin -------------------------------
 
-    async def _handle_membership(self, writer: asyncio.StreamWriter) -> bool:
+    async def _handle_membership(self, request: Request, writer) -> bool:
         records = self._membership.records() if self._membership else []
         await send_json(
             writer,
@@ -1055,24 +839,17 @@ class ClusterCoordinator:
         self, state: WorkerState
     ) -> List[Tuple[str, int, Optional[str]]]:
         """One worker's resident ``(key, bytes, placement)`` listing."""
-        status, _headers, payload = await self._worker_http(
-            state, "GET", "/v1/cache/keys", None
+        status, _headers, doc = await self._worker_json(
+            state, "GET", "/v1/cache/keys"
         )
         if status != 200:
             raise _WorkerDown(
                 f"{state.worker_id}: cache listing returned HTTP {status}"
             )
         try:
-            doc = json.loads(payload.decode("utf-8"))
-            out: List[Tuple[str, int, Optional[str]]] = []
-            for row in doc["keys"]:
-                tag = row[2] if len(row) > 2 and row[2] else None
-                out.append((str(row[0]), int(row[1]), tag))
-            return out
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
-            raise _WorkerDown(
-                f"{state.worker_id}: malformed cache listing: {exc}"
-            ) from exc
+            return transport.parse_key_listing(doc)
+        except ValueError as exc:
+            raise _WorkerDown(f"{state.worker_id} sent {exc}") from exc
 
     async def _pull_to(
         self,
@@ -1081,7 +858,12 @@ class ClusterCoordinator:
         keys: List[str],
         rate: Optional[float],
     ) -> Dict[str, Any]:
-        """Instruct *dest* to pull *keys* from *src* (digest-verified)."""
+        """Instruct *dest* to pull *keys* from *src* (digest-verified).
+
+        Returns the pull summary plus ``keys``.  A failure comes back
+        as ``{"error": ...}``: partial migration is sound, because an
+        unmoved entry misses once on its new owner and recomputes.
+        """
         body = json.dumps(
             {
                 "peer": f"{src.host}:{src.port}",
@@ -1089,21 +871,23 @@ class ClusterCoordinator:
                 "rate_bytes_per_s": rate,
             }
         ).encode("utf-8")
-        status, _headers, payload = await self._worker_http(
-            dest, "POST", "/v1/cache/pull", body
-        )
-        if status != 200:
-            raise _WorkerDown(
-                f"{dest.worker_id}: cache pull returned HTTP {status}"
-            )
         try:
-            doc = json.loads(payload.decode("utf-8"))
-            pull = doc.get("pull")
-            return pull if isinstance(pull, dict) else {}
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise _WorkerDown(
-                f"{dest.worker_id}: undecodable pull summary"
-            ) from exc
+            status, _headers, doc = await self._worker_json(
+                dest, "POST", "/v1/cache/pull", body
+            )
+            if status != 200:
+                raise _WorkerDown(
+                    f"{dest.worker_id}: cache pull returned HTTP {status}"
+                )
+        except _WorkerDown as exc:
+            return {"error": str(exc)}
+        pull = doc.get("pull") if isinstance(doc, dict) else None
+        summary = dict(pull) if isinstance(pull, dict) else {}
+        summary["keys"] = len(keys)
+        self.metrics.record(
+            "migrated_entries", int(summary.get("pulled") or 0)
+        )
+        return summary
 
     async def _migrate_for_add(
         self, new_state: WorkerState, rate: Optional[float]
@@ -1127,26 +911,21 @@ class ClusterCoordinator:
                 continue
             try:
                 listing = await self._worker_cache_keys(state)
-                moving = [
-                    key
-                    for key, _size, tag in listing
-                    if prospective.owner(tag or key) == new_state.worker_id
-                ]
-                if not moving:
-                    migration[state.worker_id] = {"keys": 0, "pulled": 0}
-                    continue
-                summary = await self._pull_to(
-                    new_state, state, moving, rate
-                )
-                summary["keys"] = len(moving)
-                migration[state.worker_id] = summary
-                self.metrics.record(
-                    "migrated_entries", int(summary.get("pulled") or 0)
-                )
             except _WorkerDown as exc:
                 # Partial migration is sound: unmoved entries miss once
                 # on the joiner and recompute.
                 migration[state.worker_id] = {"error": str(exc)}
+                continue
+            moving = [
+                key
+                for key, _size, tag in listing
+                if prospective.owner(tag or key) == new_state.worker_id
+            ]
+            migration[state.worker_id] = (
+                await self._pull_to(new_state, state, moving, rate)
+                if moving
+                else {"keys": 0, "pulled": 0}
+            )
         return migration
 
     async def _migrate_for_remove(
@@ -1170,25 +949,20 @@ class ClusterCoordinator:
             groups.setdefault(prospective.owner(tag or key), []).append(key)
         migration: Dict[str, Any] = {}
         for wid, keys in groups.items():
-            dest = self.workers.get(wid)
-            if dest is None:
-                continue
-            try:
-                summary = await self._pull_to(dest, leaving, keys, rate)
-                summary["keys"] = len(keys)
-                migration[wid] = summary
-                self.metrics.record(
-                    "migrated_entries", int(summary.get("pulled") or 0)
+            if wid in self.workers:
+                migration[wid] = await self._pull_to(
+                    self.workers[wid], leaving, keys, rate
                 )
-            except _WorkerDown as exc:
-                migration[wid] = {"error": str(exc)}
         return migration
 
-    @staticmethod
-    def _admin_error(status: int, code: str, message: str) -> _HttpError:
-        return _HttpError(
-            status,
-            {"ok": False, "error": {"code": code, "message": message}},
+    def _member(self, target: str) -> Optional[WorkerState]:
+        """The member named by worker id or by ``host:port``."""
+        return self.workers.get(target) or next(
+            (
+                s for s in self.workers.values()
+                if f"{s.host}:{s.port}" == target
+            ),
+            None,
         )
 
     def _resize_options(
@@ -1202,9 +976,7 @@ class ClusterCoordinator:
             rate = float(raw) if isinstance(raw, (int, float)) and raw > 0 else None
         return migrate, rate
 
-    async def _handle_add_worker(
-        self, body: bytes, writer: asyncio.StreamWriter
-    ) -> bool:
+    async def _handle_add_worker(self, request: Request, writer) -> bool:
         """``POST /admin/add-worker``: migrate, then flip the generation.
 
         Order matters: the joiner pulls its owned entries while the old
@@ -1212,34 +984,31 @@ class ClusterCoordinator:
         then joins the ring — requests observe either the fully-warm
         new placement or the old one, never a cold in-between.
         """
-        self._refuse_if_draining()
-        data = self._parse_json(body)
+        self.refuse_if_draining()
+        data = request.json()
         target = data.get("worker") if isinstance(data, dict) else None
         host, _, port_s = str(target or "").rpartition(":")
         if not host or not port_s.isdigit():
-            raise self._admin_error(
+            raise http_error(
                 400, "bad_request", "'worker' must be \"host:port\""
             )
         port = int(port_s)
-        if any(
-            s.host == host and s.port == port for s in self.workers.values()
-        ):
-            raise self._admin_error(
+        if self._member(f"{host}:{port}") is not None:
+            raise http_error(
                 409, "conflict", f"{host}:{port} is already a member"
             )
         wid = self._next_worker_id()
         state = WorkerState(wid, host, port)
         try:
-            status, _h, _p = await self._worker_http(
-                state, "GET", "/healthz", None,
-                timeout=self.config.probe_timeout_s,
+            status, _h, _doc = await self._worker_json(
+                state, "GET", "/healthz", timeout=self.config.probe_timeout_s
             )
         except _WorkerDown as exc:
-            raise self._admin_error(
+            raise http_error(
                 502, "worker_unreachable", f"joiner health check: {exc}"
             ) from exc
         if status != 200:
-            raise self._admin_error(
+            raise http_error(
                 502,
                 "worker_unreachable",
                 f"joiner /healthz returned HTTP {status}",
@@ -1250,51 +1019,20 @@ class ClusterCoordinator:
             migration = await self._migrate_for_add(state, rate)
         self.workers[wid] = state
         self.ring.add(wid)
-        self.metrics.record("ring_resizes")
-        perf.record("cluster.ring_resizes")
-        membership_generation = self._append_membership(
-            "add", f"{wid}={host}:{port}"
-        )
-        await self._capture_generation_baseline()
-        await send_json(
-            writer,
-            200,
-            {
-                "ok": True,
-                "action": "add",
-                "worker": wid,
-                "endpoint": f"{host}:{port}",
-                "ring_generation": self.ring.generation,
-                "membership_generation": membership_generation,
-                "migration": migration,
-            },
-        )
-        return True
+        return await self._resized("add", state, migration, writer)
 
-    async def _handle_remove_worker(
-        self, body: bytes, writer: asyncio.StreamWriter
-    ) -> bool:
+    async def _handle_remove_worker(self, request: Request, writer) -> bool:
         """``POST /admin/remove-worker``: drain entries out, then leave."""
-        self._refuse_if_draining()
-        data = self._parse_json(body)
+        self.refuse_if_draining()
+        data = request.json()
         target = str(data.get("worker") or "") if isinstance(data, dict) else ""
-        state = self.workers.get(target)
+        state = self._member(target)
         if state is None:
-            host, _, port_s = target.rpartition(":")
-            if host and port_s.isdigit():
-                for candidate in self.workers.values():
-                    if (
-                        candidate.host == host
-                        and candidate.port == int(port_s)
-                    ):
-                        state = candidate
-                        break
-        if state is None:
-            raise self._admin_error(
+            raise http_error(
                 404, "bad_request", f"no such worker {target!r}"
             )
         if len(self.workers) == 1:
-            raise self._admin_error(
+            raise http_error(
                 409, "conflict", "cannot remove the last worker"
             )
         migrate, rate = self._resize_options(data)
@@ -1306,10 +1044,21 @@ class ClusterCoordinator:
             # still be observable as a generation change.
             self.ring.generation += 1
         del self.workers[state.worker_id]
+        return await self._resized("remove", state, migration, writer)
+
+    async def _resized(
+        self,
+        action: str,
+        state: WorkerState,
+        migration: Dict[str, Any],
+        writer,
+    ) -> bool:
+        """Log and answer one planned membership change."""
         self.metrics.record("ring_resizes")
         perf.record("cluster.ring_resizes")
+        endpoint = f"{state.host}:{state.port}"
         membership_generation = self._append_membership(
-            "remove", f"{state.worker_id}={state.host}:{state.port}"
+            action, f"{state.worker_id}={endpoint}"
         )
         await self._capture_generation_baseline()
         await send_json(
@@ -1317,9 +1066,9 @@ class ClusterCoordinator:
             200,
             {
                 "ok": True,
-                "action": "remove",
+                "action": action,
                 "worker": state.worker_id,
-                "endpoint": f"{state.host}:{state.port}",
+                "endpoint": endpoint,
                 "ring_generation": self.ring.generation,
                 "membership_generation": membership_generation,
                 "migration": migration,
@@ -1331,16 +1080,12 @@ class ClusterCoordinator:
         self, state: WorkerState
     ) -> Optional[Dict[str, Any]]:
         try:
-            status, _headers, payload = await self._worker_http(
-                state, "GET", "/metrics", None,
-                timeout=self.config.probe_timeout_s,
+            status, _headers, doc = await self._worker_json(
+                state, "GET", "/metrics", timeout=self.config.probe_timeout_s
             )
-            if status != 200:
-                return None
-            doc = json.loads(payload.decode("utf-8"))
-            return doc if isinstance(doc, dict) else None
-        except (_WorkerDown, json.JSONDecodeError, UnicodeDecodeError):
+        except _WorkerDown:
             return None
+        return doc if status == 200 and isinstance(doc, dict) else None
 
     async def _capture_generation_baseline(self) -> None:
         """Snapshot per-worker cache counters at a generation flip.
@@ -1353,29 +1098,25 @@ class ClusterCoordinator:
         snap: Dict[str, Dict[str, int]] = {}
         for state in list(self.workers.values()):
             doc = await self._fetch_worker_metrics(state)
-            cache = (doc or {}).get("cache") or {}
-            snap[state.worker_id] = {
-                "hits": int(cache.get("hits") or 0),
-                "misses": int(cache.get("misses") or 0),
-            }
+            hits, misses = _cache_counts(doc)
+            snap[state.worker_id] = {"hits": hits, "misses": misses}
         self._gen_baseline = {
             "generation": self.ring.generation,
             "workers": snap,
         }
 
-    async def _handle_analyze(
-        self,
-        body: bytes,
-        writer: asyncio.StreamWriter,
-        trace_id: Optional[str],
-        force_kind: Optional[str] = None,
-    ) -> bool:
-        self._refuse_if_draining()
-        data = self._parse_json(body)
-        if force_kind is not None and isinstance(data, dict):
-            data = dict(data)
-            data["kind"] = force_kind
-        trace = trace_id or protocol.new_trace_id()
+    async def _handle_metrics(self, request: Request, writer) -> bool:
+        await send_json(writer, 200, await self._metrics_rollup())
+        return True
+
+    async def _handle_analyze(self, request: Request, writer) -> bool:
+        self.refuse_if_draining()
+        return await self._forward(
+            request.json(), request.trace_id or protocol.new_trace_id(), writer
+        )
+
+    async def _forward(self, data: Any, trace: str, writer) -> bool:
+        """Proxy one spec whole to its owner; answer with its envelope."""
         shed = self._admit([data] if isinstance(data, dict) else [{}])
         self._inflight += 1
         try:
@@ -1385,11 +1126,10 @@ class ClusterCoordinator:
         finally:
             self._inflight -= 1
         if shed:
-            envelope = dict(envelope)
-            envelope["shed"] = True
+            envelope = {**envelope, "shed": True}
         self._observe(envelope)
         await send_json(
-            writer, 200, envelope, extra_headers=self._route_headers(
+            writer, 200, envelope, self._route_headers(
                 worker, envelope.get("trace_id") or trace
             )
         )
@@ -1402,34 +1142,21 @@ class ClusterCoordinator:
             "X-Repro-Ring-Generation": str(self.ring.generation),
             "X-Trace-Id": trace,
         }
-        if worker is not None:
+        if worker:
             headers["X-Repro-Worker"] = worker
         return headers
 
     # -- whatif split ----------------------------------------------------
 
-    async def _handle_whatif(
-        self,
-        body: bytes,
-        writer: asyncio.StreamWriter,
-        trace_id: Optional[str],
-    ) -> bool:
-        self._refuse_if_draining()
-        data = self._parse_json(body)
-        trace = trace_id or protocol.new_trace_id()
+    async def _handle_whatif(self, request: Request, writer) -> bool:
+        self.refuse_if_draining()
+        data = request.json()
+        trace = request.trace_id or protocol.new_trace_id()
         if not isinstance(data, dict):
-            raise _HttpError(
-                400,
-                {
-                    "ok": False,
-                    "error": {
-                        "code": "bad_request",
-                        "message": "request body must be a JSON object",
-                    },
-                },
+            raise http_error(
+                400, "bad_request", "request body must be a JSON object"
             )
-        data = dict(data)
-        data["kind"] = "whatif_sweep"
+        data = {**data, "kind": "whatif_sweep"}
         edits = data.get("edits")
         if (
             not isinstance(edits, list)
@@ -1437,146 +1164,114 @@ class ClusterCoordinator:
             or len(self.ring) < 2
         ):
             # Nothing to split: route the sweep whole.
-            return await self._handle_analyze(
-                json.dumps(data).encode("utf-8"), writer, trace
-            )
+            return await self._forward(data, trace, writer)
         shed = self._admit([data])
         base = routing_digest(data)
-        groups: Dict[str, List[int]] = {}
-        for index, edit in enumerate(edits):
-            owner = self.ring.owner(whatif_edit_digest(base, edit))
-            groups.setdefault(owner or "?", []).append(index)
+        merged: List[Optional[Dict[str, Any]]] = [None] * len(edits)
+        answers: List[Tuple[Dict[str, Any], Optional[str]]] = []
 
-        async def _run_group(indices: List[int]):
-            sub = dict(data)
-            sub["edits"] = [edits[i] for i in indices]
-            self._inflight += 1
-            try:
-                return indices, await self._proxy_spec(
-                    "/v1/whatif", sub, trace
-                )
-            finally:
-                self._inflight -= 1
-
-        settled = await asyncio.gather(
-            *(_run_group(indices) for indices in groups.values())
-        )
-        merged_results: List[Optional[Dict[str, Any]]] = [None] * len(edits)
-        degraded = False
-        elapsed = 0.0
-        workers_used: List[str] = []
-        for indices, (envelope, worker) in settled:
-            if worker is not None and worker not in workers_used:
-                workers_used.append(worker)
-            if isinstance(envelope.get("elapsed_s"), (int, float)):
-                elapsed = max(elapsed, float(envelope["elapsed_s"]))
-            if envelope.get("degraded"):
-                degraded = True
+        async def _run_group(_owner, indices: List[int]) -> None:
+            sub = {**data, "edits": [edits[i] for i in indices]}
+            envelope, worker = await self._proxy_spec(
+                "/v1/whatif", sub, trace
+            )
+            answers.append((envelope, worker))
             if envelope.get("ok", False):
                 results = envelope.get("result", {}).get("results", [])
-                for local, original in enumerate(indices):
-                    if local < len(results):
-                        merged_results[original] = results[local]
-            else:
-                error = envelope.get("error", {}) or {}
-                code = error.get("code", "internal")
-                if code in ("bad_request", "validation", "unbounded"):
-                    # A whole-request typed error is edit-independent:
-                    # every sub-request would fail identically, so the
-                    # first verdict answers for the sweep.
-                    envelope = dict(envelope)
-                    envelope["trace_id"] = trace
-                    self._observe(envelope)
-                    await send_json(
-                        writer, 200, envelope,
-                        extra_headers=self._route_headers(worker, trace),
-                    )
-                    return False
-                for original in indices:
-                    merged_results[original] = {
-                        "edit": edits[original],
-                        "ok": False,
-                        "summary": None,
-                        "error": error.get(
-                            "message", "worker unreachable"
-                        ),
-                        "error_code": code
-                        if code != "internal"
-                        else "worker_unreachable",
-                    }
-        for index, entry in enumerate(merged_results):
-            if entry is None:
-                merged_results[index] = {
-                    "edit": edits[index],
-                    "ok": False,
-                    "summary": None,
-                    "error": "sub-sweep returned no result for this edit",
-                    "error_code": "worker_unreachable",
-                }
+                for original, result in zip(indices, results):
+                    merged[original] = result
+                return
+            error = envelope.get("error", {}) or {}
+            code = error.get("code", "internal")
+            for original in indices:
+                merged[original] = _edit_error(
+                    edits[original],
+                    error.get("message", "worker unreachable"),
+                    code if code != "internal" else "worker_unreachable",
+                )
+
+        await self._by_owner(
+            [whatif_edit_digest(base, edit) for edit in edits], _run_group, 1
+        )
+        for envelope, worker in answers:
+            code = (envelope.get("error") or {}).get("code")
+            if not envelope.get("ok", False) and code in (
+                "bad_request", "validation", "unbounded"
+            ):
+                # A whole-request typed error is edit-independent:
+                # every sub-request would fail identically, so the
+                # first verdict answers for the sweep.
+                envelope = {**envelope, "trace_id": trace}
+                self._observe(envelope)
+                await send_json(
+                    writer, 200, envelope, self._route_headers(worker, trace)
+                )
+                return False
+        elapsed = [
+            float(e["elapsed_s"])
+            for e, _ in answers
+            if isinstance(e.get("elapsed_s"), (int, float))
+        ]
         envelope = {
             "ok": True,
             "trace_id": trace,
             "kind": "whatif_sweep",
-            "degraded": degraded,
+            "degraded": any(e.get("degraded") for e, _ in answers),
             "shed": bool(shed),
-            "elapsed_s": elapsed,
-            "result": {"results": merged_results},
+            "elapsed_s": max(elapsed, default=0.0),
+            "result": {
+                "results": [
+                    entry or _edit_error(
+                        edit,
+                        "sub-sweep returned no result for this edit",
+                        "worker_unreachable",
+                    )
+                    for edit, entry in zip(edits, merged)
+                ]
+            },
         }
         self._observe(envelope)
-        headers = self._route_headers(None, trace)
-        if workers_used:
-            headers["X-Repro-Worker"] = ",".join(sorted(workers_used))
-        await send_json(writer, 200, envelope, extra_headers=headers)
+        workers = sorted({w for _, w in answers if w is not None})
+        await send_json(
+            writer, 200, envelope,
+            self._route_headers(",".join(workers), trace),
+        )
         return True
 
     # -- batch split -----------------------------------------------------
 
-    async def _handle_batch(
-        self,
-        body: bytes,
-        writer: asyncio.StreamWriter,
-        trace_id: Optional[str],
-    ) -> bool:
-        self._refuse_if_draining()
-        data = self._parse_json(body)
+    async def _handle_batch(self, request: Request, writer) -> bool:
+        self.refuse_if_draining()
+        data = request.json()
         specs = data.get("requests") if isinstance(data, dict) else None
         if not isinstance(specs, list) or not specs:
-            raise _HttpError(
-                400,
-                {
-                    "ok": False,
-                    "error": {
-                        "code": "bad_request",
-                        "message": "'requests' must be a non-empty list",
-                    },
-                },
+            raise http_error(
+                400, "bad_request", "'requests' must be a non-empty list"
             )
         stream = bool(data.get("stream", False))
-        trace = trace_id or protocol.new_trace_id()
+        trace = request.trace_id or protocol.new_trace_id()
         shed = self._admit([s if isinstance(s, dict) else {} for s in specs])
+        settled: Dict[int, Dict[str, Any]] = {}
+        lines: "asyncio.Queue[Optional[Tuple[int, Dict[str, Any]]]]" = (
+            asyncio.Queue()
+        )
 
-        groups: Dict[Optional[str], List[int]] = {}
-        for index, spec in enumerate(specs):
-            owner = self.ring.owner(routing_digest(spec))
-            groups.setdefault(owner, []).append(index)
+        def _settle(index: int, envelope: Dict[str, Any]) -> None:
+            self._observe(envelope)
+            if stream:
+                lines.put_nowait((index, envelope))
+            else:
+                settled[index] = envelope
 
+        fan_out = self._by_owner(
+            [routing_digest(spec) for spec in specs],
+            lambda owner, indices: self._run_batch_group(
+                specs, owner, indices, trace, stream, _settle
+            ),
+            len(specs),
+        )
         if not stream:
-            settled: Dict[int, Dict[str, Any]] = {}
-
-            async def _run_group(indices: List[int]):
-                await self._run_batch_group(
-                    specs, indices, trace, settled.__setitem__
-                )
-
-            self._inflight += len(specs)
-            try:
-                await asyncio.gather(
-                    *(_run_group(indices) for indices in groups.values())
-                )
-            finally:
-                self._inflight -= len(specs)
-            for envelope in settled.values():
-                self._observe(envelope)
+            await fan_out
             await send_json(
                 writer,
                 200,
@@ -1587,232 +1282,87 @@ class ClusterCoordinator:
                     "shed": bool(shed),
                     "responses": [settled[i] for i in range(len(specs))],
                 },
-                extra_headers=self._route_headers(None, trace),
+                self._route_headers(None, trace),
             )
             return True
 
         # Streaming: NDJSON re-multiplexed from the per-owner worker
         # streams in fleet-wide completion order, indices rewritten to
         # the caller's positions.
-        writer.write(
-            head_bytes(
-                200,
-                {
-                    "Content-Type": "application/x-ndjson",
-                    "Transfer-Encoding": "chunked",
-                    "Connection": "close",
-                    "X-Trace-Id": trace,
-                    "X-Repro-Ring-Generation": str(self.ring.generation),
-                },
-            )
-        )
-        await writer.drain()
-        queue: "asyncio.Queue[Optional[Tuple[int, Dict[str, Any]]]]" = (
-            asyncio.Queue()
-        )
-
-        async def _run_group_stream(indices: List[int]) -> None:
-            try:
-                await self._stream_batch_group(specs, indices, trace, queue)
-            finally:
-                await queue.put(None)
-
-        self._inflight += len(specs)
-        tasks = [
-            asyncio.ensure_future(_run_group_stream(indices))
-            for indices in groups.values()
-        ]
+        task = asyncio.ensure_future(fan_out)
+        task.add_done_callback(lambda _: lines.put_nowait(None))
         try:
-            remaining = len(tasks)
-            while remaining:
-                item = await queue.get()
+            await start_ndjson(writer, self._route_headers(None, trace))
+            while True:
+                item = await lines.get()
                 if item is None:
-                    remaining -= 1
-                    continue
-                index, envelope = item
-                self._observe(envelope)
-                out = dict(envelope)
-                out["index"] = index
-                writer.write(
-                    _chunk(json.dumps(out).encode("utf-8") + b"\n")
-                )
-                self.metrics.record("streamed_lines")
-                await writer.drain()
-            writer.write(_chunk(b'{"done": true}\n'))
-            writer.write(b"0\r\n\r\n")
-            await writer.drain()
+                    break
+                await self.send_line(writer, *item)
+            await task
+            await end_ndjson(writer, len(specs))
         finally:
-            for task in tasks:
-                if not task.done():
-                    task.cancel()
-            self._inflight -= len(specs)
+            task.cancel()
         return True
 
     async def _run_batch_group(
         self,
         specs: List[Any],
+        owner: Optional[str],
         indices: List[int],
         trace: str,
+        stream: bool,
         settle,
     ) -> None:
         """Proxy one owner's sub-batch; re-route leftovers on failure.
 
         ``settle(original_index, envelope)`` is called exactly once per
-        index.  Sub-batches keep the worker-side micro-batch coalescing;
-        after a mid-batch worker loss the unsettled remainder re-routes
-        item-by-item through :meth:`_proxy_spec` (which walks the ring
-        with its own ejection + bounded retry), so a crash yields
-        re-computed bit-identical results or typed errors — never
-        silence.
+        index.  The worker's reply yields ``(local_index, envelope)``
+        pairs — from its ``responses`` list, or live from its NDJSON
+        stream.  Sub-batches keep the worker-side micro-batch
+        coalescing; after a worker loss, a timeout or a persistent
+        ``429`` the unsettled remainder re-routes item-by-item through
+        :meth:`_proxy_spec` (which walks the ring with its own ejection
+        + bounded retry), so a crash yields re-computed bit-identical
+        results or typed errors — never silence.
         """
-        sub = [specs[i] for i in indices]
-        owner_digest = routing_digest(sub[0])
-        chain = self._owner_chain(owner_digest)
-        state = chain[0] if chain else None
-        body = json.dumps({"requests": sub}).encode("utf-8")
+        pending = dict.fromkeys(indices)
+
+        def _take(local: Any, envelope: Dict[str, Any]) -> None:
+            if not isinstance(local, int) or not 0 <= local < len(indices):
+                return
+            if indices[local] in pending:
+                del pending[indices[local]]
+                settle(indices[local], envelope)
+
+        state = self.workers.get(owner) if owner is not None else None
         if state is not None:
+            body = {"requests": [specs[i] for i in indices], "stream": stream}
             try:
-                if self._crash_injected(state, trace):
-                    raise _WorkerDown(
-                        f"{state.worker_id}: injected worker crash"
-                    )
-                status, headers, payload = await self._worker_http(
-                    state, "POST", "/v1/batch", body, trace_id=trace
+                reply = await self._ask(
+                    state,
+                    "/v1/batch",
+                    json.dumps(body).encode("utf-8"),
+                    trace,
+                    on_line=(
+                        (lambda doc: _take(doc.pop("index", None), doc))
+                        if stream
+                        else None
+                    ),
                 )
-                if status == 429:
-                    try:
-                        wait = min(
-                            float(headers.get("retry-after", "1")), 5.0
-                        )
-                    except ValueError:
-                        wait = 1.0
-                    await asyncio.sleep(wait)
-                    status, headers, payload = await self._worker_http(
-                        state, "POST", "/v1/batch", body, trace_id=trace
-                    )
-                doc = json.loads(payload.decode("utf-8"))
-                responses = (
-                    doc.get("responses") if isinstance(doc, dict) else None
-                )
-                if status == 200 and isinstance(responses, list) and len(
-                    responses
-                ) == len(sub):
-                    for local, original in enumerate(indices):
-                        settle(original, responses[local])
-                    return
-            except (
-                _WorkerDown,
-                UnicodeDecodeError,
-                json.JSONDecodeError,
-            ) as exc:
-                self._eject(state, str(exc))
-                self.metrics.record("proxy_failovers")
-        # Per-item fallback through the (possibly reshaped) ring.
-        for original in indices:
+            except _WorkerDown as exc:
+                self._fail_over(state, exc)
+                reply = None
+            if reply is not None and reply[0] == 200 and not stream:
+                doc = reply[1] if isinstance(reply[1], dict) else {}
+                responses = doc.get("responses")
+                if isinstance(responses, list):
+                    for local, envelope in enumerate(responses):
+                        _take(local, envelope)
+        for original in list(pending):
             envelope, _worker = await self._proxy_spec(
                 "/v1/analyze", specs[original], trace
             )
             settle(original, envelope)
-
-    async def _stream_batch_group(
-        self,
-        specs: List[Any],
-        indices: List[int],
-        trace: str,
-        queue: "asyncio.Queue",
-    ) -> None:
-        """Streamed variant of :meth:`_run_batch_group`.
-
-        Consumes the owner's chunked NDJSON live, forwarding each
-        settled envelope as it lands; indices are rewritten from the
-        sub-batch's positions to the caller's.
-        """
-        sub = [specs[i] for i in indices]
-        chain = self._owner_chain(routing_digest(sub[0]))
-        state = chain[0] if chain else None
-        unsettled = set(indices)
-        if state is not None:
-            try:
-                if self._crash_injected(state, trace):
-                    raise _WorkerDown(
-                        f"{state.worker_id}: injected worker crash"
-                    )
-                async for local, envelope in self._worker_stream(
-                    state, sub, trace
-                ):
-                    if 0 <= local < len(indices):
-                        original = indices[local]
-                        unsettled.discard(original)
-                        await queue.put((original, envelope))
-            except _WorkerDown as exc:
-                self._eject(state, str(exc))
-                self.metrics.record("proxy_failovers")
-        for original in sorted(unsettled):
-            envelope, _worker = await self._proxy_spec(
-                "/v1/analyze", specs[original], trace
-            )
-            await queue.put((original, envelope))
-
-    async def _worker_stream(self, state: WorkerState, sub, trace: str):
-        """Yield ``(local_index, envelope)`` from one worker stream."""
-        body = json.dumps({"requests": sub, "stream": True}).encode("utf-8")
-        head = (
-            f"POST /v1/batch HTTP/1.1\r\nHost: {state.host}\r\n"
-            f"Connection: close\r\nX-Trace-Id: {trace}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
-        ).encode("latin-1")
-        try:
-            reader, writer = await asyncio.open_connection(
-                state.host, state.port
-            )
-        except (ConnectionError, OSError) as exc:
-            raise _WorkerDown(
-                f"{state.worker_id}: {type(exc).__name__}: {exc}"
-            ) from exc
-        try:
-            writer.write(head + body)
-            await writer.drain()
-            status, headers = await self._read_response_head(reader)
-            if status != 200:
-                raise _WorkerDown(
-                    f"{state.worker_id}: stream refused with {status}"
-                )
-            buffer = b""
-            done = False
-            async for piece in self._iter_chunks(reader):
-                buffer += piece
-                while b"\n" in buffer:
-                    line, buffer = buffer.split(b"\n", 1)
-                    if not line.strip():
-                        continue
-                    doc = json.loads(line.decode("utf-8"))
-                    if doc.get("done"):
-                        done = True
-                        continue
-                    index = doc.pop("index", None)
-                    if isinstance(index, int):
-                        yield index, doc
-            if not done:
-                raise _WorkerDown(
-                    f"{state.worker_id}: stream truncated"
-                )
-        except (
-            ConnectionError,
-            OSError,
-            asyncio.IncompleteReadError,
-            json.JSONDecodeError,
-            UnicodeDecodeError,
-        ) as exc:
-            raise _WorkerDown(
-                f"{state.worker_id}: {type(exc).__name__}: {exc}"
-            ) from exc
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:  # noqa: BLE001
-                pass
 
     # -- metrics rollup --------------------------------------------------
 
@@ -1827,9 +1377,26 @@ class ClusterCoordinator:
 
         rollup_requests: Dict[str, float] = {}
         rollup_endpoints: Dict[str, Dict[str, Any]] = {}
-        cache_hits = 0
-        cache_misses = 0
-        for doc in per_worker.values():
+        # Hit-rate deltas since the last ring-generation flip
+        # (resize/restore), per worker and fleet-wide, so operators can
+        # confirm the fleet stayed warm across a membership change.
+        base_workers = self._gen_baseline.get("workers") or {}
+        gen_per_worker: Dict[str, Any] = {}
+        cache_hits = cache_misses = fleet_dh = fleet_dm = 0
+        for wid, doc in per_worker.items():
+            hits, misses = _cache_counts(doc)
+            cache_hits += hits
+            cache_misses += misses
+            base = base_workers.get(wid) or {}
+            dh = max(0, hits - int(base.get("hits") or 0))
+            dm = max(0, misses - int(base.get("misses") or 0))
+            gen_per_worker[wid] = {
+                "hits_delta": dh,
+                "misses_delta": dm,
+                "hit_rate": dh / (dh + dm) if dh + dm else None,
+            }
+            fleet_dh += dh
+            fleet_dm += dm
             if not isinstance(doc, dict):
                 continue
             for name, value in (doc.get("requests") or {}).items():
@@ -1837,11 +1404,6 @@ class ClusterCoordinator:
                     rollup_requests[name] = (
                         rollup_requests.get(name, 0) + value
                     )
-            cache = doc.get("cache") or {}
-            if isinstance(cache.get("hits"), int):
-                cache_hits += cache["hits"]
-            if isinstance(cache.get("misses"), int):
-                cache_misses += cache["misses"]
             for endpoint, stats in (doc.get("endpoints") or {}).items():
                 snap = (stats or {}).get("latency_s")
                 if not isinstance(snap, dict):
@@ -1864,28 +1426,6 @@ class ClusterCoordinator:
                 "latency_s": hist.snapshot(),
             }
         lookups = cache_hits + cache_misses
-
-        # Satellite: hit-rate deltas since the last ring-generation flip
-        # (resize/restore), per worker and fleet-wide, so operators can
-        # confirm the fleet stayed warm across a membership change.
-        base_workers = self._gen_baseline.get("workers") or {}
-        gen_per_worker: Dict[str, Any] = {}
-        fleet_dh = fleet_dm = 0
-        for wid, doc in per_worker.items():
-            cache = doc.get("cache") or {} if isinstance(doc, dict) else {}
-            hits = int(cache.get("hits") or 0)
-            misses = int(cache.get("misses") or 0)
-            base = base_workers.get(wid) or {"hits": 0, "misses": 0}
-            dh = max(0, hits - int(base.get("hits") or 0))
-            dm = max(0, misses - int(base.get("misses") or 0))
-            gen_per_worker[wid] = {
-                "hits_delta": dh,
-                "misses_delta": dm,
-                "hit_rate": dh / (dh + dm) if dh + dm else None,
-            }
-            fleet_dh += dh
-            fleet_dm += dm
-
         return {
             "cluster": {
                 "ring": {

@@ -22,18 +22,17 @@ Three ways to stand a cluster up:
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
 import os
 import re
 import signal
 import subprocess
 import sys
-import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.coordinator import ClusterConfig, ClusterCoordinator
+from repro.service import http
 from repro.service.server import ServerHandle, ServiceConfig
 
 __all__ = ["WorkerProcess", "ClusterHandle", "cluster_main"]
@@ -230,39 +229,7 @@ class ClusterHandle:
                 **config_kwargs,
             )
             coordinator = ClusterCoordinator(config)
-            started = threading.Event()
-            boot_error: List[BaseException] = []
-            loop_holder: List[asyncio.AbstractEventLoop] = []
-
-            def _run() -> None:
-                loop = asyncio.new_event_loop()
-                asyncio.set_event_loop(loop)
-                loop_holder.append(loop)
-
-                async def _main() -> None:
-                    try:
-                        await coordinator.start()
-                    finally:
-                        started.set()
-                    await coordinator.wait_stopped()
-
-                try:
-                    loop.run_until_complete(_main())
-                except BaseException as exc:  # noqa: BLE001
-                    boot_error.append(exc)
-                    started.set()
-                finally:
-                    loop.close()
-
-            thread = threading.Thread(
-                target=_run, name="repro-cluster", daemon=True
-            )
-            thread.start()
-            started.wait(timeout=30)
-            if boot_error:
-                raise boot_error[0]
-            if coordinator.port is None:
-                raise RuntimeError("coordinator failed to bind within 30s")
+            loop, thread = http.start_in_thread(coordinator, "repro-cluster")
         except BaseException:
             for handle in worker_handles:
                 try:
@@ -273,8 +240,7 @@ class ClusterHandle:
                 proc.kill()
             raise
         return cls(
-            coordinator, loop_holder[0], thread,
-            worker_handles, worker_processes,
+            coordinator, loop, thread, worker_handles, worker_processes
         )
 
     # -- resize / failover admin -----------------------------------------
@@ -282,23 +248,14 @@ class ClusterHandle:
     def _admin(
         self, method: str, path: str, body: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=120)
-        try:
-            payload = (
-                None if body is None else json.dumps(body).encode("utf-8")
-            )
-            conn.request(
-                method, path, body=payload, headers={"Connection": "close"}
-            )
-            resp = conn.getresponse()
-            doc = json.loads(resp.read().decode("utf-8"))
-            if resp.status != 200:
-                raise RuntimeError(
-                    f"{path} returned HTTP {resp.status}: {doc}"
-                )
-            return doc
-        finally:
-            conn.close()
+        payload = None if body is None else json.dumps(body).encode("utf-8")
+        status, _headers, reply = http.fetch(
+            self.host, self.port, method, path, payload, timeout=120
+        )
+        doc = json.loads(reply.decode("utf-8"))
+        if status != 200:
+            raise RuntimeError(f"{path} returned HTTP {status}: {doc}")
+        return doc
 
     def spawn_worker(self, **spawn_kwargs: Any) -> WorkerProcess:
         """Spawn one more ``repro serve`` subprocess (not yet a member)."""
@@ -548,17 +505,7 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
             f"spawned={len(spawned)})",
             flush=True,
         )
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    signum,
-                    lambda: loop.create_task(
-                        coordinator.shutdown(drain=True)
-                    ),
-                )
-            except NotImplementedError:  # pragma: no cover - non-Unix
-                pass
+        coordinator.drain_on_signals()
         await coordinator.wait_stopped()
         return 0
 
@@ -592,19 +539,13 @@ def _standby_main(parser, args, tunables: Dict[str, Any]) -> int:
         parser.error(str(exc))
 
     async def _main() -> int:
-        loop = asyncio.get_running_loop()
-
         def _on_signal() -> None:
             if standby.coordinator is not None:
-                loop.create_task(standby.coordinator.shutdown(drain=True))
+                asyncio.ensure_future(standby.coordinator.shutdown())
             else:
                 standby.stop_watching()
 
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, _on_signal)
-            except NotImplementedError:  # pragma: no cover - non-Unix
-                pass
+        http.on_signals(_on_signal)
         print(
             f"repro cluster: standby watching {args.state_dir} "
             f"(lease window {standby.lease_s:g}s)",

@@ -31,6 +31,7 @@ import asyncio
 from typing import Any, Dict, Optional
 
 from repro.cluster.coordinator import ClusterConfig, ClusterCoordinator
+from repro.service.http import loop_thread
 from repro.cluster.membership import (
     DEFAULT_LEASE_S,
     CoordinatorLease,
@@ -174,28 +175,9 @@ class StandbyHandle:
         port: int = 0,
         **kwargs: Any,
     ) -> "StandbyHandle":
-        import threading
-
         standby = StandbyCoordinator(state_dir, host=host, port=port, **kwargs)
-        ready = threading.Event()
-        loop_holder: list = []
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            loop_holder.append(loop)
-            ready.set()
-            try:
-                loop.run_until_complete(standby.run())
-            finally:
-                loop.close()
-
-        thread = threading.Thread(
-            target=_run, name="repro-standby", daemon=True
-        )
-        thread.start()
-        ready.wait(timeout=10)
-        return cls(standby, loop_holder[0], thread)
+        loop, thread = loop_thread(standby.run, "repro-standby")
+        return cls(standby, loop, thread)
 
     @property
     def took_over(self) -> bool:

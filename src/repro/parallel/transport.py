@@ -29,16 +29,15 @@ of disk/network bandwidth.
 
 from __future__ import annotations
 
-import http.client
-import json
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.parallel import cache
 from repro.resilience import chaos
+from repro.service import http
 
 __all__ = [
-    "list_peer_keys",
+    "parse_key_listing",
     "fetch_entry",
     "pull_entries",
     "TransportError",
@@ -54,53 +53,24 @@ class TransportError(Exception):
     """A peer exchange failed (connection, protocol, or HTTP error)."""
 
 
-def _exchange(
-    host: str, port: int, method: str, path: str, timeout: float
-) -> Tuple[int, Dict[str, str], bytes]:
-    """One ``Connection: close`` HTTP exchange with a peer worker."""
-    conn = http.client.HTTPConnection(host, port, timeout=timeout)
-    try:
-        conn.request(method, path, headers={"Connection": "close"})
-        resp = conn.getresponse()
-        body = resp.read()
-        headers = {k.lower(): v for k, v in resp.getheaders()}
-        return resp.status, headers, body
-    except (OSError, http.client.HTTPException) as exc:
-        raise TransportError(f"peer {host}:{port}{path}: {exc}") from exc
-    finally:
-        conn.close()
-
-
-def list_peer_keys(
-    host: str, port: int, timeout: float = DEFAULT_TIMEOUT_S
-) -> List[Tuple[str, int, Optional[str]]]:
-    """The peer's resident cache keys, ``(key, bytes, placement)``.
+def parse_key_listing(doc) -> List[Tuple[str, int, Optional[str]]]:
+    """The ``(key, bytes, placement)`` rows of a ``/v1/cache/keys`` doc.
 
     *placement* is the routing key the entry was written under (see
     :func:`repro.parallel.cache.placement_scope`), or None for entries
     written outside any request scope.
+
+    Raises:
+        ValueError: when *doc* is not a well-formed listing.
     """
-    status, _headers, body = _exchange(
-        host, port, "GET", "/v1/cache/keys", timeout
-    )
-    if status != 200:
-        raise TransportError(
-            f"peer {host}:{port}/v1/cache/keys returned HTTP {status}"
-        )
+    out: List[Tuple[str, int, Optional[str]]] = []
     try:
-        doc = json.loads(body)
-        out: List[Tuple[str, int, Optional[str]]] = []
         for row in doc["keys"]:
-            key, size = str(row[0]), int(row[1])
-            placement = (
-                str(row[2]) if len(row) > 2 and row[2] is not None else None
-            )
-            out.append((key, size, placement))
-        return out
+            tag = row[2] if len(row) > 2 else None
+            out.append((str(row[0]), int(row[1]), tag and str(tag)))
     except (ValueError, KeyError, TypeError, IndexError) as exc:
-        raise TransportError(
-            f"peer {host}:{port} sent a malformed key listing: {exc}"
-        ) from exc
+        raise ValueError(f"a malformed key listing: {exc}") from exc
+    return out
 
 
 def fetch_entry(
@@ -120,9 +90,13 @@ def fetch_entry(
             caller retries with a fresh *attempt*, which re-draws any
             injected torn write).
     """
-    status, headers, body = _exchange(
-        host, port, "GET", f"/v1/cache/entry/{key}", timeout
-    )
+    path = f"/v1/cache/entry/{key}"
+    try:
+        status, headers, body = http.fetch(
+            host, port, "GET", path, timeout=timeout
+        )
+    except OSError as exc:
+        raise TransportError(f"peer {host}:{port}{path}: {exc}") from exc
     if status == 404:
         return None
     if status != 200:

@@ -1,8 +1,8 @@
 """Client library of the analysis service.
 
 :class:`ServiceClient` speaks the wire protocol of
-:mod:`repro.service.server` over stdlib :mod:`http.client` — no
-third-party HTTP dependency, mirroring the server.  It adds the
+:mod:`repro.service.server` through the blocking exchange of
+:mod:`repro.service.http` — stdlib only, mirroring the server.  It adds the
 operational behaviour a caller should not have to reimplement:
 
 * **retries with backoff** — connection-level failures and ``429``
@@ -49,10 +49,8 @@ order.
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
-import socket
 import time
 import uuid
 from dataclasses import dataclass
@@ -60,7 +58,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.io.json_io import curve_to_dict, task_to_dict
 from repro.minplus.curve import Curve
-from repro.service import protocol
+from repro.service import http, protocol
 
 __all__ = ["RouteInfo", "ServiceClient", "ServiceError"]
 
@@ -120,6 +118,18 @@ class ServiceError(Exception):
         self.status = status
         self.code = code
         self.trace_id = trace_id
+
+
+def _refused(what: str, status: int, doc: Any) -> ServiceError:
+    """The :class:`ServiceError` of one non-200 JSON reply."""
+    doc = doc if isinstance(doc, dict) else {}
+    error = doc.get("error", {})
+    return ServiceError(
+        f"{what}: {error.get('message', f'status {status}')}",
+        status=status,
+        code=error.get("code", "transport"),
+        trace_id=doc.get("trace_id"),
+    )
 
 
 def _beta_to_wire(beta) -> Dict[str, Any]:
@@ -230,25 +240,10 @@ class ServiceClient:
         body: Optional[bytes],
         extra_headers: Optional[Dict[str, str]] = None,
     ) -> Tuple[int, Dict[str, str], bytes]:
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
+        return http.fetch(
+            self.host, self.port, method, path, body, extra_headers,
+            timeout=self.timeout,
         )
-        try:
-            headers = {"Connection": "close"}
-            if body is not None:
-                headers["Content-Type"] = "application/json"
-            if extra_headers:
-                headers.update(extra_headers)
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            payload = response.read()
-            return (
-                response.status,
-                {k.lower(): v for k, v in response.getheaders()},
-                payload,
-            )
-        finally:
-            conn.close()
 
     def request(
         self,
@@ -292,7 +287,7 @@ class ServiceClient:
                 status, headers, payload = self._once(
                     method, path, encoded, extra
                 )
-            except (ConnectionError, socket.timeout, OSError) as exc:
+            except OSError as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
                 # This endpoint is not answering; the next one (a warm
                 # standby, usually) might be.
@@ -304,13 +299,12 @@ class ServiceClient:
                 self._note_retry_after(retry_after)
                 continue
             return status, headers, payload
+        queue_full = bool(last_error and last_error.startswith("429"))
         raise ServiceError(
             f"{method} {path} failed after {self.max_retries + 1} attempts: "
             f"{last_error}",
-            status=429 if last_error and last_error.startswith("429") else 0,
-            code="queue_full"
-            if last_error and last_error.startswith("429")
-            else "transport",
+            status=429 if queue_full else 0,
+            code="queue_full" if queue_full else "transport",
         )
 
     def _note_retry_after(self, retry_after: str) -> None:
@@ -354,13 +348,7 @@ class ServiceClient:
                 status=status,
             ) from exc
         if status != 200:
-            error = doc.get("error", {}) if isinstance(doc, dict) else {}
-            raise ServiceError(
-                f"{method} {path}: {error.get('message', f'status {status}')}",
-                status=status,
-                code=error.get("code", "transport"),
-                trace_id=doc.get("trace_id") if isinstance(doc, dict) else None,
-            )
+            raise _refused(f"{method} {path}", status, doc)
         return doc
 
     # -- plumbing endpoints ----------------------------------------------
@@ -405,62 +393,21 @@ class ServiceClient:
         body = json.dumps(
             {"requests": list(specs), "stream": True}
         ).encode("utf-8")
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            conn.request(
-                "POST",
-                "/v1/batch",
-                body=body,
-                headers={
-                    "Content-Type": "application/json",
-                    "Connection": "close",
-                },
-            )
-            response = conn.getresponse()
+        with http.open_response(
+            self.host, self.port, "POST", "/v1/batch", body,
+            timeout=self.timeout,
+        ) as response:
             if response.status != 200:
-                payload = response.read()
                 try:
-                    doc = json.loads(payload.decode("utf-8"))
-                    error = doc.get("error", {})
+                    doc = json.loads(response.read().decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError):
-                    doc, error = {}, {}
-                raise ServiceError(
-                    f"POST /v1/batch: "
-                    f"{error.get('message', f'status {response.status}')}",
-                    status=response.status,
-                    code=error.get("code", "transport"),
-                    trace_id=doc.get("trace_id"),
-                )
-            done = False
-            # The streaming body is Transfer-Encoding: chunked
-            # (http.client strips the framing); read1 hands back each
-            # chunk as it lands, so envelopes are yielded live instead
-            # of at end-of-stream, and returns b"" at the terminal
-            # zero-length chunk.
-            buffer = b""
-            while True:
-                chunk = response.read1(65536)
-                if not chunk:
-                    break
-                buffer += chunk
-                while b"\n" in buffer:
-                    line, buffer = buffer.split(b"\n", 1)
-                    if not line.strip():
-                        continue
-                    doc = json.loads(line.decode("utf-8"))
-                    if doc.get("done"):
-                        done = True
-                        continue
+                    doc = {}
+                raise _refused("POST /v1/batch", response.status, doc)
+            try:
+                for doc in http.iter_ndjson(response):
                     yield doc.get("index"), doc
-            if not done:
-                raise ServiceError(
-                    "POST /v1/batch: stream ended without a done marker "
-                    "(truncated response)"
-                )
-        finally:
-            conn.close()
+            except http.HttpProtocolError as exc:
+                raise ServiceError(f"POST /v1/batch: {exc}") from exc
 
     # -- typed convenience methods ---------------------------------------
 
@@ -537,9 +484,13 @@ class ServiceClient:
         return result
 
     def _typed(self, kind: str, tasks, beta=None, **kwargs):
-        envelope = self.analyze_raw(
-            self.build_request(kind, tasks, beta, **kwargs)
+        return self._decoded(
+            kind,
+            self.analyze_raw(self.build_request(kind, tasks, beta, **kwargs)),
         )
+
+    def _decoded(self, kind: str, envelope: Dict[str, Any]):
+        """The typed result of one envelope; raise its analysis error."""
         if not envelope.get("ok", False):
             error = envelope.get("error", {})
             raise ServiceError(
@@ -642,19 +593,11 @@ class ServiceClient:
         inputs (summaries are canonical; stats never cross the wire).
         """
         kind = "whatif_sweep"
-        envelope = self._json(
-            "POST",
-            "/v1/whatif",
-            self.build_request(kind, task, beta, edits=edits, **kwargs),
-        )
-        if not envelope.get("ok", False):
-            error = envelope.get("error", {})
-            raise ServiceError(
-                f"{kind}: {error.get('message', 'analysis failed')}",
-                status=200,
-                code=error.get("code", "analysis_error"),
-                trace_id=envelope.get("trace_id"),
-            )
-        return self._attach_route(
-            protocol.decode_result(kind, envelope["result"])
+        return self._decoded(
+            kind,
+            self._json(
+                "POST",
+                "/v1/whatif",
+                self.build_request(kind, task, beta, edits=edits, **kwargs),
+            ),
         )

@@ -1,8 +1,8 @@
 """The asyncio analysis server: HTTP/JSON front end of the engine.
 
-A deliberately small HTTP/1.1 implementation on
-:func:`asyncio.start_server` — stdlib only, one connection per request
-(``Connection: close``), JSON bodies.  Endpoints:
+An :class:`~repro.service.http.HttpEndpoint` on
+:func:`asyncio.start_server`; framing and connection policy live in
+:mod:`repro.service.http`.  Endpoints:
 
 =============================  =========================================
 ``POST /v1/analyze``           one analysis request (see
@@ -43,11 +43,7 @@ event loop in a daemon thread and tears it down symmetrically.
 from __future__ import annotations
 
 import asyncio
-import json
-import signal
 import sys
-import threading
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -56,25 +52,21 @@ from repro.parallel.plane import JobsLike
 from repro.service import protocol
 from repro.service.admission import AdmissionController
 from repro.service.batching import Batcher
+from repro.service.http import (
+    HttpEndpoint,
+    HttpError,
+    Request,
+    end_ndjson,
+    head_bytes,
+    http_error,
+    send_json,
+    start_in_thread,
+    start_ndjson,
+)
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import DecodedRequest
 
 __all__ = ["ServiceConfig", "AnalysisServer", "ServerHandle", "serve_main"]
-
-#: Largest accepted request body (bytes); protects the JSON parser.
-MAX_BODY_BYTES = 32 * 1024 * 1024
-
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
-
 
 @dataclass
 class ServiceConfig:
@@ -109,121 +101,22 @@ class ServiceConfig:
     drain_grace_s: float = 30.0
 
 
-def _chunk(payload: bytes) -> bytes:
-    """One HTTP/1.1 chunked-transfer frame around *payload*."""
-    return f"{len(payload):x}\r\n".encode("latin-1") + payload + b"\r\n"
-
-
-class _HttpError(Exception):
-    """Internal: abort request handling with a status + JSON body."""
-
-    def __init__(
-        self,
-        status: int,
-        body: Dict[str, object],
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        super().__init__(body.get("error"))
-        self.status = status
-        self.body = body
-        self.headers = headers or {}
-
-
-async def read_head(
-    reader: asyncio.StreamReader,
-) -> Tuple[str, str, Dict[str, str]]:
-    """Parse one HTTP/1.1 request head into (method, path, headers).
-
-    Shared by the worker server and the cluster coordinator
-    (:mod:`repro.cluster.coordinator`); header names are lowercased.
-    """
-    request_line = await reader.readline()
-    parts = request_line.decode("latin-1").split()
-    if len(parts) != 3:
-        raise _HttpError(
-            400,
-            {
-                "ok": False,
-                "error": {
-                    "code": "bad_request",
-                    "message": "malformed request line",
-                },
-            },
-        )
-    method, target, _version = parts
-    headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    path = target.split("?", 1)[0]
-    return method.upper(), path, headers
-
-
-async def read_body(
-    reader: asyncio.StreamReader, headers: Dict[str, str]
-) -> bytes:
-    """Read a Content-Length-framed body (empty when none is declared)."""
-    raw_length = headers.get("content-length")
-    if not raw_length:
-        return b""
-    try:
-        length = int(raw_length)
-    except ValueError:
-        raise _HttpError(
-            400,
-            {
-                "ok": False,
-                "error": {
-                    "code": "bad_request",
-                    "message": "invalid Content-Length",
-                },
-            },
-        ) from None
-    if length > MAX_BODY_BYTES:
-        raise _HttpError(
-            413,
-            {
-                "ok": False,
-                "error": {
-                    "code": "bad_request",
-                    "message": f"body exceeds {MAX_BODY_BYTES} bytes",
-                },
-            },
-        )
-    return await reader.readexactly(length)
-
-
-def head_bytes(status: int, headers: Dict[str, str]) -> bytes:
-    lines = [f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}"]
-    lines.extend(f"{name}: {value}" for name, value in headers.items())
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-
-
-async def send_json(
-    writer: asyncio.StreamWriter,
-    status: int,
-    body: Dict[str, object],
-    extra_headers: Optional[Dict[str, str]] = None,
-) -> None:
-    payload = json.dumps(body).encode("utf-8")
-    headers = {
-        "Content-Type": "application/json",
-        "Content-Length": str(len(payload)),
-        "Connection": "close",
-    }
-    if extra_headers:
-        headers.update(extra_headers)
-    writer.write(head_bytes(status, headers) + payload)
-    await writer.drain()
-
-
-class AnalysisServer:
+class AnalysisServer(HttpEndpoint):
     """One service instance: listener + batcher + admission + metrics."""
 
+    ROUTES = {
+        "/healthz": ("GET", "_handle_healthz"),
+        "/metrics": ("GET", "_handle_metrics"),
+        "/v1/analyze": ("POST", "_handle_analyze"),
+        "/v1/whatif": ("POST", "_handle_whatif"),
+        "/v1/batch": ("POST", "_handle_batch"),
+        "/v1/cache/keys": ("GET", "_handle_cache_keys"),
+        "/v1/cache/entry/": ("GET", "_handle_cache_entry"),
+        "/v1/cache/pull": ("POST", "_handle_cache_pull"),
+    }
+
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
+        super().__init__()
         self.config = config or ServiceConfig()
         self.metrics = ServiceMetrics()
         self.admission = AdmissionController(
@@ -239,250 +132,54 @@ class AnalysisServer:
             metrics=self.metrics,
             item_timeout=self.config.item_timeout_s,
         )
-        self.draining = False
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._handlers: set = set()
-        self._stopped: Optional[asyncio.Event] = None
-        self.port: Optional[int] = None
 
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
         """Bind the listener and start the dispatcher."""
-        self._stopped = asyncio.Event()
         self.batcher.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen(self.config.host, self.config.port)
 
-    async def wait_stopped(self) -> None:
-        """Block until :meth:`shutdown` completed."""
-        assert self._stopped is not None, "start() was not called"
-        await self._stopped.wait()
-
-    async def shutdown(self, drain: bool = True) -> bool:
-        """Stop the server; with *drain*, finish accepted work first.
-
-        Returns True when every accepted request settled before the
-        grace period expired.
-        """
-        if self.draining:
-            return True
-        self.draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _wind_down(self, drain: bool) -> bool:
         clean = True
         if drain:
             clean = await self.batcher.join(self.config.drain_grace_s)
-            deadline = time.monotonic() + self.config.drain_grace_s
-            while self._handlers and time.monotonic() < deadline:
-                await asyncio.sleep(0.005)
-            clean = clean and not self._handlers
+            grace = self.config.drain_grace_s
+            clean = await self._await_handlers(grace) and clean
         await self.batcher.close()
-        if self._stopped is not None:
-            self._stopped.set()
         return clean
 
-    # -- HTTP plumbing ---------------------------------------------------
+    # -- plumbing endpoints ----------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._handlers.add(task)
-        t0 = time.perf_counter()
-        endpoint = "?"
-        ok = False
-        try:
-            method, path, headers = await self._read_head(reader)
-            endpoint = f"{method} {path}"
-            body = await self._read_body(reader, headers)
-            ok = await self._route(
-                method, path, body, writer,
-                trace_id=headers.get("x-trace-id"),
-            )
-        except _HttpError as exc:
-            await self._send_json(
-                writer, exc.status, exc.body, extra_headers=exc.headers
-            )
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            asyncio.LimitOverrunError,
-        ):
-            pass  # client went away mid-request; nothing to answer
-        except Exception:  # noqa: BLE001 - a handler bug must not kill the loop
-            try:
-                await self._send_json(
-                    writer,
-                    500,
-                    {
-                        "ok": False,
-                        "error": {
-                            "code": "internal",
-                            "message": "internal error",
-                        },
-                    },
-                )
-            except Exception:  # noqa: BLE001
-                pass
-        finally:
-            self._handlers.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:  # noqa: BLE001
-                pass
-            if endpoint != "?":
-                self.metrics.observe_request(
-                    endpoint, time.perf_counter() - t0, ok
-                )
-
-    async def _read_head(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[str, str, Dict[str, str]]:
-        return await read_head(reader)
-
-    async def _read_body(
-        self, reader: asyncio.StreamReader, headers: Dict[str, str]
-    ) -> bytes:
-        return await read_body(reader, headers)
-
-    async def _send_json(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        body: Dict[str, object],
-        extra_headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        await send_json(writer, status, body, extra_headers)
-
-    @staticmethod
-    def _head_bytes(status: int, headers: Dict[str, str]) -> bytes:
-        return head_bytes(status, headers)
-
-    # -- routing ---------------------------------------------------------
-
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        body: bytes,
-        writer: asyncio.StreamWriter,
-        trace_id: Optional[str] = None,
-    ) -> bool:
-        if path == "/healthz":
-            if method != "GET":
-                raise self._method_not_allowed()
-            status = 503 if self.draining else 200
-            await self._send_json(
-                writer,
-                status,
-                {
-                    "status": "draining" if self.draining else "ok",
-                    "uptime_s": self.metrics.uptime_s(),
-                    "queue_depth": self.batcher.depth,
-                    "protocol_version": protocol.PROTOCOL_VERSION,
-                },
-            )
-            return not self.draining
-        if path == "/metrics":
-            if method != "GET":
-                raise self._method_not_allowed()
-            await self._send_json(
-                writer,
-                200,
-                self.metrics.snapshot(
-                    queue_depth=self.batcher.depth,
-                    queue_max=self.admission.max_queue,
-                    queue_high_water=self.admission.high_water,
-                    draining=self.draining,
-                ),
-            )
-            return True
-        if path == "/v1/analyze":
-            if method != "POST":
-                raise self._method_not_allowed()
-            return await self._handle_analyze(body, writer, trace_id=trace_id)
-        if path == "/v1/whatif":
-            if method != "POST":
-                raise self._method_not_allowed()
-            return await self._handle_analyze(
-                body, writer, force_kind="whatif_sweep", trace_id=trace_id
-            )
-        if path == "/v1/batch":
-            if method != "POST":
-                raise self._method_not_allowed()
-            return await self._handle_batch(body, writer, trace_id=trace_id)
-        if path == "/v1/cache/keys":
-            if method != "GET":
-                raise self._method_not_allowed()
-            return await self._handle_cache_keys(writer)
-        if path.startswith("/v1/cache/entry/"):
-            if method != "GET":
-                raise self._method_not_allowed()
-            return await self._handle_cache_entry(
-                path[len("/v1/cache/entry/"):], writer
-            )
-        if path == "/v1/cache/pull":
-            if method != "POST":
-                raise self._method_not_allowed()
-            return await self._handle_cache_pull(body, writer)
-        raise _HttpError(
-            404,
+    async def _handle_healthz(self, request: Request, writer) -> bool:
+        await send_json(
+            writer,
+            503 if self.draining else 200,
             {
-                "ok": False,
-                "error": {"code": "bad_request", "message": f"no route {path}"},
+                "status": "draining" if self.draining else "ok",
+                "uptime_s": self.metrics.uptime_s(),
+                "queue_depth": self.batcher.depth,
+                "protocol_version": protocol.PROTOCOL_VERSION,
             },
         )
+        return not self.draining
 
-    @staticmethod
-    def _method_not_allowed() -> _HttpError:
-        return _HttpError(
-            405,
-            {
-                "ok": False,
-                "error": {
-                    "code": "bad_request",
-                    "message": "method not allowed",
-                },
-            },
+    async def _handle_metrics(self, request: Request, writer) -> bool:
+        await send_json(
+            writer,
+            200,
+            self.metrics.snapshot(
+                queue_depth=self.batcher.depth,
+                queue_max=self.admission.max_queue,
+                queue_high_water=self.admission.high_water,
+                draining=self.draining,
+            ),
         )
-
-    def _parse_json(self, body: bytes):
-        try:
-            return json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _HttpError(
-                400,
-                {
-                    "ok": False,
-                    "error": {
-                        "code": "bad_request",
-                        "message": f"invalid JSON body: {exc}",
-                    },
-                },
-            ) from exc
-
-    def _refuse_if_draining(self) -> None:
-        if self.draining:
-            raise _HttpError(
-                503,
-                {
-                    "ok": False,
-                    "error": {
-                        "code": "draining",
-                        "message": "server is draining",
-                    },
-                },
-                headers={"Retry-After": "1"},
-            )
+        return True
 
     # -- cache transport (cluster resize migration) ----------------------
 
-    async def _handle_cache_keys(self, writer: asyncio.StreamWriter) -> bool:
+    async def _handle_cache_keys(self, request: Request, writer) -> bool:
         from repro.parallel import cache as result_cache
 
         def _listing():
@@ -493,39 +190,22 @@ class AnalysisServer:
         keys = await asyncio.get_running_loop().run_in_executor(
             None, _listing
         )
-        await self._send_json(writer, 200, {"ok": True, "keys": keys})
+        await send_json(writer, 200, {"ok": True, "keys": keys})
         return True
 
-    async def _handle_cache_entry(
-        self, key: str, writer: asyncio.StreamWriter
-    ) -> bool:
+    async def _handle_cache_entry(self, request: Request, writer) -> bool:
         from repro.parallel import cache as result_cache
 
+        key = request.path[len("/v1/cache/entry/"):]
         if not key or any(c not in "0123456789abcdef" for c in key):
-            raise _HttpError(
-                400,
-                {
-                    "ok": False,
-                    "error": {
-                        "code": "bad_request",
-                        "message": "cache keys are lowercase hex digests",
-                    },
-                },
+            raise http_error(
+                400, "bad_request", "cache keys are lowercase hex digests"
             )
         blob = await asyncio.get_running_loop().run_in_executor(
             None, result_cache.read_entry, key
         )
         if blob is None:
-            raise _HttpError(
-                404,
-                {
-                    "ok": False,
-                    "error": {
-                        "code": "bad_request",
-                        "message": "no such cache entry",
-                    },
-                },
-            )
+            raise http_error(404, "bad_request", "no such cache entry")
         headers = {
             "Content-Type": "application/octet-stream",
             "Content-Length": str(len(blob)),
@@ -535,16 +215,14 @@ class AnalysisServer:
         placement = result_cache.placement_of(key)
         if placement:
             headers["X-Repro-Placement"] = placement
-        writer.write(self._head_bytes(200, headers) + blob)
+        writer.write(head_bytes(200, headers) + blob)
         await writer.drain()
         return True
 
-    async def _handle_cache_pull(
-        self, body: bytes, writer: asyncio.StreamWriter
-    ) -> bool:
+    async def _handle_cache_pull(self, request: Request, writer) -> bool:
         from repro.parallel import transport
 
-        data = self._parse_json(body)
+        data = request.json()
         peer = data.get("peer") if isinstance(data, dict) else None
         keys = data.get("keys") if isinstance(data, dict) else None
         host, _, port = str(peer or "").rpartition(":")
@@ -554,18 +232,11 @@ class AnalysisServer:
             or not isinstance(keys, list)
             or not all(isinstance(k, str) for k in keys)
         ):
-            raise _HttpError(
+            raise http_error(
                 400,
-                {
-                    "ok": False,
-                    "error": {
-                        "code": "bad_request",
-                        "message": (
-                            "pull needs 'peer' as host:port and 'keys' "
-                            "as a list of digests"
-                        ),
-                    },
-                },
+                "bad_request",
+                "pull needs 'peer' as host:port and 'keys' as a list of "
+                "digests",
             )
         rate = data.get("rate_bytes_per_s")
         summary = await asyncio.get_running_loop().run_in_executor(
@@ -580,7 +251,7 @@ class AnalysisServer:
             ),
         )
         self.metrics.record("cache_entries_pulled", int(summary["pulled"]))
-        await self._send_json(writer, 200, {"ok": True, "pull": summary})
+        await send_json(writer, 200, {"ok": True, "pull": summary})
         return True
 
     # -- admission + submission -----------------------------------------
@@ -603,21 +274,13 @@ class AnalysisServer:
         )
         if not decision.accepted:
             self.metrics.record("rejected", len(requests))
-            raise _HttpError(
+            raise http_error(
                 429,
-                {
-                    "ok": False,
-                    "error": {
-                        "code": "queue_full",
-                        "message": (
-                            f"analysis queue is full "
-                            f"(depth {self.batcher.depth} of "
-                            f"{self.admission.max_queue})"
-                        ),
-                    },
-                    "retry_after": decision.retry_after,
-                },
+                "queue_full",
+                f"analysis queue is full (depth {self.batcher.depth} of "
+                f"{self.admission.max_queue})",
                 headers={"Retry-After": str(decision.retry_after)},
+                retry_after=decision.retry_after,
             )
         if decision.action == "shed":
             self.metrics.record("shed", len(requests))
@@ -628,20 +291,7 @@ class AnalysisServer:
                 )
                 req.shed = True
 
-    def _decode_one(
-        self, data, trace_id: Optional[str] = None
-    ) -> DecodedRequest:
-        try:
-            return protocol.decode_request(data, trace_id=trace_id)
-        except (SerializationError, ValidationError) as exc:
-            raise _HttpError(
-                400,
-                protocol.error_envelope(
-                    exc, trace_id or protocol.new_trace_id()
-                ),
-            ) from exc
-
-    async def _finish_envelope(self, envelope: Dict[str, object]) -> None:
+    def _finish_envelope(self, envelope: Dict[str, object]) -> None:
         """Book one settled analysis envelope into the service stats."""
         elapsed = envelope.get("elapsed_s")
         if isinstance(elapsed, (int, float)):
@@ -651,63 +301,54 @@ class AnalysisServer:
         if not envelope.get("ok", False):
             self.metrics.record("analysis_errors")
 
+    async def _handle_whatif(self, request: Request, writer) -> bool:
+        return await self._handle_analyze(
+            request, writer, force_kind="whatif_sweep"
+        )
+
     async def _handle_analyze(
-        self,
-        body: bytes,
-        writer: asyncio.StreamWriter,
-        force_kind: Optional[str] = None,
-        trace_id: Optional[str] = None,
+        self, request: Request, writer, force_kind: Optional[str] = None
     ) -> bool:
-        self._refuse_if_draining()
-        data = self._parse_json(body)
+        self.refuse_if_draining()
+        data = request.json()
         if force_kind is not None and isinstance(data, dict):
             # Kind-specific routes (/v1/whatif) imply their kind; an
             # explicit mismatching one is a client error.
             stated = data.get("kind")
             if stated is not None and stated != force_kind:
-                raise _HttpError(
+                raise http_error(
                     400,
-                    {
-                        "ok": False,
-                        "error": {
-                            "code": "bad_request",
-                            "message": (
-                                f"kind {stated!r} does not match this "
-                                f"route (expects {force_kind!r})"
-                            ),
-                        },
-                    },
+                    "bad_request",
+                    f"kind {stated!r} does not match this route "
+                    f"(expects {force_kind!r})",
                 )
             data = dict(data)
             data["kind"] = force_kind
-        req = self._decode_one(data, trace_id)
+        trace_id = request.trace_id
+        try:
+            req = protocol.decode_request(data, trace_id=trace_id)
+        except (SerializationError, ValidationError) as exc:
+            raise HttpError(
+                400,
+                protocol.error_envelope(
+                    exc, trace_id or protocol.new_trace_id()
+                ),
+            ) from exc
         self._admit([req])
         envelope = await self.batcher.submit(req)
-        await self._finish_envelope(envelope)
-        await self._send_json(writer, 200, envelope)
+        self._finish_envelope(envelope)
+        await send_json(writer, 200, envelope)
         return bool(envelope.get("ok", False))
 
-    async def _handle_batch(
-        self,
-        body: bytes,
-        writer: asyncio.StreamWriter,
-        trace_id: Optional[str] = None,
-    ) -> bool:
-        self._refuse_if_draining()
-        data = self._parse_json(body)
+    async def _handle_batch(self, request: Request, writer) -> bool:
+        self.refuse_if_draining()
+        data = request.json()
         specs = data.get("requests") if isinstance(data, dict) else None
         if not isinstance(specs, list) or not specs:
-            raise _HttpError(
-                400,
-                {
-                    "ok": False,
-                    "error": {
-                        "code": "bad_request",
-                        "message": "'requests' must be a non-empty list",
-                    },
-                },
+            raise http_error(
+                400, "bad_request", "'requests' must be a non-empty list"
             )
-        stream = bool(data.get("stream", False)) if isinstance(data, dict) else False
+        stream = bool(data.get("stream", False))
 
         # Decode everything first: structurally broken items settle as
         # per-item envelopes, and only the well-formed remainder takes
@@ -724,7 +365,7 @@ class AnalysisServer:
         if decoded:
             self._admit([req for _, req in decoded])
 
-        batch_trace = trace_id or protocol.new_trace_id()
+        batch_trace = request.trace_id or protocol.new_trace_id()
         futures = {
             index: self.batcher.submit_nowait(req) for index, req in decoded
         }
@@ -732,9 +373,9 @@ class AnalysisServer:
         if not stream:
             for index, future in futures.items():
                 envelope = await future
-                await self._finish_envelope(envelope)
+                self._finish_envelope(envelope)
                 settled[index] = envelope
-            await self._send_json(
+            await send_json(
                 writer,
                 200,
                 {
@@ -753,24 +394,9 @@ class AnalysisServer:
         # duplicate of its fd, so the EOF a close is supposed to
         # produce cannot reach the client until the whole worker pool
         # is torn down.
-        writer.write(
-            self._head_bytes(
-                200,
-                {
-                    "Content-Type": "application/x-ndjson",
-                    "Transfer-Encoding": "chunked",
-                    "Connection": "close",
-                    "X-Trace-Id": batch_trace,
-                },
-            )
-        )
-        await writer.drain()
+        await start_ndjson(writer, {"X-Trace-Id": batch_trace})
         for index, envelope in settled.items():
-            envelope = dict(envelope)
-            envelope["index"] = index
-            writer.write(_chunk(json.dumps(envelope).encode("utf-8") + b"\n"))
-            self.metrics.record("streamed_lines")
-        await writer.drain()
+            await self.send_line(writer, index, envelope)
 
         async def _tagged(index: int, future: asyncio.Future):
             return index, await future
@@ -779,20 +405,9 @@ class AnalysisServer:
             [_tagged(index, future) for index, future in futures.items()]
         ):
             done_index, envelope = await next_done
-            await self._finish_envelope(envelope)
-            out = dict(envelope)
-            out["index"] = done_index
-            writer.write(_chunk(json.dumps(out).encode("utf-8") + b"\n"))
-            self.metrics.record("streamed_lines")
-            await writer.drain()
-        writer.write(
-            _chunk(
-                json.dumps({"done": True, "count": len(specs)}).encode()
-                + b"\n"
-            )
-            + b"0\r\n\r\n"
-        )
-        await writer.drain()
+            self._finish_envelope(envelope)
+            await self.send_line(writer, done_index, envelope)
+        await end_ndjson(writer, len(specs))
         return True
 
 
@@ -822,40 +437,8 @@ class ServerHandle:
     def start(cls, config: Optional[ServiceConfig] = None) -> "ServerHandle":
         """Boot a server in a background thread; returns once bound."""
         server = AnalysisServer(config)
-        started = threading.Event()
-        boot_error: List[BaseException] = []
-        loop_holder: List[asyncio.AbstractEventLoop] = []
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            loop_holder.append(loop)
-
-            async def _main() -> None:
-                try:
-                    await server.start()
-                finally:
-                    started.set()
-                await server.wait_stopped()
-
-            try:
-                loop.run_until_complete(_main())
-            except BaseException as exc:  # noqa: BLE001 - reported to starter
-                boot_error.append(exc)
-                started.set()
-            finally:
-                loop.close()
-
-        thread = threading.Thread(
-            target=_run, name="repro-service", daemon=True
-        )
-        thread.start()
-        started.wait(timeout=30)
-        if boot_error:
-            raise boot_error[0]
-        if server.port is None:
-            raise RuntimeError("service failed to bind within 30s")
-        return cls(server, loop_holder[0], thread)
+        loop, thread = start_in_thread(server, "repro-service")
+        return cls(server, loop, thread)
 
     def shutdown(self, drain: bool = True, timeout: float = 60.0) -> bool:
         """Drain (optionally) and stop the server thread."""
@@ -969,15 +552,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             f"queue={config.max_queue} batch<={config.max_batch})",
             flush=True,
         )
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    signum,
-                    lambda: loop.create_task(server.shutdown(drain=True)),
-                )
-            except NotImplementedError:  # pragma: no cover - non-Unix
-                pass
+        server.drain_on_signals()
         await server.wait_stopped()
         print("repro service: drained and stopped", flush=True)
         return 0

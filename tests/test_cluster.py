@@ -388,8 +388,10 @@ class TestClusterAdmission:
 
 
 class TestClusterFailover:
-    def test_mid_batch_worker_kill_is_bit_identical_or_typed(self):
-        """The headline robustness contract of the sharded tier."""
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_mid_batch_worker_kill_is_bit_identical_or_typed(self, stream):
+        """The headline robustness contract of the sharded tier, on the
+        plain and the streamed batch path alike."""
         handle = ClusterHandle.start(
             n_workers=3,
             worker_mode="thread",
@@ -404,7 +406,12 @@ class TestClusterFailover:
                 client.build_request("delay", _task(s), beta)
                 for s in range(8)
             ]
-            envelopes = client.batch(specs)
+            if stream:
+                settled = dict(client.batch_stream(specs))
+                assert sorted(settled) == list(range(len(specs)))
+                envelopes = [settled[i] for i in range(len(specs))]
+            else:
+                envelopes = client.batch(specs)
             from repro.service import protocol
 
             for seed, envelope in enumerate(envelopes):

@@ -334,6 +334,15 @@ uptime, request counters (`requests_total`, `requests_failed`,
 depth/capacity, micro-batch size statistics, result-cache hit/miss
 counters, and the full `repro.perf` snapshot.
 
+**HTTP layer** (`repro.service.http`).  One module owns the wire for
+the server, the coordinator and every client: request/response
+framing, chunked NDJSON streams, the one error envelope
+(`http_error`), the connection handler with its route table
+(`HttpEndpoint`), and the worker exchanges (`exchange` asynchronous,
+`fetch` / `open_response` blocking).  One connection per request
+(`Connection: close`); a malformed or negative `Content-Length` is a
+`400 bad_request`; reason phrases come from `http.HTTPStatus`.
+
 **Lifecycle.**  SIGTERM/SIGINT trigger a graceful drain: the listener
 closes, `/healthz` turns 503, in-flight work settles within
 `drain_grace_s`.  CI boots the real CLI end-to-end
@@ -369,14 +378,15 @@ hold it, and when the fleet changes only ~K/N keys move (ring
 An undecodable spec falls back to a canonical-JSON digest —
 deterministic, so even malformed requests route stably.
 
-**Fan-out & merge** (`repro.cluster.coordinator`).  `POST /v1/batch`
-splits by owning worker, ships each group as one sub-batch (preserving
-the workers' micro-batch coalescing), and re-merges envelopes into
-request order — streaming mode multiplexes the workers' NDJSON streams
-in completion order with the same `{"done": true}` terminator.
-`whatif_sweep` requests with several edits split per-edit across the
-ring and re-merge per-edit results in edit order.  Merged results are
-**bit-identical** to single-node serving.
+**Fan-out & merge** (`repro.cluster.coordinator`).  One split-by-owner
+path: `POST /v1/batch` groups by owning worker, ships each group as one
+sub-batch (preserving the workers' micro-batch coalescing), and settles
+every envelope exactly once at its request index — streaming mode
+multiplexes the workers' NDJSON streams in completion order with the
+same `{"done": true}` terminator.  `whatif_sweep` requests with several
+edits split per-edit across the ring and re-merge per-edit results in
+edit order.  Merged results are **bit-identical** to single-node
+serving.
 
 **Health & failover.**  Background probes (`probe_interval_s`) eject a
 worker from the ring after `probe_failures` consecutive failures and
@@ -384,7 +394,10 @@ re-admit it when probes succeed again; a mid-request transport failure
 ejects immediately and retries on the next distinct ring owner
 (`retry_next_owner`), so a killed worker yields recomputed
 bit-identical results or a typed `worker_unreachable` envelope — never
-a silently wrong bound (chaos site `cluster.worker_crash`).
+a silently wrong bound (chaos site `cluster.worker_crash`).  Every
+worker exchange, streamed sub-batches included, is bounded by
+`request_timeout_s`; a worker answering `429` is waited out once
+(`Retry-After`) and then bypassed, but never ejected.
 
 **Cluster admission & observability.**  The coordinator replicates the
 three-tier admission policy fleet-wide (`max_queue` defaults to 256 x
