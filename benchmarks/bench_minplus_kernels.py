@@ -1,10 +1,9 @@
 """Micro-benchmarks of the vectorized min-plus kernel backend.
 
-Times the four kernel-screened operations — min-plus convolution,
+Times the three kernel-screened operations — min-plus convolution,
 deconvolution (both ``on_dip="fill"``, the RTC production path where
-pair pruning is sound), horizontal deviation, and the batched
-pseudo-inverse delay maximisation — under the ``exact``, ``hybrid``
-and ``auto`` (size-threshold dispatch) backends across segment counts
+pair pruning is sound) and horizontal deviation — under the ``exact``,
+``hybrid`` and ``auto`` (size-threshold dispatch) backends across segment counts
 {5, 10, 100, 1000}, asserting bit-identical results every time and
 recording the per-op dispatch decision the ``auto`` backend takes.
 Two fused-pipeline rows (the GPC triple and the pay-bursts-only-once
@@ -40,7 +39,6 @@ import random
 import time
 from fractions import Fraction as F
 
-from repro._numeric import Q
 from repro.minplus import (
     horizontal_deviation,
     min_plus_conv,
@@ -50,10 +48,7 @@ from repro.minplus import (
 from repro.minplus import kernels
 from repro.minplus import backend as backend_mod
 from repro.minplus.curve import Curve
-from repro.minplus.deviation import (
-    lower_pseudo_inverse_batch,
-    vertical_deviation,
-)
+from repro.minplus.deviation import vertical_deviation
 from repro.minplus.segment import Segment
 
 from _harness import OUT_DIR, report, write_json
@@ -67,8 +62,6 @@ MIN_CONV_SPEEDUP_1000 = 32.5
 #: Small-n floor: `auto` may never fall below 0.95x of `exact`.
 MIN_AUTO_RATIO = 0.95
 SMOKE_REGRESSION = 0.75  # fail below 75% of the committed speedup
-N_PINV_QUERIES = 4000
-N_PINV_GROUPS = 8
 #: Sub-millisecond cells are timed over a loop to beat timer noise.
 TINY_ITERS = 25
 
@@ -99,45 +92,6 @@ def convex_service(n, seed):
         t += dt
     segs.append(Segment(t, v, F(2)))
     return Curve(segs)
-
-
-def _pinv_queries(beta, n_queries, seed):
-    """Delay-maximisation queries against ``beta`` (all reachable)."""
-    rng = random.Random(seed)
-    top = beta.at(beta.last_breakpoint) + 100
-    offsets, works, gids = [], [], []
-    for k in range(n_queries):
-        works.append(top * F(rng.randint(1, 200), 200))
-        offsets.append(Q(rng.randint(0, 5)))
-        gids.append(k % N_PINV_GROUPS)
-    return offsets, works, gids
-
-
-def _pinv_exact(beta, offsets, works, gids):
-    invs = lower_pseudo_inverse_batch(beta, works)
-    best = [Q(0)] * N_PINV_GROUPS
-    for off, g, inv in zip(offsets, gids, invs):
-        d = inv - off
-        if d > best[g]:
-            best[g] = d
-    return best
-
-
-def _pinv_hybrid(beta, offsets, works, gids):
-    screened = kernels.screened_pinv_delay_groups(
-        beta, offsets, works, gids, N_PINV_GROUPS
-    )
-    assert screened is not None, "pinv screen unexpectedly unavailable"
-    inf_idx, results = screened
-    assert inf_idx is None, "benchmark queries must all be reachable"
-    return [best for best, _ in results]
-
-
-def _pinv_auto(beta, offsets, works, gids):
-    """The call-site dispatch gate, exactly as the analysis layers use it."""
-    if backend_mod.op_backend("pinv", len(beta.segments)) == "hybrid":
-        return _pinv_hybrid(beta, offsets, works, gids)
-    return _pinv_exact(beta, offsets, works, gids)
 
 
 def _time_cell(fns, n):
@@ -181,11 +135,10 @@ def _time_cell(fns, n):
 
 
 def _cases(n):
-    """The four benchmarked operations at segment count ``n``."""
+    """The three benchmarked operations at segment count ``n``."""
     alpha = concave_stair(n, 1)
     alpha2 = concave_stair(n, 2, scale=2)
     beta = convex_service(n, 3)
-    offsets, works, gids = _pinv_queries(beta, N_PINV_QUERIES, 4)
     conv = lambda: min_plus_conv(alpha, alpha2, on_dip="fill")  # noqa: E731
     deconv = lambda: min_plus_deconv(alpha, beta, on_dip="fill")  # noqa: E731
     hdev = lambda: horizontal_deviation(alpha, beta)  # noqa: E731
@@ -193,9 +146,6 @@ def _cases(n):
         ("conv", conv, conv, conv),
         ("deconv", deconv, deconv, deconv),
         ("hdev", hdev, hdev, hdev),
-        ("pinv", lambda: _pinv_exact(beta, offsets, works, gids),
-         lambda: _pinv_hybrid(beta, offsets, works, gids),
-         lambda: _pinv_auto(beta, offsets, works, gids)),
     ]
 
 
@@ -321,7 +271,7 @@ def test_bench_minplus_kernels():
         "minplus_kernels",
         {
             "suite": "min-plus kernel micro-benchmarks "
-                     "(conv/deconv on_dip=fill, hdev, batched pinv, "
+                     "(conv/deconv on_dip=fill, hdev, "
                      "fused GPC/e2e chains, auto dispatch)",
             "sizes": SIZES,
             "min_required_speedup_1000": MIN_SPEEDUP_1000,

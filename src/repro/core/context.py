@@ -44,8 +44,6 @@ from repro.drt.request import (
     frontier_explorer,
 )
 from repro.errors import AnalysisError
-from repro.minplus import backend as backend_mod
-from repro.minplus import kernels
 from repro.minplus.curve import Curve
 from repro.minplus.deviation import lower_pseudo_inverse_batch
 from repro.parallel import cache as result_cache
@@ -86,7 +84,6 @@ class AnalysisContext:
         "_delay_result",
         "_per_job",
         "_backlog_result",
-        "_fused_backlog",
     )
 
     def __init__(
@@ -107,8 +104,6 @@ class AnalysisContext:
         self._delay_result: Optional[DelayResult] = None
         self._per_job: Optional[Dict[str, Fraction]] = None
         self._backlog_result: Optional[BacklogResult] = None
-        #: Backlog screen stashed by a fused delay+backlog sweep.
-        self._fused_backlog = None
 
     @classmethod
     def of(
@@ -213,17 +208,10 @@ class AnalysisContext:
             tuples = self.frontier()
             best = Q(0)
             critical: Optional[RequestTuple] = None
-            screened = self._screened_max(
-                [tup.time for tup in tuples], [0] * len(tuples), 1
-            )
-            if screened is not None:
-                (best, idx) = screened[0]
-                critical = tuples[idx] if idx is not None else None
-            else:
-                for tup, d in zip(tuples, self.tuple_delays()):
-                    if d > best:
-                        best = d
-                        critical = tup
+            for tup, d in zip(tuples, self.tuple_delays()):
+                if d > best:
+                    best = d
+                    critical = tup
             self._delay_result = DelayResult(
                 delay=best,
                 busy_window=bw.length,
@@ -245,74 +233,19 @@ class AnalysisContext:
             if hit is not None:
                 self._per_job = hit
                 return dict(self._per_job)
-            names = list(self.task.job_names)
-            delays: Dict[str, Fraction] = {v: Q(0) for v in names}
+            delays: Dict[str, Fraction] = {
+                v: Q(0) for v in self.task.job_names
+            }
             tuples = self.frontier()
-            group_of = {v: i for i, v in enumerate(names)}
-            screened = self._screened_max(
-                [tup.time for tup in tuples],
-                [group_of[tup.vertex] for tup in tuples],
-                len(names),
-            )
-            if screened is not None:
-                for v, (best, _) in zip(names, screened):
-                    delays[v] = best
-            else:
-                for tup, d in zip(tuples, self.tuple_delays()):
-                    if d > delays[tup.vertex]:
-                        delays[tup.vertex] = d
+            for tup, d in zip(tuples, self.tuple_delays()):
+                if d > delays[tup.vertex]:
+                    delays[tup.vertex] = d
             self._per_job = delays
             if self._persist:
                 result_cache.put_analysis(
                     "ctx.per_job", self.task, self.beta, self._per_job
                 )
         return dict(self._per_job)
-
-    def _screened_max(self, offsets, group_ids, n_groups):
-        """Kernel-screened per-group maximum of the tuple delays.
-
-        Returns ``[(best, first_attainer_index), ...]`` per group with the
-        exact loop's semantics — strict-improvement maxima from 0, the
-        first unreachable work raising :class:`AnalysisError` with the
-        exact path's message — or None when the screen is unavailable
-        (exact backend, no NumPy, non-monotone beta, or delays already
-        computed, in which case the exact list is at hand anyway).
-        """
-        if self._delays is not None:
-            return None
-        if not backend_mod.screens_enabled():
-            return None
-        if backend_mod.op_backend("pinv", len(self.beta.segments)) != "hybrid":
-            return None
-        tuples = self.frontier()
-        works = [tup.work for tup in tuples]
-        with perf.timed("delay"):
-            if n_groups == 1 and self._backlog_result is None:
-                # The delay sweep's offsets are the tuple times — exactly
-                # what the backlog screen needs — so one fused pass shares
-                # the rational->interval lowering of both arrays and
-                # stashes the backlog maximum for :meth:`backlog_result`.
-                fused = kernels.screened_delay_backlog(
-                    self.beta, offsets, works, group_ids, n_groups
-                )
-                screened = None
-                if fused is not None:
-                    screened, backlog = fused
-                    if backlog is not None:
-                        self._fused_backlog = backlog
-            else:
-                screened = kernels.screened_pinv_delay_groups(
-                    self.beta, offsets, works, group_ids, n_groups
-                )
-        if screened is None:
-            return None
-        inf_idx, results = screened
-        if inf_idx is not None:
-            raise AnalysisError(
-                f"service curve never provides {tuples[inf_idx].work} "
-                "units of work"
-            )
-        return results
 
     def backlog_result(self) -> BacklogResult:
         """The structural backlog analysis result (computed once)."""
@@ -325,25 +258,11 @@ class AnalysisContext:
             tuples = self.frontier()
             best = Q(0)
             critical: Optional[RequestTuple] = None
-            screened = self._fused_backlog
-            if screened is None and backend_mod.screens_enabled() and (
-                backend_mod.op_backend("pinv", len(self.beta.segments))
-                == "hybrid"
-            ):
-                screened = kernels.screened_backlog_max(
-                    self.beta,
-                    [tup.time for tup in tuples],
-                    [tup.work for tup in tuples],
-                )
-            if screened is not None:
-                best, idx = screened
-                critical = tuples[idx] if idx is not None else None
-            else:
-                for tup in tuples:
-                    b = tup.work - self.beta.at(tup.time)
-                    if b > best:
-                        best = b
-                        critical = tup
+            for tup in tuples:
+                b = tup.work - self.beta.at(tup.time)
+                if b > best:
+                    best = b
+                    critical = tup
             self._backlog_result = BacklogResult(
                 backlog=best, busy_window=bw.length, critical_tuple=critical
             )

@@ -31,7 +31,6 @@ import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, nextafter
 from typing import Dict, List, Optional, Tuple
 
 from repro import perf
@@ -40,7 +39,6 @@ from repro.drt import snapshot as _snapshot
 from repro.drt.model import DRTTask
 from repro.errors import ModelError
 from repro.resilience.budget import checkpoint
-from repro.minplus import backend as backend_mod
 from repro.minplus.curve import Curve
 from repro.minplus.segment import Segment
 
@@ -99,44 +97,14 @@ class _VertexFrontier:
     greater-or-equal work.
     """
 
-    __slots__ = ("times", "works", "times_lo", "times_hi", "works_lo", "works_hi")
+    __slots__ = ("times", "works")
 
     def __init__(self) -> None:
         self.times: List[Q] = []
         self.works: List[Q] = []
-        # Outward-rounded float64 mirrors (lower/upper per coordinate):
-        # certified fast-path for the domination compare, exact rational
-        # comparisons only within one-ulp ties (hybrid backend).
-        self.times_lo: List[float] = []
-        self.times_hi: List[float] = []
-        self.works_lo: List[float] = []
-        self.works_hi: List[float] = []
 
     def dominated(self, time: Q, work: Q) -> bool:
         """True iff (time, work) is dominated by a stored tuple."""
-        if backend_mod.screens_enabled():
-            # Certified float screen.  The answer is works[idx*] >= work
-            # for idx* = last index with times[idx*] <= time; works
-            # increase with times, so any certainly-earlier entry with
-            # certainly-enough work proves domination, and the last
-            # possibly-earlier entry with certainly-too-little work
-            # refutes it.
-            tf = float(time)
-            t_lo, t_hi = nextafter(tf, -inf), nextafter(tf, inf)
-            i1 = bisect_right(self.times_lo, t_hi) - 1
-            if i1 < 0:
-                perf.record("kernel.screen_hits")
-                return False
-            wf = float(work)
-            w_lo, w_hi = nextafter(wf, -inf), nextafter(wf, inf)
-            if self.works_hi[i1] < w_lo:
-                perf.record("kernel.screen_hits")
-                return False
-            i0 = bisect_right(self.times_hi, t_lo) - 1
-            if i0 >= 0 and self.works_lo[i0] >= w_hi:
-                perf.record("kernel.screen_hits")
-                return True
-            perf.record("kernel.exact_fallbacks")
         # Find tuples with stored_time <= time; the best of them has the
         # largest work (works increase with times).
         idx = bisect_right(self.times, time) - 1
@@ -155,15 +123,6 @@ class _VertexFrontier:
         del self.works[idx:j]
         self.times.insert(idx, time)
         self.works.insert(idx, work)
-        tf, wf = float(time), float(work)
-        del self.times_lo[idx:j]
-        del self.times_hi[idx:j]
-        del self.works_lo[idx:j]
-        del self.works_hi[idx:j]
-        self.times_lo.insert(idx, nextafter(tf, -inf))
-        self.times_hi.insert(idx, nextafter(tf, inf))
-        self.works_lo.insert(idx, nextafter(wf, -inf))
-        self.works_hi.insert(idx, nextafter(wf, inf))
         return evicted
 
     def tuples(self, vertex: str, horizon: Optional[Q] = None) -> List[RequestTuple]:
@@ -182,10 +141,6 @@ class _VertexFrontier:
         out = _VertexFrontier()
         out.times = self.times[:]
         out.works = self.works[:]
-        out.times_lo = self.times_lo[:]
-        out.times_hi = self.times_hi[:]
-        out.works_lo = self.works_lo[:]
-        out.works_hi = self.works_hi[:]
         return out
 
 

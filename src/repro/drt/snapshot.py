@@ -18,7 +18,9 @@ Checkpointing is **off by default** (zero cost beyond one falsy test
 per pop).  Enable it with ``REPRO_CHECKPOINT_STRIDE=<pops>`` or
 :func:`set_checkpoint_stride`; every *stride* expansions the explorer
 snapshots itself under a key derived from its task digest (plus the
-library version and backend, like every cache entry).  Snapshots write
+library version and backend, like every cache entry).  The payload
+holds exact rationals only, so it restores identically whichever
+backend reads it.  Snapshots write
 atomically via :func:`repro.parallel.cache.put` — a torn write is
 evicted on load and the resume degrades to a cold start, never a wrong
 answer.
@@ -27,7 +29,6 @@ answer.
 from __future__ import annotations
 
 import os
-from math import inf, nextafter
 from typing import Dict, Optional
 
 from repro.resilience.budget import active_meter
@@ -130,10 +131,6 @@ def snapshot_explorer(ex) -> Dict[str, object]:
 def restore_explorer(task, state: Dict[str, object]):
     """Rebuild a :class:`FrontierExplorer` for *task* from a snapshot.
 
-    The float screen mirrors are recomputed from the exact rationals
-    (deterministically), so a snapshot taken under one backend restores
-    exactly under any other.
-
     Raises:
         ValueError: when the snapshot does not match *task*'s content
             digest or its schema version — stale checkpoints are a
@@ -154,12 +151,6 @@ def restore_explorer(task, state: Dict[str, object]):
         f = _VertexFrontier()
         f.times = list(times)
         f.works = list(works)
-        for t, w in zip(f.times, f.works):
-            tf, wf = float(t), float(w)
-            f.times_lo.append(nextafter(tf, -inf))
-            f.times_hi.append(nextafter(tf, inf))
-            f.works_lo.append(nextafter(wf, -inf))
-            f.works_hi.append(nextafter(wf, inf))
         frontiers[v] = f
     ex._frontiers = frontiers
     ex._heap = list(state["heap"])

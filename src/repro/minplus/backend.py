@@ -1,6 +1,7 @@
 """Kernel backend selection for the min-plus algebra.
 
-Three backend names select how every min-plus operation runs:
+Three backend names select how the min-plus operators — convolution,
+deconvolution and horizontal deviation — run:
 
 * ``"exact"`` — the historical pure-:class:`~fractions.Fraction` pairwise
   segment algorithms, bit-identical to every release before the kernel
@@ -19,6 +20,10 @@ Three backend names select how every min-plus operation runs:
   (:data:`EXACT_BELOW`), everything else goes ``hybrid``.  Since both
   candidates are bit-identical, the dispatch decision can only ever cost
   time, never correctness.
+
+The structural DRT path (frontier domination, the delay, per-job and
+backlog maximisations, the EDF sweep) has no float tier: it runs the
+same exact rational code under every backend.
 
 Resolution order for the active backend:
 
@@ -47,7 +52,6 @@ __all__ = [
     "get_backend",
     "resolve_backend",
     "op_backend",
-    "screens_enabled",
     "set_backend",
     "use_backend",
 ]
@@ -121,7 +125,7 @@ def op_backend(op: str, n: int, backend: Optional[str] = None) -> str:
     """The concrete tier (``"exact"``/``"hybrid"``) one operation runs on.
 
     Args:
-        op: Operation name (``conv``/``deconv``/``hdev``/``pinv``).
+        op: Operation name (``conv``/``deconv``/``hdev``).
         n: Operand size — the larger segment count of the two curves.
         backend: Optional API-level override, resolved like
             :func:`resolve_backend`.
@@ -142,17 +146,6 @@ def op_backend(op: str, n: int, backend: Optional[str] = None) -> str:
         key = _dispatch_keys[(op, choice)] = f"dispatch.{op}.{choice}"
     perf.record(key)
     return choice
-
-
-def screens_enabled() -> bool:
-    """True iff the ambient backend may use the float64 kernel screens.
-
-    ``auto`` counts: its batched screens (frontier domination, delay and
-    backlog sweeps) carry no per-call lowering cost that a tiny operand
-    could fail to amortize, so they are engaged whenever NumPy is
-    available and the backend is not explicitly ``exact``.
-    """
-    return HAVE_NUMPY and get_backend() != "exact"
 
 
 def set_backend(name: Optional[str]) -> None:

@@ -12,7 +12,7 @@ kernel design selected by :mod:`repro.minplus.backend`:
   every float operation is re-widened outward by one ulp, so each result
   interval is a *certificate*: the exact rational value provably lies
   inside it;
-* screens answer vectorized queries (pseudo-inverse sweeps, curve
+* screens answer vectorized queries of the min-plus operators (curve
   evaluation, envelope-piece domination, extremum candidates) with such
   intervals.  A query whose interval does not overlap the decision
   boundary is settled by the float tier (``kernel.screen_hits``); the
@@ -33,13 +33,11 @@ False) every helper returns ``None`` and callers run the exact path.
 from __future__ import annotations
 
 from collections import OrderedDict
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro import perf
 from repro._numeric import Q
 from repro.minplus import backend as backend_mod
-from repro.resilience.budget import checkpoint
 
 try:  # pragma: no cover - the import either works or it doesn't
     import numpy as np
@@ -56,13 +54,10 @@ __all__ = [
     "op_cache_get",
     "op_cache_put",
     "op_cache_clear",
-    "screened_pinv_delay_groups",
-    "screened_backlog_max",
     "conv_prune_mask",
     "deconv_prune_mask",
     "conv_point_value_screened",
     "deconv_point_value_screened",
-    "screened_delay_backlog",
     "fused_deconv_hdev",
     "fused_conv_hdev",
 ]
@@ -128,9 +123,6 @@ class Lowered:
         VE_lo/VE_hi: Bounds on segment *end* values (left limit at the
             next start); the last entry encodes the tail limit
             (``+inf`` for a positive tail rate).
-        VE_lo_rm/VE_hi_rm: Running maxima of the end-value bounds
-            (restores the sortedness float noise can break, so
-            ``searchsorted`` stays valid; see :meth:`pinv_bounds`).
     """
 
     __slots__ = (
@@ -145,10 +137,6 @@ class Lowered:
         "SL_hi",
         "VE_lo",
         "VE_hi",
-        "VE_lo_rm",
-        "VE_hi_rm",
-        "S_lo_ext",
-        "S_hi_ext",
     )
 
     def __init__(self, curve) -> None:
@@ -182,10 +170,6 @@ class Lowered:
             ve_hi[-1] = self.V_hi[-1]
         self.VE_lo = ve_lo
         self.VE_hi = ve_hi
-        self.VE_lo_rm = np.maximum.accumulate(ve_lo)
-        self.VE_hi_rm = np.maximum.accumulate(ve_hi)
-        self.S_lo_ext = np.append(self.S_lo, _POS)
-        self.S_hi_ext = np.append(self.S_hi, _POS)
 
     # -- evaluation -----------------------------------------------------
 
@@ -240,99 +224,6 @@ class Lowered:
         )
         lo = np.minimum(_down(self.V_lo[k0] + m_lo), self.VE_lo[k0])
         return np.where(valid, lo, _NEG), hi
-
-    # -- pseudo-inverse -------------------------------------------------
-
-    def pinv_bounds(self, w_lo, w_hi):
-        """Certified bounds on ``inf { t : f(t) >= w }`` (nondecreasing).
-
-        Returns ``(t_lo, t_hi, certain_inf, possible_inf)``.  Where
-        ``certain_inf`` the curve provably never reaches ``w``; where
-        ``possible_inf`` the float tier cannot decide and the caller must
-        consult the exact path.
-        """
-        n = self.n
-        # First segment that possibly reaches w by its end, and first
-        # that certainly does.  The running max only repairs float-level
-        # sortedness: the index found is the first segment whose own
-        # end-value bound clears the threshold.
-        i0 = np.searchsorted(self.VE_hi_rm, w_lo, side="left")
-        i1 = np.searchsorted(self.VE_lo_rm, w_hi, side="left")
-        certain_inf = i0 >= n
-        possible_inf = (i1 >= n) & ~certain_inf
-        i0c = np.minimum(i0, n - 1)
-        i1c = np.minimum(i1, n - 1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # Lower bound: nothing before segment i0 answers.  If the
-            # answer may sit at i0's start, that start is the bound;
-            # otherwise the crossing is no earlier than the downward
-            # division, and never later than the next start.
-            num_lo = _down(w_lo - self.V_hi[i0c])
-            div_lo = _down(num_lo / self.SL_hi[i0c])
-            div_lo = np.where(np.isfinite(div_lo), div_lo, 0.0)
-            t_lo = np.where(
-                self.V_hi[i0c] >= w_lo,
-                self.S_lo[i0c],
-                np.minimum(
-                    np.maximum(_down(self.S_lo[i0c] + div_lo), self.S_lo[i0c]),
-                    self.S_lo_ext[i0c + 1],
-                ),
-            )
-            # Upper bound: segment i1 certainly reaches w by its end, so
-            # the answer is at most its next start; if i1's start value
-            # already certainly clears w, its start is the bound, else
-            # the upward division refines it.
-            num_hi = _up(w_hi - self.V_lo[i1c])
-            sl = np.maximum(self.SL_lo[i1c], 0.0)
-            div_hi = _up(num_hi / sl)
-            div_hi = np.where(np.isnan(div_hi), _POS, div_hi)
-            t_hi = np.where(
-                self.V_lo[i1c] >= w_hi,
-                self.S_hi[i1c],
-                np.minimum(_up(self.S_hi[i1c] + div_hi), self.S_hi_ext[i1c + 1]),
-            )
-        t_lo = np.where(certain_inf, _POS, t_lo)
-        t_hi = np.where(certain_inf | possible_inf, _POS, t_hi)
-        return t_lo, t_hi, certain_inf, possible_inf
-
-    def upinv_bounds(self, w_lo, w_hi):
-        """Certified bounds on ``inf { t : f(t) > w }`` (nondecreasing).
-
-        Same contract as :meth:`pinv_bounds` with strict comparisons:
-        ``certain_inf`` means the curve provably never exceeds ``w``.
-        """
-        n = self.n
-        i0 = np.searchsorted(self.VE_hi_rm, w_lo, side="right")
-        i1 = np.searchsorted(self.VE_lo_rm, w_hi, side="right")
-        certain_inf = i0 >= n
-        possible_inf = (i1 >= n) & ~certain_inf
-        i0c = np.minimum(i0, n - 1)
-        i1c = np.minimum(i1, n - 1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            num_lo = _down(w_lo - self.V_hi[i0c])
-            div_lo = _down(num_lo / self.SL_hi[i0c])
-            div_lo = np.where(np.isfinite(div_lo), div_lo, 0.0)
-            t_lo = np.where(
-                self.V_hi[i0c] > w_lo,
-                self.S_lo[i0c],
-                np.minimum(
-                    np.maximum(_down(self.S_lo[i0c] + div_lo), self.S_lo[i0c]),
-                    self.S_lo_ext[i0c + 1],
-                ),
-            )
-            num_hi = _up(w_hi - self.V_lo[i1c])
-            sl = np.maximum(self.SL_lo[i1c], 0.0)
-            div_hi = _up(num_hi / sl)
-            div_hi = np.where(np.isnan(div_hi), _POS, div_hi)
-            t_hi = np.where(
-                self.V_lo[i1c] > w_hi,
-                self.S_hi[i1c],
-                np.minimum(_up(self.S_hi[i1c] + div_hi), self.S_hi_ext[i1c + 1]),
-            )
-        t_lo = np.where(certain_inf, _POS, t_lo)
-        t_hi = np.where(certain_inf | possible_inf, _POS, t_hi)
-        return t_lo, t_hi, certain_inf, possible_inf
-
 
 def lowered(curve) -> Optional[Lowered]:
     """The cached :class:`Lowered` form of *curve* (None without NumPy).
@@ -395,142 +286,6 @@ def op_cache_stats() -> Tuple[int, int]:
     """``(entries, capacity)`` of the operation memo — lets tests and the
     execution plane assert that cache isolation actually emptied it."""
     return (len(_OP_CACHE), _OP_CACHE_CAP)
-
-
-# ----------------------------------------------------------------------
-# Screened maximum selectors (delay / backlog hot paths)
-# ----------------------------------------------------------------------
-
-def screened_pinv_delay_groups(
-    beta,
-    offsets: Sequence,
-    works: Sequence,
-    group_ids: Sequence[int],
-    n_groups: int,
-    w_bounds=None,
-    o_bounds=None,
-):
-    """Two-tier per-group maximum of ``beta^{-1}(work) - offset``.
-
-    Replicates the exact per-tuple loop — strict-improvement maxima
-    starting from 0, first-attainer tie-breaking, and the position of the
-    first unreachable work — while evaluating exactly only the queries
-    the float certificate cannot eliminate.
-
-    Returns ``None`` when the screen is unavailable (no NumPy, or a
-    service curve the monotone reasoning does not cover); otherwise
-    ``(first_inf_index, results)`` where ``first_inf_index`` is the index
-    of the first query whose work the service never provides (or None)
-    and ``results[g] = (best, first_index)`` per group, ``first_index``
-    being None when the group's maximum is 0.
-
-    ``w_bounds``/``o_bounds`` optionally pass precomputed
-    :func:`q_bounds` pairs of *works*/*offsets*: the fused sweep
-    (:func:`screened_delay_backlog`) shares one rational-to-interval
-    lowering pass between this screen and the backlog screen.
-    """
-    gl = lowered(beta)
-    if gl is None or not gl.nondecreasing:
-        return None
-    n = len(works)
-    if n == 0:
-        return None, [(Q(0), None) for _ in range(n_groups)]
-    # Amortised budget charge for the vectorized sweep over n queries.
-    checkpoint(1 + n // 64)
-    from repro.minplus.deviation import (
-        lower_pseudo_inverse,
-        lower_pseudo_inverse_batch,
-    )
-    from repro._numeric import is_inf
-
-    w_lo, w_hi = w_bounds if w_bounds is not None else q_bounds(works)
-    o_lo, o_hi = o_bounds if o_bounds is not None else q_bounds(offsets)
-    t_lo, t_hi, certain_inf, possible_inf = gl.pinv_bounds(w_lo, w_hi)
-    # Reachability first: the exact loop reports the first unreachable
-    # work in query order, before any maximum is taken.
-    inf_idx = None
-    if certain_inf.any() or possible_inf.any():
-        amb = np.flatnonzero(possible_inf)
-        truly_inf = np.array(
-            [is_inf(lower_pseudo_inverse(beta, works[i])) for i in amb]
-        )
-        perf.record("kernel.exact_fallbacks", len(amb))
-        inf_mask = certain_inf.copy()
-        if len(amb):
-            inf_mask[amb] = truly_inf
-            refined = amb[~truly_inf]
-            for i in refined:
-                exact_t = lower_pseudo_inverse(beta, works[i])
-                t_lo[i] = np.nextafter(float(exact_t), _NEG)
-                t_hi[i] = np.nextafter(float(exact_t), _POS)
-        hits = np.flatnonzero(inf_mask)
-        if len(hits):
-            inf_idx = int(hits[0])
-    d_lo = _down(t_lo - o_hi)
-    d_hi = _up(t_hi - o_lo)
-    gid = np.asarray(group_ids)
-    best_lo = np.zeros(n_groups)
-    np.maximum.at(best_lo, gid, np.where(np.isfinite(d_lo), d_lo, _NEG))
-    survivors = np.flatnonzero((d_hi >= best_lo[gid]) & (d_hi > 0.0))
-    perf.record("kernel.screen_hits", n - len(survivors))
-    results: List[Tuple[Q, Optional[int]]] = [
-        (Q(0), None) for _ in range(n_groups)
-    ]
-    if len(survivors):
-        extra = len(survivors) - len(set(int(gid[i]) for i in survivors))
-        if extra > 0:
-            perf.record("kernel.exact_fallbacks", extra)
-        invs = lower_pseudo_inverse_batch(
-            beta, [works[int(i)] for i in survivors]
-        )
-        for i, inv in zip(survivors, invs):
-            i = int(i)
-            if is_inf(inv):  # pragma: no cover - caught by the inf pass
-                continue
-            d = inv - offsets[i]
-            g = int(gid[i])
-            if d > results[g][0]:
-                results[g] = (d, i)
-    return inf_idx, results
-
-
-def screened_backlog_max(
-    beta, times: Sequence, works: Sequence, w_bounds=None, t_bounds=None
-):
-    """Two-tier maximum of ``work - beta(time)`` over request tuples.
-
-    Same contract shape as :func:`screened_pinv_delay_groups` restricted
-    to one group: returns ``None`` when unavailable, else
-    ``(best, first_index)`` with exact strict-improvement semantics.
-    ``w_bounds``/``t_bounds`` share precomputed :func:`q_bounds` pairs
-    exactly as on :func:`screened_pinv_delay_groups`.
-    """
-    gl = lowered(beta)
-    if gl is None or not gl.nondecreasing:
-        return None
-    n = len(works)
-    if n == 0:
-        return Q(0), None
-    checkpoint(1 + n // 64)
-    w_lo, w_hi = w_bounds if w_bounds is not None else q_bounds(works)
-    t_lo, t_hi = t_bounds if t_bounds is not None else q_bounds(times)
-    v_lo, v_hi = gl.eval_bounds(np.maximum(t_lo, 0.0), t_hi)
-    b_lo = _down(w_lo - v_hi)
-    b_hi = _up(w_hi - v_lo)
-    best_lo = max(0.0, float(np.max(b_lo)))
-    survivors = np.flatnonzero((b_hi >= best_lo) & (b_hi > 0.0))
-    perf.record("kernel.screen_hits", n - len(survivors))
-    if len(survivors) > 1:
-        perf.record("kernel.exact_fallbacks", len(survivors) - 1)
-    best: Q = Q(0)
-    best_idx: Optional[int] = None
-    for i in survivors:
-        i = int(i)
-        b = works[i] - beta.at(times[i])
-        if b > best:
-            best = b
-            best_idx = i
-    return best, best_idx
 
 
 # ----------------------------------------------------------------------
@@ -933,39 +688,6 @@ def deconv_point_value_screened(f, g, t, u_max) -> Optional[Q]:
 # ----------------------------------------------------------------------
 # Fused operation pipelines (chain-level memo + shared lowerings)
 # ----------------------------------------------------------------------
-
-def screened_delay_backlog(
-    beta, times: Sequence, works: Sequence,
-    group_ids: Sequence[int], n_groups: int,
-):
-    """Fused delay + backlog sweep over one request frontier.
-
-    The two frontier maximisations consume the same ``(time, work)``
-    tuples against the same service curve; running them through one
-    call shares the lowering of *beta* **and** the certified interval
-    bounds of the rational tuple coordinates (one :func:`q_bounds`
-    pass over each array instead of two — for a 10k-tuple frontier
-    that rational-to-float lowering is a measurable slice of the
-    sweep).  Each half keeps its exact strict-improvement semantics.
-
-    Returns ``(delay_result, backlog_result)`` in the two screens'
-    native contract shapes, or None when the screen is unavailable.
-    """
-    gl = lowered(beta)
-    if gl is None or not gl.nondecreasing:
-        return None
-    perf.record("kernel.fused_sweeps")
-    w_bounds = q_bounds(works)
-    t_bounds = q_bounds(times)
-    d = screened_pinv_delay_groups(
-        beta, times, works, group_ids, n_groups,
-        w_bounds=w_bounds, o_bounds=t_bounds,
-    )
-    b = screened_backlog_max(
-        beta, times, works, w_bounds=w_bounds, t_bounds=t_bounds
-    )
-    return d, b
-
 
 def fused_deconv_hdev(f, g, backend: Optional[str] = None):
     """Fused ``deconv -> hdev`` chain of one greedy processing component.

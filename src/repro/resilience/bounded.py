@@ -6,25 +6,21 @@
 each cheaper and no less pessimistic than the one above, and returns the
 bound of the highest rung the budget allowed to finish:
 
-1. **exact frontier** — the full structural analysis under the ambient
-   kernel backend, metered by cooperative checkpoints;
-2. **hybrid kernels** — the same analysis on the vectorized hybrid
-   backend (bit-identical results, several times faster), attempted when
-   the exact rung ran out of wall clock and the budget has slack left;
-   exploration *resumes* from the shared frontier explorer instead of
-   restarting;
-3. **k-segment curve approximation** — the request-bound staircase
-   explored so far, continued by its sound affine tail and compressed to
+1. **exact frontier** — the full structural analysis, metered by
+   cooperative checkpoints;
+2. **k-segment curve approximation** — the request-bound staircase
+   explored so far (the shared frontier explorer keeps it across the
+   unwind), continued by its sound affine tail and compressed to
    the budget's ``max_segments`` with
    :func:`repro.minplus.approximation.upper_approximation`; the bound is
    the horizontal deviation against the service curve.  Pointwise the
    compressed curve dominates the exact request bound, so the bound
    dominates the exact delay;
-4. **utilization/rate bound** — the exact linear request bound
+3. **utilization/rate bound** — the exact linear request bound
    ``B + rho * t`` of :func:`repro.drt.utilization.linear_request_bound`
    against the service curve: closed-form, always bounded effort.
 
-Rungs 3 and 4 run *outside* the budget: their cost is bounded by
+Rungs 2 and 3 run *outside* the budget: their cost is bounded by
 construction (a handful of segments), so they terminate even when the
 budget is fully spent — the analysis always returns in bounded time with
 a sound bound or a typed error.  Soundness of the ladder
@@ -45,7 +41,7 @@ from repro.resilience.budget import Budget, BudgetMeter, budget_scope
 __all__ = ["BoundedDelayResult", "bounded_delay", "bounded_delay_many"]
 
 #: Ladder rung names, highest fidelity first.
-LEVELS = ("exact", "kernel", "k-segment", "rate")
+LEVELS = ("exact", "k-segment", "rate")
 
 
 @dataclass(frozen=True)
@@ -57,15 +53,15 @@ class BoundedDelayResult:
             sound over-approximation (``>=`` the exact bound) otherwise.
         degraded: True iff the budget forced an approximate rung.
         level: The ladder rung that produced the bound (``"exact"``,
-            ``"kernel"``, ``"k-segment"`` or ``"rate"``).
-        reason: Why lower-fidelity rungs were reached (None when the
-            first rung finished) — e.g. ``"exact: deadline"``.
-        busy_window: Busy-window bound (exact rungs only).
-        critical_tuple: Witness request tuple (exact rungs only).
-        tuple_count: Frontier tuples examined (exact rungs only).
+            ``"k-segment"`` or ``"rate"``).
+        reason: Why the exact rung did not finish (None when it did) —
+            e.g. ``"exact: deadline"``.
+        busy_window: Busy-window bound (exact rung only).
+        critical_tuple: Witness request tuple (exact rung only).
+        tuple_count: Frontier tuples examined (exact rung only).
         explored_horizon: Horizon up to which the request bound was
             exactly explored when a degraded rung answered (None for
-            exact rungs and the pure rate bound).
+            the exact rung and the pure rate bound).
     """
 
     delay: Fraction
@@ -78,12 +74,12 @@ class BoundedDelayResult:
     explored_horizon: Optional[Fraction] = None
 
 
-def _exact_result(res, level: str, reason: Optional[str]) -> BoundedDelayResult:
+def _exact_result(res) -> BoundedDelayResult:
     return BoundedDelayResult(
         delay=res.delay,
         degraded=False,
-        level=level,
-        reason=reason,
+        level="exact",
+        reason=None,
         busy_window=res.busy_window,
         critical_tuple=res.critical_tuple,
         tuple_count=res.tuple_count,
@@ -116,7 +112,7 @@ def bounded_delay(
         beta: Lower service curve of the resource.
         budget: Effort specification; ``None`` runs the plain exact
             analysis (zero additional cost beyond disabled checkpoints).
-        backend: Kernel backend override for the first rung (see
+        backend: Kernel backend override (see
             :mod:`repro.minplus.backend`).
 
     Returns:
@@ -130,7 +126,6 @@ def bounded_delay(
     """
     from repro.core.delay import structural_delay
     from repro.minplus import backend as backend_mod
-    from repro.minplus import kernels
 
     scope = (
         backend_mod.use_backend(backend)
@@ -139,44 +134,27 @@ def bounded_delay(
     )
     with scope:
         if budget is None:
-            return _exact_result(
-                structural_delay(task, beta), "exact", None
-            )
+            return _exact_result(structural_delay(task, beta))
         meter = budget.start()
-        reasons: List[str] = []
         try:
             with budget_scope(meter):
                 res = structural_delay(task, beta)
-            return _exact_result(res, "exact", None)
+            return _exact_result(res)
         except BudgetExhaustedError as exc:
-            reasons.append(f"exact: {exc.reason}")
-        if (
-            backend_mod.get_backend() == "exact"
-            and kernels.AVAILABLE
-            and meter.has_slack()
-        ):
-            # The shared frontier explorer kept its heap, so this rung
-            # resumes the exploration where the previous one stopped.
-            try:
-                with backend_mod.use_backend("hybrid"), budget_scope(meter):
-                    res = structural_delay(task, beta)
-                return _exact_result(res, "kernel", "; ".join(reasons))
-            except BudgetExhaustedError as exc:
-                reasons.append(f"kernel: {exc.reason}")
-        return _degraded_bound(task, beta, meter, reasons)
+            reason = f"exact: {exc.reason}"
+        return _degraded_bound(task, beta, meter, reason)
 
 
 def _degraded_bound(
-    task, beta, meter: BudgetMeter, reasons: List[str]
+    task, beta, meter: BudgetMeter, reason: str
 ) -> BoundedDelayResult:
-    """Rungs 3 and 4: bounded-by-construction, run outside the budget."""
+    """Rungs 2 and 3: bounded-by-construction, run outside the budget."""
     from repro.drt.request import frontier_explorer
     from repro.drt.utilization import linear_request_bound
     from repro.minplus.approximation import upper_approximation
     from repro.minplus.curve import Curve
     from repro.minplus.segment import Segment
 
-    reason = "; ".join(reasons)
     ex = frontier_explorer(task)
     hz = ex.explored_horizon
     if hz is not None and hz > 0:

@@ -24,8 +24,9 @@ Design constraints:
 * **Resumable exhaustion.**  The exploration state of
   :class:`repro.drt.request.FrontierExplorer` survives a mid-loop unwind
   (its heap and per-vertex frontiers are instance state), so a later
-  attempt — e.g. the hybrid-kernel rung of the degradation ladder —
-  resumes where the budget ran out instead of restarting.
+  attempt resumes where the budget ran out instead of restarting, and
+  the k-segment rung of the degradation ladder reads the staircase
+  explored so far.
 
 Budgets are *specifications*; the consumable state lives in a
 :class:`BudgetMeter` created per analysis attempt (one :class:`Budget`

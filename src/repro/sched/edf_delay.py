@@ -45,7 +45,6 @@ from repro.drt.request import RequestTuple, rbf_curve, request_frontier
 from repro.drt.validate import validate_task
 from repro.errors import AnalysisError, UnboundedBusyWindowError
 from repro.minplus import backend as backend_mod
-from repro.minplus import kernels
 from repro.minplus.curve import Curve
 from repro.minplus.deviation import lower_pseudo_inverse_batch
 from repro.parallel import cache as result_cache
@@ -93,9 +92,10 @@ def edf_structural_delays(
             explorer (default).  ``False`` re-explores every task from
             scratch — the historical cost model the benchmarks compare
             against.
-        backend: Kernel backend override (see :mod:`repro.minplus.backend`);
-            ``"hybrid"`` screens the per-vertex delay maximisation and
-            returns identical bounds.
+        backend: Kernel backend name (see :mod:`repro.minplus.backend`),
+            validated like every entry point's.  The maximisation is one
+            exact pseudo-inverse sweep on every backend, so the bounds
+            do not depend on it.
         jobs: Fan the per-task maximisations out over worker processes.
             After the shared aggregate busy window and demand curves are
             fixed, each task's bound depends on nothing computed for the
@@ -110,13 +110,13 @@ def edf_structural_delays(
     if not tasks:
         raise AnalysisError("edf_structural_delays needs at least one task")
     tasks = list(tasks)
+    backend_mod.resolve_backend(backend)
     for task in tasks:
         validate_task(task, require_constrained=True)
     extra = (
         "ih=" + (str(as_q(initial_horizon)) if initial_horizon is not None else "-"),
         f"mi={max_iterations}",
         f"reuse={reuse}",
-        f"be={backend_mod.resolve_backend(backend)}",
     )
     cached = result_cache.get_analysis("sched.edf", tasks, beta, extra)
     if cached is not None:
@@ -161,7 +161,6 @@ def edf_structural_delays(
             beta,
             busy,
             reuse,
-            backend,
         )
         for task in tasks
     ]
@@ -184,7 +183,7 @@ def _edf_task_case(case) -> Dict[str, Fraction]:
     """One task's per-job EDF delay maximisation, given the shared
     aggregate busy window and the other tasks' demand curves
     (module-level so the execution plane can ship it to workers)."""
-    task, other_dbfs, beta, busy, reuse, backend = case
+    task, other_dbfs, beta, busy, reuse = case
     # Aggregate interference demand of the other tasks, and the jump
     # points where increasing the anchor offset can pay off.
     interference_jumps: List[Q] = sorted(
@@ -220,33 +219,13 @@ def _edf_task_case(case) -> Dict[str, Fraction]:
                 anchors.append(a)
         for a in anchors:
             queries.append((tup, a, tup.work + interference_at(base + a)))
-    screened = None
-    if backend_mod.op_backend("pinv", len(beta.segments), backend) == "hybrid":
-        names = list(task.job_names)
-        group_of = {v: i for i, v in enumerate(names)}
-        screened = kernels.screened_pinv_delay_groups(
-            beta,
-            [tup.time + a for tup, a, _ in queries],
-            [demand for _, _, demand in queries],
-            [group_of[tup.vertex] for tup, _, _ in queries],
-            len(names),
-        )
-    if screened is not None:
-        inf_idx, results = screened
-        if inf_idx is not None:
+    invs = lower_pseudo_inverse_batch(beta, [q[2] for q in queries])
+    for (tup, a, demand), inv in zip(queries, invs):
+        if is_inf(inv):
             raise UnboundedBusyWindowError(
-                f"service never provides {queries[inf_idx][2]} units"
+                f"service never provides {demand} units"
             )
-        for v, (best, _) in zip(names, results):
-            delays[v] = best
-    else:
-        invs = lower_pseudo_inverse_batch(beta, [q[2] for q in queries])
-        for (tup, a, demand), inv in zip(queries, invs):
-            if is_inf(inv):
-                raise UnboundedBusyWindowError(
-                    f"service never provides {demand} units"
-                )
-            d = inv - tup.time - a
-            if d > delays[tup.vertex]:
-                delays[tup.vertex] = d
+        d = inv - tup.time - a
+        if d > delays[tup.vertex]:
+            delays[tup.vertex] = d
     return delays

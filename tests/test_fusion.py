@@ -199,29 +199,6 @@ class TestGpcAndChainWiring:
             assert got.sum_of_delays == want.sum_of_delays
             assert got.end_to_end_delay == want.end_to_end_delay
 
-    def test_fused_sweep_counter_fires_in_context(self):
-        from repro.core.context import AnalysisContext
-        from repro.curves.service import rate_latency_service
-        from repro.drt.model import DRTTask
-
-        task = DRTTask.build(
-            "fusion-demo",
-            jobs={"a": (1, 5), "b": (3, 8)},
-            edges=[("a", "b", 10), ("b", "a", 8)],
-        )
-        beta = rate_latency_service(F(1), F(2))
-        before = perf.snapshot()["counters"].get("kernel.fused_sweeps", 0)
-        with use_backend("hybrid"):
-            ctx = AnalysisContext(task, beta)
-            delay = ctx.delay_result()
-            backlog = ctx.backlog_result()
-        after = perf.snapshot()["counters"].get("kernel.fused_sweeps", 0)
-        assert after > before
-        with use_backend("exact"):
-            ctx2 = AnalysisContext(task, beta)
-            assert ctx2.delay_result().delay == delay.delay
-            assert ctx2.backlog_result().backlog == backlog.backlog
-
 
 class TestCounters:
     def test_intern_and_memo_counters_flow(self):

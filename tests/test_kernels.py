@@ -4,8 +4,9 @@ The ``hybrid`` backend may only *screen*: every final artefact — curves,
 bounds, tie-breaking, raised exceptions — must be bit-identical to the
 pure-``Fraction`` ``exact`` backend.  These tests drive both backends
 over random curves/tasks and assert full equality, plus directed cases
-for the one-ulp ties that force the certified intervals to overlap and
-the nested-phase accounting of ``repro.perf``.
+for one-ulp ties (which the exact DRT paths must settle and the operator
+screens must leave to the exact tier) and the nested-phase accounting of
+``repro.perf``.
 """
 
 import copy
@@ -15,11 +16,11 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import cli, perf
-from repro._numeric import Q, is_inf
+from repro._numeric import Q
 from repro.core.facade import StructuralAnalysis
 from repro.drt.model import DRTTask
 from repro.errors import SerializationError
@@ -35,7 +36,6 @@ from repro.minplus import (
 from repro.minplus import kernels
 from repro.minplus.backend import op_backend
 from repro.minplus.curve import Curve
-from repro.minplus.deviation import lower_pseudo_inverse_batch
 from repro.minplus.segment import Segment
 from repro.service.protocol import decode_request
 
@@ -115,41 +115,6 @@ class TestHybridEqualsExact:
         exact, hybrid = _both(lambda: horizontal_deviation(f, g))
         assert exact == hybrid
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        beta=service_curves(),
-        works=st.lists(
-            st.fractions(min_value=F(0), max_value=F(80), max_denominator=16),
-            min_size=1,
-            max_size=12,
-        ),
-        offsets_seed=st.integers(min_value=0, max_value=7),
-    )
-    def test_pinv_batch_screen(self, beta, works, offsets_seed):
-        """The screened group maximisation replays the exact loop."""
-        n_groups = 3
-        offsets = [Q((i * offsets_seed) % 5) for i in range(len(works))]
-        gids = [i % n_groups for i in range(len(works))]
-        screened = kernels.screened_pinv_delay_groups(
-            beta, offsets, works, gids, n_groups
-        )
-        assume(screened is not None)
-        inf_idx, results = screened
-        # Exact mirror: first unreachable work in query order, then
-        # strict-improvement maxima from 0 with first-attainer indices.
-        invs = lower_pseudo_inverse_batch(beta, works)
-        exact_inf = next(
-            (i for i, inv in enumerate(invs) if is_inf(inv)), None
-        )
-        assert inf_idx == exact_inf
-        if exact_inf is None:
-            best = [(Q(0), None)] * n_groups
-            for i, (off, g, inv) in enumerate(zip(offsets, gids, invs)):
-                d = inv - off
-                if d > best[g][0]:
-                    best[g] = (d, i)
-            assert results == best
-
     @settings(max_examples=25, deadline=None)
     @given(task=small_drt_tasks(), beta=service_curves())
     def test_delay_bound_facade(self, task, beta):
@@ -172,26 +137,48 @@ class TestHybridEqualsExact:
         assert hybrid == exact
 
 
+#: Two rationals 2**-60 apart: distinct, but with one float64 image.
+_W = F(1, 3)
+_TIE = _W + F(1, 2**60)
+
+
 class TestUlpTieFallback:
-    def test_one_ulp_tie_falls_back_to_exact(self):
-        """Works one ulp apart defeat the float screen; the exact path
-        must settle the maximum (and be counted doing so)."""
-        beta = Curve([Segment(F(0), F(0), F(1))])
-        w = F(1, 3)
-        tie = w + F(1, 2**60)  # float(w) == float(tie)
-        offsets = [Q(0), Q(0)]
-        works = [w, tie]
-        perf.reset()
-        screened = kernels.screened_pinv_delay_groups(
-            beta, offsets, works, [0, 0], 1
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_one_ulp_tie_frontier_domination(self, backend):
+        """Domination decides one-ulp ties in either coordinate exactly."""
+        from repro.drt.request import _VertexFrontier
+
+        assert float(_W) == float(_TIE)
+        with use_backend(backend):
+            f = _VertexFrontier()
+            f.insert(Q(0), _W)
+            f.insert(_TIE, Q(5))
+            assert f.dominated(Q(0), _W)
+            assert not f.dominated(Q(0), _TIE)
+            assert f.dominated(_TIE, Q(5))
+            assert not f.dominated(_W, Q(5))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_one_ulp_tie_per_job(self, backend):
+        """Per-job delays one ulp apart stay apart, and the strictly
+        larger one is the critical tuple."""
+        from repro.core.context import AnalysisContext
+        from repro.curves.service import rate_latency_service
+
+        assert float(_W) == float(_TIE)
+        task = DRTTask.build(
+            "ulp-tie",
+            jobs={"a": (_W, 10), "b": (_TIE, 10)},
+            edges=[("a", "b", 10), ("b", "a", 10)],
         )
-        assert screened is not None
-        inf_idx, results = screened
-        assert inf_idx is None
-        # beta^-1 is the identity here; the later, one-ulp-larger work
-        # wins strictly — only exact arithmetic can see that.
-        assert results == [(tie, 1)]
-        assert perf.counters().get("kernel.exact_fallbacks", 0) > 0
+        # beta^-1 is the identity, so each job's delay is its own WCET.
+        beta = rate_latency_service(F(1), F(0))
+        with use_backend(backend):
+            ctx = AnalysisContext(task, beta, persist=False)
+            assert ctx.per_job() == {"a": _W, "b": _TIE}
+            res = ctx.delay_result()
+        assert res.delay == _TIE
+        assert res.critical_tuple.vertex == "b"
 
     def test_conv_with_ulp_close_values_stays_exact(self):
         eps = F(1, 2**58)
@@ -235,7 +222,7 @@ class TestTimedNestedPhases:
 # ``auto`` dispatch: fixed size threshold between exact and hybrid
 # ----------------------------------------------------------------------
 
-OPS = ("conv", "deconv", "hdev", "pinv")
+OPS = ("conv", "deconv", "hdev")
 
 
 class TestPrior:

@@ -14,6 +14,7 @@ from repro.drt.model import DRTTask
 from repro.errors import SerializationError, ValidationError
 from repro.io.json_io import curve_to_dict, task_to_dict
 from repro.resilience import Budget, bounded_delay, chaos
+from repro.resilience.bounded import LEVELS
 from repro.sched.edf_delay import edf_structural_delays
 from repro.sched.sp import sp_schedulable
 from repro.service import (
@@ -375,7 +376,7 @@ class TestServiceEndToEnd:
         served = client.delay(demo_task, beta, max_expansions=0)
         assert served.degraded
         assert served.delay >= exact.delay  # sound over-approximation
-        assert served.level in ("kernel", "approx", "rate")
+        assert served.level in LEVELS[1:]
 
     def test_infeasible_deadline_ms_degrades_not_5xx(self, client):
         """A millisecond wall-clock deadline forces sound degradation.
@@ -397,7 +398,7 @@ class TestServiceEndToEnd:
         served = client.delay(heavy, beta, deadline_ms=1)
         assert served.degraded
         assert served.delay >= exact.delay  # sound over-approximation
-        assert served.level in ("kernel", "approx", "rate")
+        assert served.level in LEVELS[1:]
 
     def test_analysis_error_is_typed_envelope(self, client):
         """An unbounded workload is an ok:false answer, not a 5xx."""

@@ -76,7 +76,8 @@ instead of recomputing its inputs privately:
 KERNEL_BACKENDS_SECTION = """\
 ## Kernel backends
 
-The min-plus operations run on a backend selected by
+The min-plus operators (convolution, deconvolution, horizontal
+deviation) run on a backend selected by
 `repro.minplus.backend` (explicit `backend=` keyword > `set_backend` /
 `use_backend` override > `REPRO_BACKEND` environment variable > default,
 which is `auto` when NumPy is importable and `exact` otherwise; the CLI
@@ -98,18 +99,20 @@ exposes `--backend {exact,hybrid,auto}`):
   `dispatch.<op>.exact` / `dispatch.<op>.hybrid`).  Because both tiers
   are bit-identical, dispatch only ever changes *speed*, never results.
 
+The structural DRT path — frontier domination, the delay, per-job and
+backlog maximisations of an `AnalysisContext`, the EDF sweep — has no
+float tier: it runs the same exact loops under every backend.
+
 **Fused pipelines.**  `repro.minplus.kernels` exposes fused chains for
 the hot multi-op sequences: `fused_deconv_hdev(alpha, beta)` produces
 the GPC triple (delay, backlog, output arrival) with one lowering and
 one memo entry — the backlog via a screened deconvolution point value
 at 0, provably equal to the vertical deviation — and
 `fused_conv_hdev(alpha, betas)` folds a tandem of service curves and
-derives the pay-bursts-only-once deviation in one pass.
-`screened_delay_backlog` shares a single rational-to-interval lowering
-of the tuple arrays between the delay and backlog screens of an
-`AnalysisContext`.  Every fused path re-screens with exact `Fraction`
-comparisons at the final decision, so fused and unfused results are
-bit-identical (counters `kernel.fused_chains` / `kernel.fused_sweeps`).
+derives the pay-bursts-only-once deviation in one pass.  Every fused
+path re-screens with exact `Fraction` comparisons at the final
+decision, so fused and unfused results are bit-identical (counter
+`kernel.fused_chains`).
 
 **Lowering format.**  A `Curve` lowers once into packed breakpoint
 arrays — segment starts, start values, slopes, and segment-end values as
@@ -129,9 +132,8 @@ rational value — lower curves rounded down, upper curves rounded up.
 
 **Fallback rules.**  A screen settles a decision only when the
 certified intervals *strictly* separate: a comparison whose intervals
-overlap, a pseudo-inverse whose feasibility the floats cannot decide,
-or an extremum with more than one surviving candidate falls back to the
-exact `Fraction` path for just those queries (counters
+overlap or an extremum with more than one surviving candidate falls
+back to the exact `Fraction` path for just those queries (counters
 `kernel.screen_hits` vs `kernel.exact_fallbacks`).  Domination pruning
 in convolution/deconvolution only drops a segment pair when its pieces
 are certified *strictly* above (below) a sound envelope bound, so the
@@ -216,7 +218,7 @@ plane and the persistent cache against infrastructure failure.
 `Budget(deadline=, max_expansions=, max_segments=)` caps one analysis by
 wall-clock seconds and/or cooperative work units.  The engine's hot
 loops — frontier expansions, busy-window rounds, batched
-pseudo-inverse/kernel sweeps, SP/EDF interference rounds — call
+pseudo-inverse sweeps, min-plus kernel screens, SP/EDF interference rounds — call
 `checkpoint(n)` at natural work boundaries; with no active budget that
 is one global read and an `is None` test (the benchmark gate
 `benchmarks/bench_resilience.py` holds the disabled overhead under 2%),
@@ -228,7 +230,6 @@ scopes nest (`budget_scope`); inner work charges enclosing meters too.
 `bounded_delay(task, beta, budget=)` returns a `BoundedDelayResult`
 that is the exact answer when the budget suffices and a **sound
 over-approximate bound** when it does not, walking: exact frontier →
-hybrid-kernel resume of the same exploration (still exact) →
 *k-segment* bound built from the partially explored frontier (the
 explored prefix plus an affine tail dominates the true rbf everywhere,
 and `hdev` is monotone in its first argument) → utilization/rate bound
