@@ -1,11 +1,13 @@
-"""Micro-benchmarks of the vectorized min-plus kernel backend.
+"""Micro-benchmarks of the vectorized min-plus kernel tier.
 
 Times the three kernel-screened operations — min-plus convolution,
 deconvolution (both ``on_dip="fill"``, the RTC production path where
-pair pruning is sound) and horizontal deviation — under the ``exact``,
-``hybrid`` and ``auto`` (size-threshold dispatch) backends across segment counts
-{5, 10, 100, 1000}, asserting bit-identical results every time and
-recording the per-op dispatch decision the ``auto`` backend takes.
+pair pruning is sound) and horizontal deviation — with the ``exact``
+and ``hybrid`` tiers pinned through the private ``backend._force`` seam
+and under ``auto`` (the library's own size-threshold dispatch, nothing
+pinned) across segment counts {5, 10, 100, 1000}, asserting
+bit-identical results every time and recording the per-op dispatch
+decision ``auto`` takes.
 Two fused-pipeline rows (the GPC triple and the pay-bursts-only-once
 chain) compare the fused kernels against the unfused hybrid op
 sequence.
@@ -37,14 +39,10 @@ import json
 import os
 import random
 import time
+from contextlib import nullcontext
 from fractions import Fraction as F
 
-from repro.minplus import (
-    horizontal_deviation,
-    min_plus_conv,
-    min_plus_deconv,
-    use_backend,
-)
+from repro.minplus import horizontal_deviation, min_plus_conv, min_plus_deconv
 from repro.minplus import kernels
 from repro.minplus import backend as backend_mod
 from repro.minplus.curve import Curve
@@ -94,25 +92,46 @@ def convex_service(n, seed):
     return Curve(segs)
 
 
+def _pinned(tier):
+    """Pin *tier* for one timed entry; ``auto`` pins nothing."""
+    return nullcontext() if tier == "auto" else backend_mod._force(tier)
+
+
 def _time_cell(fns, n):
     """Interleaved per-call medians for one benchmark cell.
 
-    *fns* is ``[(key, backend_name, fn), ...]``; every round draws one
-    sample per entry, so machine drift (thermal, allocator state) hits
-    every backend equally instead of biasing whichever was timed last —
-    mandatory for the tight 0.95x small-``n`` gate.  Tiny operands run
-    in a loop per sample (a 300us op cannot be measured one call at a
-    time), and the op memo is cleared before every call so each backend
-    pays its cold cost.
+    *fns* is ``[(key, tier, fn), ...]``; every round draws one sample
+    per entry, so machine drift (thermal, allocator state) hits every
+    tier equally instead of biasing whichever was timed last —
+    mandatory for the tight 0.95x small-``n`` gate.  The entry timed
+    first rotates from round to round, so no entry always pays the
+    first-call position (cold branch predictors, a just-cleared memo).
+    Tiny operands run in a loop per sample (a 300us op cannot be
+    measured one call at a time) and over more rounds, and the whole cell
+    runs on one CPU, because vCPUs of one VM can differ in speed; the
+    op memo is cleared before every call so each tier pays its cold
+    cost.
 
     Returns ``({key: median_seconds}, {key: result})``.
     """
+    pin = hasattr(os, "sched_setaffinity")
+    if pin:
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(allowed)})
+    try:
+        return _time_rounds(fns, n)
+    finally:
+        if pin:
+            os.sched_setaffinity(0, allowed)
+
+
+def _time_rounds(fns, n):
     iters = TINY_ITERS if n <= 10 else 1
     samples = {key: [] for key, _, _ in fns}
     results = {}
 
-    def one(key, backend_name, fn):
-        with use_backend(backend_name):
+    def one(key, tier, fn):
+        with _pinned(tier):
             t0 = time.perf_counter()
             out = None
             for _ in range(iters):
@@ -121,13 +140,17 @@ def _time_cell(fns, n):
             samples[key].append((time.perf_counter() - t0) / iters)
             results[key] = out
 
-    for key, backend_name, fn in fns:  # pilot round sizes the rest
-        one(key, backend_name, fn)
+    for entry in fns:  # pilot round sizes the rest
+        one(*entry)
     slowest = max(s[0] for s in samples.values()) * iters
-    rounds = 5 if slowest < 0.5 else (3 if slowest < 5.0 else 1)
-    for _ in range(rounds - 1):
-        for key, backend_name, fn in fns:
-            one(key, backend_name, fn)
+    if n <= 10:  # the cells the tight small-n floor judges
+        rounds = 15
+    else:
+        rounds = 5 if slowest < 0.5 else (3 if slowest < 5.0 else 1)
+    for r in range(1, rounds):
+        start = r % len(fns)
+        for entry in fns[start:] + fns[:start]:
+            one(*entry)
     medians = {
         key: sorted(s)[len(s) // 2] for key, s in samples.items()
     }
@@ -197,8 +220,7 @@ def test_bench_minplus_kernels():
                 f"{op} n={n}: hybrid changed result"
             )
             assert r["exact"] == r["auto"], f"{op} n={n}: auto changed result"
-            with use_backend("auto"):
-                dispatch = backend_mod.op_backend(op, n)
+            dispatch = backend_mod.op_backend(op, n)
             row = {
                 "op": op,
                 "n": n,

@@ -42,7 +42,6 @@ from repro.drt.utilization import linear_request_bound, utilization
 from repro.errors import ReproError, UnboundedBusyWindowError
 from repro.io.dot import task_to_dot
 from repro.io.json_io import load_task
-from repro.minplus import backend as backend_mod
 from repro.parallel import cache as result_cache
 from repro.parallel import plane
 from repro.resilience import Budget, bounded_delay
@@ -81,16 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--plot", action="store_true", help="render an ASCII chart of the analysis"
     )
     parser.add_argument("--dot", help="write the task graph to this DOT file")
-    parser.add_argument(
-        "--backend",
-        choices=backend_mod.BACKENDS,
-        help=(
-            "min-plus kernel backend: 'exact' (pure rational arithmetic), "
-            "'hybrid' (vectorized float64 screens with certified exact "
-            "fallback; identical results) or 'auto' (per-op size "
-            "threshold between the two; default when numpy is available)"
-        ),
-    )
     parser.add_argument(
         "--jobs",
         metavar="N",
@@ -539,8 +528,6 @@ def main(argv=None) -> int:
         return _mp_main(list(argv[1:]))
     args = _build_parser().parse_args(argv)
     try:
-        if args.backend:
-            backend_mod.set_backend(args.backend)
         if args.jobs:
             try:
                 plane.set_default_jobs(args.jobs)
@@ -554,8 +541,8 @@ def main(argv=None) -> int:
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)
         print(
-            f"engine: backend={backend_mod.get_backend()} "
-            f"jobs={plane.resolve_jobs()} cache={result_cache.describe()}"
+            f"engine: jobs={plane.resolve_jobs()} "
+            f"cache={result_cache.describe()}"
         )
         task = load_task(args.task, validate=not args.no_validate)
         budget = _parse_budget(args)

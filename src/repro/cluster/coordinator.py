@@ -712,12 +712,14 @@ class ClusterCoordinator(HttpEndpoint):
         path: str,
         spec: Any,
         trace_id: str,
-    ) -> Tuple[Dict[str, Any], Optional[str]]:
-        """Route one spec to its owner; returns (envelope, worker_id).
+    ) -> Tuple[Dict[str, Any], Optional[str], int]:
+        """Route one spec to its owner; returns (envelope, worker_id,
+        the worker's HTTP status).
 
         Transport failures eject the owner and walk the ring to the
-        next one (bounded); exhaustion yields a typed error envelope.
-        The envelope always reflects the answering worker verbatim.
+        next one (bounded); exhaustion yields a typed error envelope
+        with status 200.  The envelope always reflects the answering
+        worker verbatim.
         """
         digest = routing_digest(spec)
         body = json.dumps(spec).encode("utf-8")
@@ -738,10 +740,10 @@ class ClusterCoordinator(HttpEndpoint):
                 continue
             if reply is None:
                 continue  # still saturated: next owner, same ring
-            envelope = reply[1]
+            status, envelope = reply
             if not isinstance(envelope, dict):
                 envelope = {"ok": False, "result": envelope}
-            return envelope, state.worker_id
+            return envelope, state.worker_id, status
         kind = spec.get("kind") if isinstance(spec, dict) else None
         envelope = error_body(
             "worker_unreachable",
@@ -751,7 +753,7 @@ class ClusterCoordinator(HttpEndpoint):
         )
         if kind:
             envelope["kind"] = kind
-        return envelope, None
+        return envelope, None, 200
 
     async def _by_owner(
         self, digests: Sequence[str], run_group, inflight: int
@@ -1120,7 +1122,7 @@ class ClusterCoordinator(HttpEndpoint):
         shed = self._admit([data] if isinstance(data, dict) else [{}])
         self._inflight += 1
         try:
-            envelope, worker = await self._proxy_spec(
+            envelope, worker, status = await self._proxy_spec(
                 "/v1/analyze", data, trace
             )
         finally:
@@ -1128,10 +1130,12 @@ class ClusterCoordinator(HttpEndpoint):
         if shed:
             envelope = {**envelope, "shed": True}
         self._observe(envelope)
+        # A spec the worker could not decode is malformed on every
+        # worker: relay its 400.  Anything else is an envelope (typed
+        # analysis errors included) and answers 200.
         await send_json(
-            writer, 200, envelope, self._route_headers(
-                worker, envelope.get("trace_id") or trace
-            )
+            writer, 400 if status == 400 else 200, envelope,
+            self._route_headers(worker, envelope.get("trace_id") or trace),
         )
         return bool(envelope.get("ok", False))
 
@@ -1172,7 +1176,7 @@ class ClusterCoordinator(HttpEndpoint):
 
         async def _run_group(_owner, indices: List[int]) -> None:
             sub = {**data, "edits": [edits[i] for i in indices]}
-            envelope, worker = await self._proxy_spec(
+            envelope, worker, _status = await self._proxy_spec(
                 "/v1/whatif", sub, trace
             )
             answers.append((envelope, worker))
@@ -1359,7 +1363,7 @@ class ClusterCoordinator(HttpEndpoint):
                     for local, envelope in enumerate(responses):
                         _take(local, envelope)
         for original in list(pending):
-            envelope, _worker = await self._proxy_spec(
+            envelope, _worker, _status = await self._proxy_spec(
                 "/v1/analyze", specs[original], trace
             )
             settle(original, envelope)

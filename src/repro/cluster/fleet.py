@@ -57,7 +57,6 @@ class WorkerProcess:
         port: int = 0,
         cache_dir: Optional[str] = None,
         cache_max_bytes: Optional[int] = None,
-        backend: Optional[str] = None,
         jobs: Optional[str] = None,
         extra_args: Sequence[str] = (),
         env: Optional[Dict[str, str]] = None,
@@ -70,8 +69,6 @@ class WorkerProcess:
         ]
         if cache_dir:
             cmd += ["--cache-dir", cache_dir]
-        if backend:
-            cmd += ["--backend", backend]
         if jobs:
             cmd += ["--jobs", str(jobs)]
         cmd += list(extra_args)
@@ -350,8 +347,6 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
     """``repro cluster``: front a worker fleet in the foreground."""
     import argparse
 
-    from repro.minplus import backend as backend_mod
-
     parser = argparse.ArgumentParser(
         prog="repro cluster",
         description=(
@@ -381,10 +376,6 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--cache-dir", metavar="DIR",
         help="base cache directory (one subdirectory per spawned worker)",
-    )
-    parser.add_argument(
-        "--backend", choices=backend_mod.BACKENDS,
-        help="kernel backend for every spawned worker",
     )
     parser.add_argument(
         "--jobs", metavar="N", help="plane workers inside each worker",
@@ -472,7 +463,6 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
             spawned.append(
                 WorkerProcess.spawn(
                     cache_dir=cache_dir,
-                    backend=args.backend,
                     jobs=args.jobs,
                 )
             )

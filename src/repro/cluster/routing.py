@@ -142,5 +142,5 @@ def whatif_edit_digest(base_digest: str, edit_spec: Any) -> str:
 
 
 def memo_clear() -> None:
-    """Drop the routing memo (tests)."""
+    """Drop the routing memo (tests, per-job cache isolation)."""
     _memo.clear()

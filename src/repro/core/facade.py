@@ -26,7 +26,6 @@ order, bit-identical to a serial loop.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -49,7 +48,6 @@ from repro.core.output import output_arrival_curve
 from repro.drt.model import DRTTask
 from repro.drt.paths import Path
 from repro.errors import UnboundedBusyWindowError
-from repro.minplus import backend as backend_mod
 from repro.minplus.curve import Curve
 from repro.parallel.plane import JobsLike, parallel_map
 
@@ -63,9 +61,6 @@ class StructuralAnalysis:
         task: The structural workload.
         beta: Lower service curve of the resource.
         initial_horizon: Optional starting horizon for the fixpoints.
-        backend: Kernel backend used for every analysis this instance
-            runs (see :mod:`repro.minplus.backend`); ``None`` follows the
-            ambient setting.  Bounds are identical under both backends.
     """
 
     def __init__(
@@ -73,12 +68,10 @@ class StructuralAnalysis:
         task: DRTTask,
         beta: Curve,
         initial_horizon: Optional[NumLike] = None,
-        backend: Optional[str] = None,
     ):
         self.task = task
         self.beta = beta
         self._initial_horizon = initial_horizon
-        self._backend = backend_mod.resolve_backend(backend) if backend else None
         self._busy: Optional[BusyWindow] = None
         self._delay: Optional[DelayResult] = None
         self._per_job: Optional[Dict[str, Fraction]] = None
@@ -88,30 +81,22 @@ class StructuralAnalysis:
 
     # -- cached building blocks -----------------------------------------
 
-    def _scoped(self):
-        """Backend scope for one analysis call (no-op when unset)."""
-        if self._backend is None:
-            return nullcontext()
-        return backend_mod.use_backend(self._backend)
-
     def busy_window(self) -> BusyWindow:
         """The busy-window fixpoint (cached)."""
         if self._busy is None:
-            with self._scoped():
-                self._busy = busy_window_bound(
-                    self.task, self.beta, initial_horizon=self._initial_horizon
-                )
+            self._busy = busy_window_bound(
+                self.task, self.beta, initial_horizon=self._initial_horizon
+            )
         return self._busy
 
     def delay_result(self) -> DelayResult:
         """The full delay analysis result (cached)."""
         if self._delay is None:
-            with self._scoped():
-                self._delay = structural_delay(
-                    self.task,
-                    self.beta,
-                    initial_horizon=self._initial_horizon,
-                )
+            self._delay = structural_delay(
+                self.task,
+                self.beta,
+                initial_horizon=self._initial_horizon,
+            )
         return self._delay
 
     # -- the questions ----------------------------------------------------
@@ -123,23 +108,21 @@ class StructuralAnalysis:
     def per_job(self) -> Dict[str, Fraction]:
         """Worst-case delay per job type (cached)."""
         if self._per_job is None:
-            with self._scoped():
-                self._per_job = structural_delays_per_job(
-                    self.task,
-                    self.beta,
-                    initial_horizon=self._initial_horizon,
-                )
+            self._per_job = structural_delays_per_job(
+                self.task,
+                self.beta,
+                initial_horizon=self._initial_horizon,
+            )
         return dict(self._per_job)
 
     def backlog(self) -> Fraction:
         """Worst-case buffered work."""
         if self._backlog is None:
-            with self._scoped():
-                self._backlog = structural_backlog(
-                    self.task,
-                    self.beta,
-                    initial_horizon=self._initial_horizon,
-                )
+            self._backlog = structural_backlog(
+                self.task,
+                self.beta,
+                initial_horizon=self._initial_horizon,
+            )
         return self._backlog.backlog
 
     def witness(self) -> Optional[Path]:
@@ -151,13 +134,12 @@ class StructuralAnalysis:
     def output_curve(self, method: str = "best") -> Curve:
         """Departure arrival curve for a downstream component."""
         if self._output is None or method != "best":
-            with self._scoped():
-                curve = output_arrival_curve(
-                    self.task,
-                    self.beta,
-                    initial_horizon=self._initial_horizon,
-                    method=method,
-                )
+            curve = output_arrival_curve(
+                self.task,
+                self.beta,
+                initial_horizon=self._initial_horizon,
+                method=method,
+            )
             if method == "best":
                 self._output = curve
             return curve
@@ -257,9 +239,9 @@ class TaskAnalysisSummary:
 
 def _analyze_one(item) -> TaskAnalysisSummary:
     """One task's full summary (module-level: ships to plane workers)."""
-    task, beta, initial_horizon, backend = item
+    task, beta, initial_horizon = item
     return StructuralAnalysis(
-        task, beta, initial_horizon=initial_horizon, backend=backend
+        task, beta, initial_horizon=initial_horizon
     ).summary()
 
 
@@ -267,7 +249,6 @@ def analyze_many(
     tasks: Sequence[DRTTask],
     beta: Curve,
     initial_horizon: Optional[NumLike] = None,
-    backend: Optional[str] = None,
     jobs: JobsLike = None,
 ) -> List[TaskAnalysisSummary]:
     """Analyse many independent tasks against one service curve.
@@ -278,7 +259,6 @@ def analyze_many(
             shared-resource semantics).
         beta: Lower service curve each task is analysed against.
         initial_horizon: Optional starting horizon for the fixpoints.
-        backend: Kernel backend override applied to every analysis.
         jobs: Fan the per-task analyses out over worker processes
             (``REPRO_JOBS``/serial by default).  Summaries come back in
             input order and are bit-identical to a serial run; the first
@@ -302,5 +282,5 @@ def analyze_many(
                 "curve; for multiprocessor DAG tasks use "
                 "repro.mp.dag_rta_many"
             )
-    items = [(task, beta, initial_horizon, backend) for task in tasks]
+    items = [(task, beta, initial_horizon) for task in tasks]
     return parallel_map(_analyze_one, items, jobs=jobs)

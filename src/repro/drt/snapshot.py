@@ -18,12 +18,10 @@ Checkpointing is **off by default** (zero cost beyond one falsy test
 per pop).  Enable it with ``REPRO_CHECKPOINT_STRIDE=<pops>`` or
 :func:`set_checkpoint_stride`; every *stride* expansions the explorer
 snapshots itself under a key derived from its task digest (plus the
-library version and backend, like every cache entry).  The payload
-holds exact rationals only, so it restores identically whichever
-backend reads it.  Snapshots write
-atomically via :func:`repro.parallel.cache.put` — a torn write is
-evicted on load and the resume degrades to a cold start, never a wrong
-answer.
+library version, like every cache entry).  The payload holds exact
+rationals only.  Snapshots write atomically via
+:func:`repro.parallel.cache.put` — a torn write is evicted on load and
+the resume degrades to a cold start, never a wrong answer.
 """
 
 from __future__ import annotations

@@ -14,13 +14,6 @@ the real-time calculus literature once periodic staircases are represented
 the representation choice of Finitary RTC (Guan & Yi, RTSS 2013).
 """
 
-from repro.minplus.backend import (
-    BACKENDS,
-    get_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
 from repro.minplus.segment import Segment
 from repro.minplus.curve import Curve
 from repro.minplus.builders import (
@@ -50,11 +43,6 @@ from repro.minplus.deviation import (
 )
 
 __all__ = [
-    "BACKENDS",
-    "get_backend",
-    "resolve_backend",
-    "set_backend",
-    "use_backend",
     "Segment",
     "Curve",
     "zero",

@@ -17,7 +17,7 @@ segments; see :mod:`repro.minplus.envelope` for the dip policies.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro._numeric import Q
 from repro.errors import CurveError
@@ -139,9 +139,7 @@ def _ultimate_horizon(f: Curve, g: Curve, lower: bool) -> Q:
     return max(h0, crossing)
 
 
-def min_plus_conv(
-    f: Curve, g: Curve, on_dip: str = "fill", backend: Optional[str] = None
-) -> Curve:
+def min_plus_conv(f: Curve, g: Curve, on_dip: str = "fill") -> Curve:
     """Min-plus convolution ``f (*) g``.
 
     Args:
@@ -151,15 +149,15 @@ def min_plus_conv(
             default ``"fill"`` is sound when the result is used as an upper
             bound; continuous inputs never produce dips, so either policy
             is exact for service-curve composition.
-        backend: Kernel backend override (see :mod:`repro.minplus.backend`).
-            The ``"hybrid"`` backend memoizes on curve fingerprints,
-            prunes certifiably dominated segment pairs before the exact
-            envelope, and screens the exact point evaluations; the
-            resulting curve is identical to the ``"exact"`` backend's.
-            ``"auto"`` (the default) runs this op hybrid at every size.
+
+    With NumPy this op always runs the hybrid tier (see
+    :mod:`repro.minplus.backend`): it memoizes on curve fingerprints,
+    prunes certifiably dominated segment pairs before the exact
+    envelope, and screens the exact point evaluations; the resulting
+    curve is identical to the exact tier's.
     """
     mode = backend_mod.op_backend(
-        "conv", max(len(f.segments), len(g.segments)), backend
+        "conv", max(len(f.segments), len(g.segments))
     )
     hybrid = mode == "hybrid"
     if hybrid:
@@ -257,18 +255,16 @@ def _conv_pair(a: Piece, b: Piece, cap: Q) -> List[Piece]:
     return out
 
 
-def min_plus_deconv(
-    f: Curve, g: Curve, on_dip: str = "raise", backend: Optional[str] = None
-) -> Curve:
+def min_plus_deconv(f: Curve, g: Curve, on_dip: str = "raise") -> Curve:
     """Min-plus deconvolution ``f (/) g``.
 
     Args:
         f, g: Ultimately-affine curves.
         on_dip: Dip policy for isolated unattained suprema.
-        backend: Kernel backend override (see :mod:`repro.minplus.backend`);
-            ``"hybrid"`` results are identical to ``"exact"``, and
-            ``"auto"`` dispatches between them by operand size (tiny
-            curves route to the exact path, whose fixed costs are lower).
+
+    The tier is picked by operand size (see
+    :mod:`repro.minplus.backend`): tiny curves route to the exact path,
+    whose fixed costs are lower; results are identical either way.
 
     Raises:
         CurveError: if ``f.tail_rate > g.tail_rate`` (the supremum is
@@ -281,7 +277,7 @@ def min_plus_deconv(
             f"({f.tail_rate} > {g.tail_rate})"
         )
     mode = backend_mod.op_backend(
-        "deconv", max(len(f.segments), len(g.segments)), backend
+        "deconv", max(len(f.segments), len(g.segments))
     )
     hybrid = mode == "hybrid"
     if hybrid:

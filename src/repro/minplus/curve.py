@@ -60,7 +60,7 @@ class Curve:
         self._starts: List[Q] = [s.start for s in segs]
         self._fp: Optional[int] = None
         self._digest: Optional[str] = None
-        self._lowered = None  # kernel-backend lowering cache (see kernels.py)
+        self._lowered = None  # hybrid-tier lowering cache (see kernels.py)
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -384,8 +384,8 @@ class Curve:
 
         Unpickling rebuilds the curve and re-interns it, so every copy a
         worker process receives maps back to one canonical object per
-        structure — sharing the cached fingerprint and the kernel
-        backend's lowered arrays instead of re-deriving them per copy.
+        structure — sharing the cached fingerprint and the hybrid
+        tier's lowered arrays instead of re-deriving them per copy.
         Derived state (``_fp``, ``_digest``, ``_lowered``) is therefore
         deliberately not shipped.
         """
@@ -396,7 +396,7 @@ class Curve:
 
         Structurally equal curves map to one shared object (LRU table,
         fingerprint-keyed with equality-checked buckets), so expensive
-        per-curve derived state — the kernel backend's lowered arrays in
+        per-curve derived state — the hybrid tier's lowered arrays in
         particular — is computed once per *structure*, not once per
         object.
         """

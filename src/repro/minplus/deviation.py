@@ -202,7 +202,7 @@ def vertical_deviation(f: Curve, g: Curve) -> MaybeInf:
     return diff.sup_on(0, horizon)
 
 
-def horizontal_deviation(f: Curve, g: Curve, backend: Optional[str] = None) -> MaybeInf:
+def horizontal_deviation(f: Curve, g: Curve) -> MaybeInf:
     """``sup_t inf { d >= 0 : f(t) <= g(t + d) }`` — the delay bound.
 
     *f* plays the role of an upper request/arrival curve and *g* of a
@@ -217,13 +217,13 @@ def horizontal_deviation(f: Curve, g: Curve, backend: Optional[str] = None) -> M
     Args:
         f: Upper request/arrival curve.
         g: Lower service curve.
-        backend: Kernel backend override (see :mod:`repro.minplus.backend`).
-            The ``"hybrid"`` backend enumerates the same pull-back pairs
-            through float64 window screens and memoizes on curve
-            fingerprints; its result is identical to ``"exact"``.
-            ``"auto"`` (the default) picks between the two per call by
-            operand size — tiny-curve deviations are where the hybrid
-            tier's fixed lowering cost shows, so they route exact.
+
+    The tier is picked per call by operand size (see
+    :mod:`repro.minplus.backend`): tiny-curve deviations, where the
+    hybrid tier's fixed lowering cost shows, route exact; larger ones
+    enumerate the same pull-back pairs through float64 window screens
+    and memoize on curve fingerprints.  The result is identical either
+    way.
     """
     from repro.minplus import backend as backend_mod
 
@@ -232,7 +232,7 @@ def horizontal_deviation(f: Curve, g: Curve, backend: Optional[str] = None) -> M
     if f.tail_rate > g.tail_rate:
         return INF
     mode = backend_mod.op_backend(
-        "hdev", max(len(f.segments), len(g.segments)), backend
+        "hdev", max(len(f.segments), len(g.segments))
     )
     if mode == "hybrid":
         from repro.minplus import kernels
@@ -318,7 +318,7 @@ def _horizontal_deviation_hybrid(f: Curve, g: Curve) -> Optional[MaybeInf]:
     sides), and each windowed pair is confirmed with the exact rational
     comparisons before use.  Downstream sweeps reuse the exact batched
     pseudo-inverses, so the returned value is identical to the exact
-    backend's.
+    tier's.
     """
     from repro.minplus import kernels
 

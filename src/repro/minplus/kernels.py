@@ -1,7 +1,7 @@
 """Vectorized float64 min-plus kernels with certified outward rounding.
 
 This module is the fast tier of the two-tier (*fast-filter / exact-verify*)
-kernel design selected by :mod:`repro.minplus.backend`:
+kernel design dispatched by :mod:`repro.minplus.backend`:
 
 * a :class:`Curve` is *lowered* once into packed breakpoint arrays
   (``starts / values / slopes`` plus segment-end values) stored as **pairs
@@ -18,7 +18,7 @@ kernel design selected by :mod:`repro.minplus.backend`:
   boundary is settled by the float tier (``kernel.screen_hits``); the
   remainder — typically a handful of near-ties — fall back to the exact
   :class:`~fractions.Fraction` path (``kernel.exact_fallbacks``), so the
-  hybrid backend's final results are **identical** to the exact backend's.
+  hybrid tier's final results are **identical** to the exact tier's.
 
 Lowering is cached per curve object and deduplicated across structurally
 equal curves through the interning table of
@@ -689,7 +689,7 @@ def deconv_point_value_screened(f, g, t, u_max) -> Optional[Q]:
 # Fused operation pipelines (chain-level memo + shared lowerings)
 # ----------------------------------------------------------------------
 
-def fused_deconv_hdev(f, g, backend: Optional[str] = None):
+def fused_deconv_hdev(f, g):
     """Fused ``deconv -> hdev`` chain of one greedy processing component.
 
     Computes the GPC bound triple ``(delay, backlog, output)`` for an
@@ -709,7 +709,7 @@ def fused_deconv_hdev(f, g, backend: Optional[str] = None):
     the unfused three-op path, which produces the same results.
     """
     n = max(len(f.segments), len(g.segments))
-    if backend_mod.op_backend("deconv", n, backend) != "hybrid":
+    if backend_mod.op_backend("deconv", n) != "hybrid":
         return None
     fl = lowered(f)
     gl = lowered(g)
@@ -729,7 +729,7 @@ def fused_deconv_hdev(f, g, backend: Optional[str] = None):
         vertical_deviation,
     )
 
-    delay = horizontal_deviation(f, g, backend=backend)
+    delay = horizontal_deviation(f, g)
     if f.tail_rate > g.tail_rate:
         backlog = INF
     else:
@@ -737,13 +737,13 @@ def fused_deconv_hdev(f, g, backend: Optional[str] = None):
         backlog = deconv_point_value_screened(f, g, Q(0), u_max)
         if backlog is None:  # pragma: no cover - screens gated above
             backlog = vertical_deviation(f, g)
-    output = min_plus_deconv(f, g, on_dip="fill", backend=backend)
+    output = min_plus_deconv(f, g, on_dip="fill")
     result = (delay, backlog, output)
     op_cache_put(key, result)
     return result
 
 
-def fused_conv_hdev(alpha, betas, backend: Optional[str] = None):
+def fused_conv_hdev(alpha, betas):
     """Fused ``conv-fold -> hdev`` chain (pay-bursts-only-once delay).
 
     Folds the tandem services with min-plus convolution and takes the
@@ -765,7 +765,7 @@ def fused_conv_hdev(alpha, betas, backend: Optional[str] = None):
     n = max(
         len(alpha.segments), max(len(b.segments) for b in betas)
     )
-    if backend_mod.op_backend("hdev", n, backend) != "hybrid":
+    if backend_mod.op_backend("hdev", n) != "hybrid":
         return None
     key = ("chain_e2e", alpha.interned()) + tuple(
         b.interned() for b in betas
@@ -779,8 +779,8 @@ def fused_conv_hdev(alpha, betas, backend: Optional[str] = None):
 
     acc = betas[0]
     for b in betas[1:]:
-        acc = min_plus_conv(acc, b, on_dip="raise", backend=backend)
-    delay = horizontal_deviation(alpha, acc, backend=backend)
+        acc = min_plus_conv(acc, b, on_dip="raise")
+    delay = horizontal_deviation(alpha, acc)
     result = (delay, acc)
     op_cache_put(key, result)
     return result

@@ -5,8 +5,7 @@ per-job delay maps, :class:`~repro.core.backlog.BacklogResult`,
 :class:`~repro.sched.sp.SpResult`, :class:`~repro.sched.edf_delay.EdfDelayResult`
 — are pure functions of the task definition, the service curve, and the
 analysis parameters.  This module stores them on disk keyed by a SHA-256
-over exactly those inputs (plus the library version and the active
-kernel backend), so
+over exactly those inputs (plus the library version), so
 
 * a warm re-run of a sweep skips every analysis it has seen before, and
 * sibling worker processes of :mod:`repro.parallel.plane` share results
@@ -28,8 +27,9 @@ directory is LRU-capped by total size (``REPRO_CACHE_MAX_BYTES``,
 default 256 MiB): stale entries are evicted oldest-access first.
 
 Layout: ``<dir>/<key[:2]>/<key>.pkl``, one pickled result per file.
-Invalidation is purely key-based — bumping the library version or
-switching backend simply addresses different entries.
+Invalidation is purely key-based — bumping the library version simply
+addresses different entries.  The min-plus kernel tier is not part of
+the key: both tiers return identical results.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ import pickle
 import tempfile
 import time
 import warnings
+from collections import OrderedDict
 from typing import Iterable, Optional, Sequence, Tuple
 
 from repro import perf
-from repro.minplus import backend as backend_mod
 from repro.resilience import chaos
 
 __all__ = [
@@ -75,7 +75,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
-_MEMORY_CAP = 1024  # entries kept by the in-memory fallback store
+_MEMORY_CAP = 1024  # entries kept by the in-memory fallback store (LRU)
 
 #: Attempts for one cache I/O operation before giving up (miss / no-op).
 IO_RETRIES = 3
@@ -87,7 +87,7 @@ _resolved = False
 _dir: Optional[str] = None
 _max_bytes = DEFAULT_MAX_BYTES
 _memory_only = False
-_memory: "dict[str, bytes]" = {}
+_memory: "OrderedDict[str, bytes]" = OrderedDict()
 
 #: Placement journal: entry key -> the routing key of the request the
 #: entry was written under.  A cluster resize places *requests* on the
@@ -96,12 +96,14 @@ _memory: "dict[str, bytes]" = {}
 #: additionally append each association to ``placements.jsonl`` inside
 #: the cache directory (one JSON line per put; appends below PIPE_BUF
 #: are atomic), so the journal survives restarts and is visible to
-#: plane-worker subprocesses sharing the directory.
+#: plane-worker subprocesses sharing the directory.  The in-process
+#: mirror is bounded: in memory-only mode a placement leaves with its
+#: entry, on disk the mirror keeps the newest ``_MEMORY_CAP`` tags.
 _PLACEMENT_FILE = "placements.jsonl"
 _placement_var: "contextvars.ContextVar[Optional[str]]" = (
     contextvars.ContextVar("repro_cache_placement", default=None)
 )
-_placement_memory: "dict[str, str]" = {}
+_placement_memory: "OrderedDict[str, str]" = OrderedDict()
 
 
 def _probe_dir(path: str) -> bool:
@@ -205,6 +207,8 @@ def describe() -> str:
 def clear_memory() -> None:
     """Drop the in-memory fallback store (per-job cache isolation)."""
     _memory.clear()
+    if _memory_only:
+        _placement_memory.clear()
 
 
 def current_config() -> Tuple[Optional[str], int, bool]:
@@ -312,12 +316,11 @@ def task_digest(task) -> str:
 
 def analysis_key(kind: str, parts: Iterable[str]) -> str:
     """Content address for one analysis: SHA-256 over the library
-    version, the active backend, the analysis kind, and the input
-    digests/parameters."""
+    version, the analysis kind, and the input digests/parameters."""
     from repro import __version__  # deferred: repro imports this module
 
     h = hashlib.sha256()
-    h.update(f"{__version__}|{backend_mod.get_backend()}|{kind}".encode())
+    h.update(f"{__version__}|{kind}".encode())
     for part in parts:
         h.update(b"|")
         h.update(str(part).encode("utf-8"))
@@ -391,7 +394,8 @@ def _read_blob(path: str):
 def get(key: str) -> object:
     """The cached value under *key*, or None (miss / unreadable entry).
 
-    A disk hit refreshes the entry's access time (LRU) and counts as
+    A hit refreshes the entry's recency (LRU: the file's access time on
+    disk, its position in the in-memory store) and counts as
     ``rcache.hits``.  Transient read errors are retried with backoff
     (``rcache.io_retries``) and then treated as misses; truncated or
     corrupt entries are *evicted* and treated as misses — the cache must
@@ -404,6 +408,7 @@ def get(key: str) -> object:
         if blob is None:
             perf.record("rcache.misses")
             return None
+        _memory.move_to_end(key)
         perf.record("rcache.hits")
         return pickle.loads(blob)
     if _dir is None:
@@ -487,20 +492,28 @@ def put(key: str, value: object) -> None:
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:
         return  # unpicklable results simply aren't cached
+    _store(key, blob)
+
+
+def _store(key: str, blob: bytes, placement: Optional[str] = None) -> bool:
+    """Install *blob* under *key* in the active store; True when stored.
+
+    The in-memory fallback evicts its least-recently-used entry (and
+    that entry's placement) past :data:`_MEMORY_CAP`; the disk store
+    writes atomically and then enforces its byte cap.
+    """
     if _memory_only:
         _memory[key] = blob
+        _memory.move_to_end(key)
         while len(_memory) > _MEMORY_CAP:
-            _memory.pop(next(iter(_memory)))
-        _record_placement(key)
-        perf.record("rcache.puts")
-        return
-    if _dir is None:
-        return
-    if not _write_blob(_path_for(key), blob):
-        return
-    _record_placement(key)
+            evicted, _ = _memory.popitem(last=False)
+            _placement_memory.pop(evicted, None)
+    elif _dir is None or not _write_blob(_path_for(key), blob):
+        return False
+    _record_placement(key, placement)
     perf.record("rcache.puts")
     _enforce_cap()
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -543,8 +556,11 @@ def _record_placement(key: str, tag: Optional[str] = None) -> None:
     if _placement_memory.get(key) == tag:
         return
     _placement_memory[key] = tag
+    _placement_memory.move_to_end(key)
     if _dir is None:
         return
+    while len(_placement_memory) > _MEMORY_CAP:
+        _placement_memory.popitem(last=False)
     line = json.dumps({"k": key, "p": tag}) + "\n"
     try:
         with open(
@@ -651,21 +667,7 @@ def write_entry(
         pickle.loads(blob)
     except Exception:
         return False
-    if _memory_only:
-        _memory[key] = blob
-        while len(_memory) > _MEMORY_CAP:
-            _memory.pop(next(iter(_memory)))
-        _record_placement(key, placement)
-        perf.record("rcache.puts")
-        return True
-    if _dir is None:
-        return False
-    if not _write_blob(_path_for(key), blob):
-        return False
-    _record_placement(key, placement)
-    perf.record("rcache.puts")
-    _enforce_cap()
-    return True
+    return _store(key, blob, placement)
 
 
 def _enforce_cap() -> None:

@@ -23,9 +23,8 @@ out through:
   ``jobs=1`` runs: same Fractions, same witnesses, same exceptions.
 
 * **Configuration mirroring**: each job carries the parent's resolved
-  kernel backend and persistent-cache configuration, applied in the
-  worker before the job body runs — a long-lived pool never acts on
-  stale settings.
+  persistent-cache and chaos configuration, applied in the worker before
+  the job body runs — a long-lived pool never acts on stale settings.
 
 * **Perf truthfulness**: workers snapshot their
   :class:`~repro.perf.PerfRegistry` per job; the parent merges every
@@ -33,12 +32,12 @@ out through:
   work wherever it ran.
 
 * **Cache isolation** (``fresh_caches=True``): process-local derived
-  state — the curve interning table, the kernel operation memo, the
-  in-memory result-cache fallback — is reset before each job, so
-  sweep instances cannot leak exploration state into one another even
-  when a worker process serves many instances.  The persistent on-disk
-  result cache is *not* cleared: it is content-addressed and exact, so
-  sharing it is sound by construction.
+  state — every process-wide memo (:func:`reset_process_caches`) — is
+  reset before each job, so sweep instances cannot leak exploration
+  state into one another even when a worker process serves many
+  instances.  The persistent on-disk result cache is *not* cleared: it
+  is content-addressed and exact, so sharing it is sound by
+  construction.
 
 * **Watchdog**: with ``timeout=`` each item gets a wall-clock allowance
   in the pool; hung workers are killed (a stuck process never returns to
@@ -65,6 +64,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -74,7 +74,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro import perf
 from repro.errors import BudgetExhaustedError, WorkerError
-from repro.minplus import backend as backend_mod
 from repro.parallel import cache as result_cache
 from repro.resilience import chaos
 from repro.resilience.budget import Budget, budget_scope
@@ -171,16 +170,24 @@ def _mark_worker() -> None:
 def reset_process_caches() -> None:
     """Clear process-local derived-state caches (job isolation).
 
-    Drops the curve interning table, the kernel operation memo and the
-    in-memory result-cache fallback.  Analyses afterwards behave exactly
-    as in a fresh process: same results (the caches are semantically
-    transparent), cold costs.
+    Drops every process-wide memo: the curve interning table, the
+    kernel operation memo, the busy-window fixpoint memo, the cluster
+    routing memo and the in-memory result-cache fallback.  Analyses
+    afterwards behave exactly as in a fresh process: same results (the
+    caches are semantically transparent), cold costs.
     """
+    from repro.core import busy_window
     from repro.minplus import curve as curve_mod
     from repro.minplus import kernels
 
     curve_mod.clear_intern_table()
     kernels.op_cache_clear()
+    busy_window._FIXPOINT_MEMO.clear()
+    # Looked up, not imported: a process that never routed has an empty
+    # memo, and importing the cluster package here would cost every job.
+    routing = sys.modules.get("repro.cluster.routing")
+    if routing is not None:
+        routing.memo_clear()
     result_cache.clear_memory()
 
 
@@ -203,13 +210,11 @@ def _run_job(payload):
     (
         fn,
         item,
-        backend,
         cache_config,
         fresh,
         chaos_config,
         chaos_key,
     ) = payload
-    backend_mod.set_backend(backend)
     result_cache.apply_config(cache_config)
     chaos.apply_config(chaos_config)
     # Injected worker faults, keyed by (item index, attempt) so a retry
@@ -353,7 +358,6 @@ def parallel_map(
     n = resolve_jobs(jobs, n_items=len(items))
     if n <= 1 or len(items) <= 1:
         return _serial_map(fn, items, fresh_caches)
-    backend = backend_mod.get_backend()
     cache_config = result_cache.current_config()
     chaos_config = chaos.current_config()
 
@@ -361,7 +365,6 @@ def parallel_map(
         return (
             fn,
             items[i],
-            backend,
             cache_config,
             fresh_caches,
             chaos_config,

@@ -103,7 +103,6 @@ def bounded_delay(
     task,
     beta,
     budget: Optional[Budget] = None,
-    backend: Optional[str] = None,
 ) -> BoundedDelayResult:
     """Worst-case delay of *task* on *beta* within a cooperative budget.
 
@@ -112,8 +111,6 @@ def bounded_delay(
         beta: Lower service curve of the resource.
         budget: Effort specification; ``None`` runs the plain exact
             analysis (zero additional cost beyond disabled checkpoints).
-        backend: Kernel backend override (see
-            :mod:`repro.minplus.backend`).
 
     Returns:
         A :class:`BoundedDelayResult`; ``degraded=True`` results carry a
@@ -125,24 +122,17 @@ def bounded_delay(
         BudgetExhaustedError: never — exhaustion degrades instead.
     """
     from repro.core.delay import structural_delay
-    from repro.minplus import backend as backend_mod
 
-    scope = (
-        backend_mod.use_backend(backend)
-        if backend
-        else _null_context()
-    )
-    with scope:
-        if budget is None:
-            return _exact_result(structural_delay(task, beta))
-        meter = budget.start()
-        try:
-            with budget_scope(meter):
-                res = structural_delay(task, beta)
-            return _exact_result(res)
-        except BudgetExhaustedError as exc:
-            reason = f"exact: {exc.reason}"
-        return _degraded_bound(task, beta, meter, reason)
+    if budget is None:
+        return _exact_result(structural_delay(task, beta))
+    meter = budget.start()
+    try:
+        with budget_scope(meter):
+            res = structural_delay(task, beta)
+        return _exact_result(res)
+    except BudgetExhaustedError as exc:
+        reason = f"exact: {exc.reason}"
+    return _degraded_bound(task, beta, meter, reason)
 
 
 def _degraded_bound(
@@ -181,23 +171,16 @@ def _degraded_bound(
     )
 
 
-def _null_context():
-    from contextlib import nullcontext
-
-    return nullcontext()
-
-
 def _bounded_case(item) -> BoundedDelayResult:
     """One task's bounded analysis (module-level: ships to workers)."""
-    task, beta, budget, backend = item
-    return bounded_delay(task, beta, budget=budget, backend=backend)
+    task, beta, budget = item
+    return bounded_delay(task, beta, budget=budget)
 
 
 def bounded_delay_many(
     tasks: Sequence,
     beta,
     budget: Optional[Budget] = None,
-    backend: Optional[str] = None,
     jobs=None,
     timeout: Optional[float] = None,
 ) -> List[BoundedDelayResult]:
@@ -211,7 +194,7 @@ def bounded_delay_many(
     """
     from repro.parallel.plane import parallel_map
 
-    items = [(task, beta, budget, backend) for task in tasks]
+    items = [(task, beta, budget) for task in tasks]
     return parallel_map(
         _bounded_case, items, jobs=jobs, timeout=timeout, budget=budget
     )

@@ -56,7 +56,7 @@ Spec grammar::
     REPRO_CHAOS="seed=7,p=0.5,sites=worker.crash|cache.truncate"
 
 Workers inherit the parent's chaos configuration through the plane's
-per-job payload, exactly like the backend and cache configuration.
+per-job payload, exactly like the cache configuration.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from repro._numeric import INF, Q, is_inf
 from repro.errors import AnalysisError
@@ -36,17 +36,12 @@ class GpcResult:
     remaining_service: Curve
 
 
-def gpc(
-    alpha: Curve, beta: Curve, backend: Optional[str] = None
-) -> GpcResult:
+def gpc(alpha: Curve, beta: Curve) -> GpcResult:
     """Analyse one greedy processing component.
 
     Args:
         alpha: Upper arrival curve of the input stream.
         beta: Lower service curve of the resource.
-        backend: Kernel backend override (see
-            :mod:`repro.minplus.backend`); bounds are identical under
-            both backends.
 
     Returns:
         Delay/backlog bounds and the output curves:
@@ -65,13 +60,13 @@ def gpc(
             f"arrival rate {alpha.tail_rate} exceeds service rate "
             f"{beta.tail_rate}; component overloaded"
         )
-    fused = kernels.fused_deconv_hdev(alpha, beta, backend=backend)
+    fused = kernels.fused_deconv_hdev(alpha, beta)
     if fused is not None:
         delay, backlog, output = fused
     else:
-        delay = horizontal_deviation(alpha, beta, backend=backend)
+        delay = horizontal_deviation(alpha, beta)
         backlog = vertical_deviation(alpha, beta)
-        output = min_plus_deconv(alpha, beta, on_dip="fill", backend=backend)
+        output = min_plus_deconv(alpha, beta, on_dip="fill")
     remaining = (beta - alpha).running_max().nonneg()
     return GpcResult(
         delay=delay,

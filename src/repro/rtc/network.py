@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro._numeric import Q, is_inf
 from repro.errors import AnalysisError, CurveError
@@ -41,7 +41,6 @@ class ChainResult:
 
 def end_to_end_service(
     betas: Sequence[Curve],
-    backend: Optional[str] = None,
     jobs: JobsLike = None,
 ) -> Curve:
     """The service curve of a tandem of resources: min-plus convolution.
@@ -65,7 +64,7 @@ def end_to_end_service(
         try:
             while len(level) > 1:
                 pairs = [
-                    (level[i], level[i + 1], backend)
+                    (level[i], level[i + 1])
                     for i in range(0, len(level) - 1, 2)
                 ]
                 reduced = parallel_map(_conv_pair, pairs, jobs=jobs)
@@ -77,19 +76,18 @@ def end_to_end_service(
             pass  # fall through: report the dip the serial fold finds
     acc = betas[0]
     for b in betas[1:]:
-        acc = min_plus_conv(acc, b, on_dip="raise", backend=backend)
+        acc = min_plus_conv(acc, b, on_dip="raise")
     return acc
 
 
-def _conv_pair(pair: Tuple[Curve, Curve, Optional[str]]) -> Curve:
-    a, b, backend = pair
-    return min_plus_conv(a, b, on_dip="raise", backend=backend)
+def _conv_pair(pair: Tuple[Curve, Curve]) -> Curve:
+    a, b = pair
+    return min_plus_conv(a, b, on_dip="raise")
 
 
 def chain_analysis(
     alpha: Curve,
     betas: Sequence[Curve],
-    backend: Optional[str] = None,
     jobs: JobsLike = None,
 ) -> ChainResult:
     """Analyse a flow through a chain of greedy components.
@@ -97,7 +95,6 @@ def chain_analysis(
     Args:
         alpha: Upper arrival curve entering the first component.
         betas: Lower service curves of the traversed resources, in order.
-        backend: Kernel backend override.
         jobs: Run the hop propagation and the pay-bursts-only-once
             convolution concurrently in worker processes.  The two parts
             are independent (the e2e bound uses only *alpha* and the raw
@@ -111,7 +108,7 @@ def chain_analysis(
     betas = list(betas)
     parts = parallel_map(
         _chain_part,
-        [("hops", alpha, betas, backend), ("e2e", alpha, betas, backend)],
+        [("hops", alpha, betas), ("e2e", alpha, betas)],
         jobs=jobs,
     )
     hops, total = parts[0]
@@ -121,13 +118,13 @@ def chain_analysis(
 
 def _chain_part(part):
     """One independent half of a chain analysis (hop fold or e2e bound)."""
-    kind, alpha, betas, backend = part
+    kind, alpha, betas = part
     if kind == "hops":
         hops: List[GpcResult] = []
         current = alpha
         total = Q(0)
         for beta in betas:
-            result = gpc(current, beta, backend=backend)
+            result = gpc(current, beta)
             if is_inf(result.delay):
                 raise AnalysisError("a hop has an infinite delay bound")
             hops.append(result)
@@ -138,14 +135,14 @@ def _chain_part(part):
         # Serial fold: the fused chain lowers each curve once, folds the
         # tandem, and derives the deviation from the folded intervals —
         # one memo entry covers the whole pay-bursts-only-once bound.
-        fused = kernels.fused_conv_hdev(alpha, betas, backend=backend)
+        fused = kernels.fused_conv_hdev(alpha, betas)
         if fused is not None:
             e2e, _ = fused
             if is_inf(e2e):
                 raise AnalysisError("end-to-end deviation is infinite")
             return e2e
-    e2e_beta = end_to_end_service(betas, backend=backend)
-    e2e = horizontal_deviation(alpha, e2e_beta, backend=backend)
+    e2e_beta = end_to_end_service(betas)
+    e2e = horizontal_deviation(alpha, e2e_beta)
     if is_inf(e2e):
         raise AnalysisError("end-to-end deviation is infinite")
     return e2e
@@ -153,22 +150,20 @@ def _chain_part(part):
 
 def analyze_chains(
     chains: Sequence[Tuple[Curve, Sequence[Curve]]],
-    backend: Optional[str] = None,
     jobs: JobsLike = None,
 ) -> List[ChainResult]:
     """Analyse many independent flows, one :func:`chain_analysis` each.
 
     Args:
         chains: ``(alpha, betas)`` per flow.
-        backend: Kernel backend override applied to every flow.
         jobs: Fan the flows out over worker processes; result order
             follows *chains* and the first failing flow's error (in
             input order) is raised, as a serial loop would.
     """
-    items = [(alpha, list(betas), backend) for alpha, betas in chains]
+    items = [(alpha, list(betas)) for alpha, betas in chains]
     return parallel_map(_chain_case, items, jobs=jobs)
 
 
 def _chain_case(item) -> ChainResult:
-    alpha, betas, backend = item
-    return chain_analysis(alpha, betas, backend=backend)
+    alpha, betas = item
+    return chain_analysis(alpha, betas)

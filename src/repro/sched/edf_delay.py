@@ -44,7 +44,6 @@ from repro.drt.model import DRTTask
 from repro.drt.request import RequestTuple, rbf_curve, request_frontier
 from repro.drt.validate import validate_task
 from repro.errors import AnalysisError, UnboundedBusyWindowError
-from repro.minplus import backend as backend_mod
 from repro.minplus.curve import Curve
 from repro.minplus.deviation import lower_pseudo_inverse_batch
 from repro.parallel import cache as result_cache
@@ -76,7 +75,6 @@ def edf_structural_delays(
     initial_horizon: Optional[NumLike] = None,
     max_iterations: int = 40,
     reuse: bool = True,
-    backend: Optional[str] = None,
     jobs: JobsLike = None,
 ) -> EdfDelayResult:
     """Per-job-type delay bounds under preemptive EDF.
@@ -92,10 +90,6 @@ def edf_structural_delays(
             explorer (default).  ``False`` re-explores every task from
             scratch — the historical cost model the benchmarks compare
             against.
-        backend: Kernel backend name (see :mod:`repro.minplus.backend`),
-            validated like every entry point's.  The maximisation is one
-            exact pseudo-inverse sweep on every backend, so the bounds
-            do not depend on it.
         jobs: Fan the per-task maximisations out over worker processes.
             After the shared aggregate busy window and demand curves are
             fixed, each task's bound depends on nothing computed for the
@@ -110,7 +104,6 @@ def edf_structural_delays(
     if not tasks:
         raise AnalysisError("edf_structural_delays needs at least one task")
     tasks = list(tasks)
-    backend_mod.resolve_backend(backend)
     for task in tasks:
         validate_task(task, require_constrained=True)
     extra = (

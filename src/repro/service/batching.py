@@ -92,12 +92,7 @@ def register_executor(kind: str, fn) -> None:
 
 
 def _exec_bounded(req: DecodedRequest):
-    return bounded_delay(
-        req.tasks[0],
-        req.beta,
-        budget=req.budget,
-        backend=req.params.get("backend"),
-    )
+    return bounded_delay(req.tasks[0], req.beta, budget=req.budget)
 
 
 def _exec_sp(req: DecodedRequest):

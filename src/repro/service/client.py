@@ -510,7 +510,6 @@ class ServiceClient:
         deadline_ms: Optional[float] = None,
         max_expansions: Optional[int] = None,
         max_segments: Optional[int] = None,
-        backend: Optional[str] = None,
     ):
         """Served :func:`repro.resilience.bounded_delay` for one task.
 
@@ -518,7 +517,6 @@ class ServiceClient:
         with a budget that ran out the bound is *degraded but sound*
         (check ``.degraded``) rather than an error.
         """
-        params = {"backend": backend} if backend else None
         return self._typed(
             "delay",
             task,
@@ -526,7 +524,6 @@ class ServiceClient:
             deadline_ms=deadline_ms,
             max_expansions=max_expansions,
             max_segments=max_segments,
-            params=params,
         )
 
     def sp_schedulable(self, tasks, beta, **params):

@@ -75,7 +75,6 @@ from repro.errors import (
     ValidationError,
 )
 from repro.io.json_io import curve_from_dict, task_from_dict
-from repro.minplus.backend import BACKENDS
 from repro.minplus.curve import Curve
 from repro.mp.bounds import DagRtaResult
 from repro.mp.global_sched import GlobalSchedResult
@@ -420,7 +419,6 @@ register_kind(
         kind="delay",
         arity="single",
         sheddable=True,
-        params=frozenset({"backend"}),
         encode=_encode_bounded,
         decode=_decode_bounded,
     )
@@ -430,7 +428,6 @@ register_kind(
         kind="bounded_delay",
         arity="single",
         sheddable=True,
-        params=frozenset({"backend"}),
         encode=_encode_bounded,
         decode=_decode_bounded,
     )
@@ -449,9 +446,7 @@ register_kind(
     KindSpec(
         kind="edf_structural_delays",
         arity="set",
-        params=frozenset(
-            {"initial_horizon", "max_iterations", "reuse", "backend"}
-        ),
+        params=frozenset({"initial_horizon", "max_iterations", "reuse"}),
         rational_params=frozenset({"initial_horizon"}),
         encode=_encode_edf,
         decode=_decode_edf,
@@ -461,7 +456,7 @@ register_kind(
     KindSpec(
         kind="analyze_many",
         arity="set",
-        params=frozenset({"initial_horizon", "backend"}),
+        params=frozenset({"initial_horizon"}),
         rational_params=frozenset({"initial_horizon"}),
         encode=_encode_many,
         decode=_decode_many,
@@ -696,12 +691,6 @@ def decode_request(data: Any, trace_id: Optional[str] = None) -> DecodedRequest:
         raise _bad(
             f"unknown params {unknown} for kind {kind!r}; "
             f"allowed: {sorted(spec.params)}"
-        )
-    backend = raw_params.get("backend")
-    if backend is not None and backend not in BACKENDS:
-        raise _bad(
-            f"unknown params.backend {backend!r}; "
-            f"allowed: {', '.join(BACKENDS)}"
         )
     params = dict(raw_params)
     for name in spec.rational_params & set(params):

@@ -454,7 +454,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     """``repro serve``: boot the analysis service in the foreground."""
     import argparse
 
-    from repro.minplus import backend as backend_mod
     from repro.parallel import cache as result_cache
     from repro.parallel import plane
 
@@ -478,11 +477,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         "--cache-dir",
         metavar="DIR",
         help="persistent result cache directory (REPRO_CACHE_DIR)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=backend_mod.BACKENDS,
-        help="min-plus kernel backend for every served analysis",
     )
     parser.add_argument(
         "--max-queue", type=int, default=256, help="admission queue cap"
@@ -524,8 +518,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.backend:
-        backend_mod.set_backend(args.backend)
     if args.cache_dir:
         result_cache.configure(args.cache_dir)
     config = ServiceConfig(
@@ -546,8 +538,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         await server.start()
         print(
             f"repro service: listening on {config.host}:{server.port} "
-            f"(backend={backend_mod.get_backend()} "
-            f"jobs={plane.resolve_jobs(config.jobs)} "
+            f"(jobs={plane.resolve_jobs(config.jobs)} "
             f"cache={result_cache.describe()} "
             f"queue={config.max_queue} batch<={config.max_batch})",
             flush=True,

@@ -16,14 +16,14 @@ from hypothesis import strategies as st
 from repro import perf
 from repro._numeric import Q, is_inf
 from repro.minplus import kernels
-from repro.minplus.backend import use_backend
+from repro.minplus.backend import _force
 from repro.minplus.convolution import min_plus_conv, min_plus_deconv
 from repro.minplus.curve import Curve
 from repro.minplus.deviation import horizontal_deviation, vertical_deviation
 from repro.minplus.segment import Segment
 
 from .conftest import monotone_curves, service_curves
-from .test_kernels import _service, _stair
+from .test_kernels import _service, _stair, _tier
 
 pytestmark = pytest.mark.skipif(
     not kernels.AVAILABLE, reason="fused pipelines need numpy"
@@ -39,7 +39,7 @@ def _capture(fn):
 
 
 def _gpc_triple_exact(f, g):
-    with use_backend("exact"):
+    with _force("exact"):
         return (
             horizontal_deviation(f, g),
             vertical_deviation(f, g),
@@ -51,7 +51,7 @@ def _fused_vs_exact(f, g):
     """Both paths' (outcome, value); fused must not decline (monotone)."""
     want = _capture(lambda: _gpc_triple_exact(f, g))
     kernels.op_cache_clear()
-    with use_backend("hybrid"):
+    with _force("hybrid"):
         got = _capture(lambda: kernels.fused_deconv_hdev(f, g))
     kernels.op_cache_clear()
     if got[0] == "ok":
@@ -91,7 +91,7 @@ class TestFusedDeconvHdev:
         )
         want = _gpc_triple_exact(f, g)
         kernels.op_cache_clear()
-        with use_backend("hybrid"):
+        with _force("hybrid"):
             fused = kernels.fused_deconv_hdev(f, g)
         kernels.op_cache_clear()
         assert fused == want
@@ -111,16 +111,15 @@ class TestFusedDeconvHdev:
 
     def test_exact_dispatch_declines(self):
         f, g = _stair(5, 1), _service(5, 2)
-        with use_backend("exact"):
+        with _force("exact"):
             assert kernels.fused_deconv_hdev(f, g) is None
-        # Small curves under auto hit the prior's exact regime.
-        with use_backend("auto"):
-            assert kernels.fused_deconv_hdev(f, g) is None
+        # Small curves under size dispatch hit the exact regime.
+        assert kernels.fused_deconv_hdev(f, g) is None
 
     def test_memoized_per_chain(self):
         f, g = _stair(40, 1), _service(40, 2)
         kernels.op_cache_clear()
-        with use_backend("hybrid"):
+        with _force("hybrid"):
             first = kernels.fused_deconv_hdev(f, g)
             before = perf.snapshot()["counters"].get("kernel.fused_chains", 0)
             again = kernels.fused_deconv_hdev(f, g)
@@ -137,13 +136,13 @@ class TestFusedConvHdev:
         betas=st.lists(service_curves(), min_size=1, max_size=3),
     )
     def test_matches_unfused_exact(self, alpha, betas):
-        with use_backend("exact"):
+        with _force("exact"):
             acc = betas[0]
             for b in betas[1:]:
                 acc = min_plus_conv(acc, b, on_dip="raise")
             want = (horizontal_deviation(alpha, acc), acc)
         kernels.op_cache_clear()
-        with use_backend("hybrid"):
+        with _force("hybrid"):
             fused = kernels.fused_conv_hdev(alpha, betas)
         kernels.op_cache_clear()
         assert fused == want
@@ -152,7 +151,7 @@ class TestFusedConvHdev:
         alpha = _stair(60, 1)
         betas = [_service(60, 3), _service(50, 4)]
         kernels.op_cache_clear()
-        with use_backend("hybrid"):
+        with _force("hybrid"):
             first = kernels.fused_conv_hdev(alpha, betas)
             before = perf.snapshot()["counters"].get("kernel.fused_chains", 0)
             again = kernels.fused_conv_hdev(alpha, betas)
@@ -162,7 +161,7 @@ class TestFusedConvHdev:
         assert after == before
 
     def test_empty_chain_declines(self):
-        with use_backend("hybrid"):
+        with _force("hybrid"):
             assert kernels.fused_conv_hdev(_stair(30, 1), []) is None
 
 
@@ -170,14 +169,15 @@ class TestGpcAndChainWiring:
     """The RTC layers produce identical results with fusion on and off."""
 
     def test_gpc_identical_across_backends(self):
+        """Across the pinned tiers and the unpinned size dispatch."""
         from repro.rtc.gpc import gpc
 
         alpha, beta = _stair(50, 1), _service(60, 3)
-        with use_backend("exact"):
+        with _force("exact"):
             want = gpc(alpha, beta)
         kernels.op_cache_clear()
-        for be in ("hybrid", "auto"):
-            with use_backend(be):
+        for tier in ("hybrid", "auto"):
+            with _tier(tier):
                 got = gpc(alpha, beta)
             kernels.op_cache_clear()
             assert (got.delay, got.backlog) == (want.delay, want.backlog)
@@ -189,11 +189,11 @@ class TestGpcAndChainWiring:
 
         alpha = _stair(40, 1)
         betas = [_service(50, 3), _service(45, 4)]
-        with use_backend("exact"):
+        with _force("exact"):
             want = chain_analysis(alpha, betas)
         kernels.op_cache_clear()
-        for be in ("hybrid", "auto"):
-            with use_backend(be):
+        for tier in ("hybrid", "auto"):
+            with _tier(tier):
                 got = chain_analysis(alpha, betas)
             kernels.op_cache_clear()
             assert got.sum_of_delays == want.sum_of_delays
@@ -207,7 +207,7 @@ class TestCounters:
         curve_mod.clear_intern_table()
         kernels.op_cache_clear()
         f, g = _stair(30, 11), _service(30, 12)
-        with use_backend("hybrid"):
+        with _force("hybrid"):
             min_plus_deconv(f, g, on_dip="fill")
         c = perf.snapshot()["counters"]
         for key in ("curve.intern_misses", "kernel.memo_misses"):

@@ -1,18 +1,19 @@
-"""Property tests for the vectorized kernel backend (hybrid == exact).
+"""Property tests for the vectorized kernel tier (hybrid == exact).
 
-The ``hybrid`` backend may only *screen*: every final artefact — curves,
+The ``hybrid`` tier may only *screen*: every final artefact — curves,
 bounds, tie-breaking, raised exceptions — must be bit-identical to the
-pure-``Fraction`` ``exact`` backend.  These tests drive both backends
-over random curves/tasks and assert full equality, plus directed cases
-for one-ulp ties (which the exact DRT paths must settle and the operator
-screens must leave to the exact tier) and the nested-phase accounting of
-``repro.perf``.
+pure-``Fraction`` ``exact`` tier.  These tests pin each tier through the
+private ``backend._force`` seam over random curves/tasks and assert full
+equality, plus directed cases for one-ulp ties (which the exact DRT
+paths must settle and the operator screens must leave to the exact
+tier) and the nested-phase accounting of ``repro.perf``.
 """
 
 import copy
 import os
 import random
 import time
+from contextlib import nullcontext
 from fractions import Fraction as F
 
 import pytest
@@ -22,28 +23,29 @@ from hypothesis import strategies as st
 from repro import cli, perf
 from repro._numeric import Q
 from repro.core.facade import StructuralAnalysis
+from repro.curves.service import rate_latency_service
 from repro.drt.model import DRTTask
-from repro.errors import SerializationError
-from repro.io.json_io import task_to_dict
-from repro.minplus import (
-    BACKENDS,
-    get_backend,
-    horizontal_deviation,
-    min_plus_conv,
-    min_plus_deconv,
-    use_backend,
-)
+from repro.minplus import horizontal_deviation, min_plus_conv, min_plus_deconv
 from repro.minplus import kernels
-from repro.minplus.backend import op_backend
+from repro.minplus.backend import _force, op_backend
 from repro.minplus.curve import Curve
 from repro.minplus.segment import Segment
-from repro.service.protocol import decode_request
+from repro.resilience import chaos
+from repro.service import ServerHandle, ServiceClient, ServiceConfig
+from repro.service.client import ServiceError
 
 from .conftest import monotone_curves, service_curves, small_drt_tasks
 
 pytestmark = pytest.mark.skipif(
-    not kernels.AVAILABLE, reason="hybrid backend needs numpy"
+    not kernels.AVAILABLE, reason="hybrid tier needs numpy"
 )
+
+#: ``"auto"`` is the unpinned size dispatch.
+TIERS = ("exact", "hybrid", "auto")
+
+
+def _tier(name):
+    return nullcontext() if name == "auto" else _force(name)
 
 
 def _stair(n: int, seed: int, scale: int = 1) -> Curve:
@@ -75,15 +77,15 @@ def _service(n: int, seed: int) -> Curve:
 
 
 def _both(fn):
-    """Run ``fn`` under both backends; capture result or exception."""
+    """Run ``fn`` under both tiers; capture result or exception."""
     try:
-        with use_backend("exact"):
+        with _force("exact"):
             exact = ("ok", fn())
     except Exception as exc:
         exact = ("err", type(exc), str(exc))
     kernels.op_cache_clear()
     try:
-        with use_backend("hybrid"):
+        with _force("hybrid"):
             hybrid = ("ok", fn())
     except Exception as exc:
         hybrid = ("err", type(exc), str(exc))
@@ -118,22 +120,19 @@ class TestHybridEqualsExact:
     @settings(max_examples=25, deadline=None)
     @given(task=small_drt_tasks(), beta=service_curves())
     def test_delay_bound_facade(self, task, beta):
-        """End-to-end: delay/per-job/backlog identical across backends."""
-        def run(t, backend):
-            a = StructuralAnalysis(t, beta, backend=backend)
+        """End-to-end: delay/per-job/backlog identical across tiers."""
+        def run(t):
+            a = StructuralAnalysis(t, beta)
             return (a.delay(), a.per_job(), a.backlog())
 
         # Deep copies so the per-task analysis caches cannot leak
-        # results from one backend's run into the other's.
-        exact, hybrid = _both(
-            lambda: run(copy.deepcopy(task), None)
-        )
-        with use_backend("exact"):
-            try:
-                want = ("ok", run(copy.deepcopy(task), "exact"))
-            except Exception as exc:
-                want = ("err", type(exc), str(exc))
-        assert exact == want
+        # results from one tier's run into the other's.
+        exact, hybrid = _both(lambda: run(copy.deepcopy(task)))
+        try:
+            dispatched = ("ok", run(copy.deepcopy(task)))
+        except Exception as exc:
+            dispatched = ("err", type(exc), str(exc))
+        assert dispatched == exact
         assert hybrid == exact
 
 
@@ -143,13 +142,13 @@ _TIE = _W + F(1, 2**60)
 
 
 class TestUlpTieFallback:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_one_ulp_tie_frontier_domination(self, backend):
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_one_ulp_tie_frontier_domination(self, tier):
         """Domination decides one-ulp ties in either coordinate exactly."""
         from repro.drt.request import _VertexFrontier
 
         assert float(_W) == float(_TIE)
-        with use_backend(backend):
+        with _tier(tier):
             f = _VertexFrontier()
             f.insert(Q(0), _W)
             f.insert(_TIE, Q(5))
@@ -158,12 +157,11 @@ class TestUlpTieFallback:
             assert f.dominated(_TIE, Q(5))
             assert not f.dominated(_W, Q(5))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_one_ulp_tie_per_job(self, backend):
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_one_ulp_tie_per_job(self, tier):
         """Per-job delays one ulp apart stay apart, and the strictly
         larger one is the critical tuple."""
         from repro.core.context import AnalysisContext
-        from repro.curves.service import rate_latency_service
 
         assert float(_W) == float(_TIE)
         task = DRTTask.build(
@@ -173,7 +171,7 @@ class TestUlpTieFallback:
         )
         # beta^-1 is the identity, so each job's delay is its own WCET.
         beta = rate_latency_service(F(1), F(0))
-        with use_backend(backend):
+        with _tier(tier):
             ctx = AnalysisContext(task, beta, persist=False)
             assert ctx.per_job() == {"a": _W, "b": _TIE}
             res = ctx.delay_result()
@@ -219,7 +217,7 @@ class TestTimedNestedPhases:
 
 
 # ----------------------------------------------------------------------
-# ``auto`` dispatch: fixed size threshold between exact and hybrid
+# Size dispatch: fixed threshold between exact and hybrid
 # ----------------------------------------------------------------------
 
 OPS = ("conv", "deconv", "hdev")
@@ -228,78 +226,83 @@ OPS = ("conv", "deconv", "hdev")
 class TestPrior:
     def test_small_deconv_hdev_route_exact_cold(self):
         for n in (5, 10):
-            assert op_backend("deconv", n, "auto") == "exact"
-            assert op_backend("hdev", n, "auto") == "exact"
+            assert op_backend("deconv", n) == "exact"
+            assert op_backend("hdev", n) == "exact"
 
     def test_conv_pinv_route_hybrid_at_any_size(self):
         for n in (1, 5, 10, 1000):
-            assert op_backend("conv", n, "auto") == "hybrid"
-            assert op_backend("pinv", n, "auto") == "hybrid"
+            assert op_backend("conv", n) == "hybrid"
+            assert op_backend("pinv", n) == "hybrid"
 
     def test_all_ops_route_hybrid_large(self):
         for op in OPS:
-            assert op_backend(op, 500, "auto") == "hybrid"
+            assert op_backend(op, 500) == "hybrid"
 
     def test_unknown_op_defaults_hybrid(self):
-        assert op_backend("frobnicate", 3, "auto") == "hybrid"
+        assert op_backend("frobnicate", 3) == "hybrid"
 
     def test_op_backend_counts_dispatch_under_auto(self):
         before = perf.snapshot()["counters"]
-        with use_backend("auto"):
-            assert op_backend("deconv", 1) == "exact"
-            assert op_backend("deconv", 300) == "hybrid"
+        assert op_backend("deconv", 1) == "exact"
+        assert op_backend("deconv", 300) == "hybrid"
         after = perf.snapshot()["counters"]
         for key in ("dispatch.deconv.exact", "dispatch.deconv.hybrid"):
             assert after.get(key, 0) == before.get(key, 0) + 1
 
     def test_op_backend_passes_concrete_backends_through(self):
-        with use_backend("exact"):
+        """The test seam pins a tier regardless of size, and only the
+        two real tiers exist."""
+        with _force("exact"):
             assert op_backend("conv", 1000) == "exact"
-        with use_backend("hybrid"):
+        with _force("hybrid"):
             assert op_backend("hdev", 1) == "hybrid"
+        with pytest.raises(ValueError):
+            with _force("auto"):
+                pass  # pragma: no cover - the context must not be entered
 
 
 class TestAutoBitIdentity:
     def test_auto_equals_exact_on_kernel_ops(self):
         f, g = _stair(20, 7), _service(20, 9)
-        with use_backend("exact"):
+        with _force("exact"):
             want = (
                 min_plus_conv(f, f, on_dip="fill"),
                 min_plus_deconv(f, g, on_dip="fill"),
                 horizontal_deviation(f, g),
             )
         kernels.op_cache_clear()
-        with use_backend("auto"):
-            got = (
-                min_plus_conv(f, f, on_dip="fill"),
-                min_plus_deconv(f, g, on_dip="fill"),
-                horizontal_deviation(f, g),
-            )
+        got = (
+            min_plus_conv(f, f, on_dip="fill"),
+            min_plus_deconv(f, g, on_dip="fill"),
+            horizontal_deviation(f, g),
+        )
         kernels.op_cache_clear()
         assert got == want
 
 
 class TestSmallNFloor:
     """The n=10 regression the threshold exists to prevent: tiny
-    deconv/hdev must not pay the screen overhead under ``auto``."""
+    deconv/hdev must not pay the screen overhead under size dispatch."""
 
-    def _medians(self, fn, backends, reps=15):
-        """Per-backend medians over interleaved samples on one CPU, so
-        machine drift and per-CPU speed hit every backend equally
-        instead of biasing whichever was timed last."""
-        samples = {be: [] for be in backends}
+    def _medians(self, fn, tiers, reps=15):
+        """Per-tier medians over interleaved samples on one CPU, so
+        machine drift and per-CPU speed hit every tier equally instead
+        of biasing whichever was timed last; the tier timed first
+        rotates from rep to rep for the same reason."""
+        samples = {tier: [] for tier in tiers}
         pin = hasattr(os, "sched_setaffinity")
         if pin:
             allowed = os.sched_getaffinity(0)
             os.sched_setaffinity(0, {min(allowed)})
         try:
-            for _ in range(reps):
-                for be in backends:
-                    with use_backend(be):
+            for rep in range(reps):
+                start = rep % len(tiers)
+                for tier in tiers[start:] + tiers[:start]:
+                    with _tier(tier):
                         kernels.op_cache_clear()
                         t0 = time.perf_counter()
                         fn()
-                        samples[be].append(time.perf_counter() - t0)
+                        samples[tier].append(time.perf_counter() - t0)
         finally:
             if pin:
                 os.sched_setaffinity(0, allowed)
@@ -313,67 +316,80 @@ class TestSmallNFloor:
             min_plus_deconv(f, g, on_dip="fill")
             horizontal_deviation(f, g)
 
-        with use_backend("auto"):
-            # Both ops route to exact, so the only admissible overhead
-            # is the dispatch lookup itself.
-            assert op_backend("deconv", n) == "exact"
-            assert op_backend("hdev", n) == "exact"
+        # Both ops route to exact, so the only admissible overhead is
+        # the dispatch lookup itself.
+        assert op_backend("deconv", n) == "exact"
+        assert op_backend("hdev", n) == "exact"
         t_exact, t_auto = self._medians(run, ("exact", "auto"))
         # >= 0.95x of exact throughput, with headroom for timer noise.
         assert t_auto <= t_exact / 0.95 + 5e-4, (t_exact, t_auto)
 
 
-def _reject_use_backend(monkeypatch):
-    with use_backend("native"):
-        pass  # pragma: no cover - the context must not be entered
 
 
-def _reject_env(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "native")
-    get_backend()
+# ----------------------------------------------------------------------
+# The kernel tier is not an option any more
+# ----------------------------------------------------------------------
 
 
 def _reject_cli(*argv):
-    return lambda monkeypatch: cli.main([*argv, "--backend", "native"])
+    """A ``--backend`` flag is an argparse usage error (exit 2)."""
+
+    def attempt(capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--backend", "exact"])
+        assert info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+    return attempt
 
 
-def _reject_params(monkeypatch):
+def _reject_params(capsys):
+    """``params.backend`` through ``repro serve`` and ``repro cluster``."""
+    from repro.cluster import ClusterHandle
+
     task = DRTTask.build("t", jobs={"x": (1, 5)}, edges=[("x", "x", 10)])
-    decode_request(
-        {
-            "kind": "delay",
-            "task": task_to_dict(task),
-            "beta": {"rate": "1/2"},
-            "params": {"backend": "native"},
-        }
+    spec = ServiceClient.build_request(
+        "delay",
+        task,
+        rate_latency_service(F(1, 2), F(0)),
+        params={"backend": "exact"},
     )
+    config = ServiceConfig(port=0, batch_window_ms=1.0)
+    saved = chaos.current_config()
+    chaos.apply_config(None)  # exact status codes are the assertion
+    handles = []
+    try:
+        handles.append(ServerHandle.start(config))
+        handles.append(
+            ClusterHandle.start(
+                n_workers=2, worker_mode="thread", worker_config=config
+            )
+        )
+        for handle in handles:
+            client = ServiceClient(port=handle.port, timeout=60)
+            with pytest.raises(ServiceError) as info:
+                client.analyze_raw(spec)
+            assert info.value.status == 400
+            assert info.value.code == "bad_request"
+            assert "unknown params ['backend']" in str(info.value)
+    finally:
+        for handle in handles:
+            handle.shutdown(timeout=30)
+        chaos.apply_config(saved)
 
 
 @pytest.mark.parametrize(
     "attempt",
     [
-        _reject_use_backend,
-        _reject_env,
-        _reject_cli("task.json"),
+        _reject_cli("task.json", "--rate", "1/2"),
         _reject_cli("serve"),
         _reject_cli("cluster"),
         _reject_params,
     ],
-    ids=["use_backend", "REPRO_BACKEND", "analyze", "serve", "cluster",
-         "params"],
+    ids=["analyze", "serve", "cluster", "params"],
 )
-def test_removed_backend_name_fails_loudly(attempt, monkeypatch, capsys):
-    """``native`` is gone: every entry point names the live backends."""
-    assert BACKENDS == ("exact", "hybrid", "auto")
-    with pytest.raises(
-        (ValueError, SerializationError, SystemExit)
-    ) as info:
-        attempt(monkeypatch)
-    if info.type is SystemExit:
-        assert info.value.code == 2
-        message = capsys.readouterr().err
-    else:
-        message = str(info.value)
-    assert "'native'" in message
-    for name in BACKENDS:
-        assert name in message
+def test_removed_backend_name_fails_loudly(attempt, capsys):
+    """No entry point takes a kernel backend any more: each rejects one
+    as a usage error (exit 2 / HTTP 400), never a crash."""
+    attempt(capsys)

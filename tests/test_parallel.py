@@ -49,8 +49,19 @@ def _raise_on_even(x):
     return x
 
 
-def _op_cache_size(_):
-    return kernels.op_cache_stats()[0]
+def _process_memo_sizes(_):
+    from repro.cluster import routing
+    from repro.core import busy_window
+    from repro.minplus import curve as curve_mod
+    from repro.parallel import cache as result_cache
+
+    return {
+        "intern": len(curve_mod._intern_table),
+        "op": kernels.op_cache_stats()[0],
+        "fixpoint": len(busy_window._FIXPOINT_MEMO),
+        "routing": len(routing._memo),
+        "result": len(result_cache._memory),
+    }
 
 
 def _sp_accepts(tasks, beta):
@@ -131,9 +142,27 @@ class TestParallelMap:
             parallel_map(_raise_on_even, [3, 2, 4], jobs=2)
 
     def test_fresh_caches_clears_op_memo(self):
+        """Every process-wide memo is empty inside a fresh-caches job."""
+        from repro.cluster import routing
+        from repro.core import busy_window
+        from repro.parallel import cache as result_cache
+
+        token_bucket(1, 2).interned()
         kernels.op_cache_put(("test-sentinel",), object())
-        sizes = parallel_map(_op_cache_size, [0], jobs=1, fresh_caches=True)
-        assert sizes == [0]
+        busy_window._FIXPOINT_MEMO[("test-sentinel",)] = (None, 0)
+        routing.routing_digest({"kind": "delay"})
+        result_cache.configure(None)
+        result_cache.apply_config((None, result_cache.DEFAULT_MAX_BYTES, True))
+        try:
+            result_cache.put("0" * 64, 1)
+            seeded = _process_memo_sizes(None)
+            assert all(seeded.values()), seeded
+            (sizes,) = parallel_map(
+                _process_memo_sizes, [0], jobs=1, fresh_caches=True
+            )
+        finally:
+            result_cache.configure(None)
+        assert not any(sizes.values()), sizes
 
     def test_empty_items(self):
         assert parallel_map(_square, [], jobs=4) == []

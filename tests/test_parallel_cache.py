@@ -11,7 +11,6 @@ import pytest
 from repro import perf
 from repro.core.context import AnalysisContext
 from repro.drt.model import DRTTask
-from repro.minplus import backend as backend_mod
 from repro.minplus.builders import rate_latency
 from repro.parallel import cache as result_cache
 from repro.sched.edf_delay import edf_structural_delays
@@ -116,6 +115,52 @@ class TestStore:
         assert result_cache.get(key) is None
 
 
+def _memory_only():
+    """Switch the store to its in-memory fallback (empty)."""
+    result_cache.configure(None)
+    result_cache.apply_config((None, result_cache.DEFAULT_MAX_BYTES, True))
+
+
+def _key(i: int) -> str:
+    return format(i, "064x")
+
+
+class TestMemoryEviction:
+    def test_get_refreshes_recency(self):
+        _memory_only()
+        hot, cold = _key(10**6), _key(10**6 + 1)
+        result_cache.put(hot, "hot")
+        result_cache.put(cold, "cold")
+        for i in range(result_cache._MEMORY_CAP + 76):
+            assert result_cache.get(hot) == "hot"
+            result_cache.read_entry(cold)
+            result_cache.put(_key(i), i)
+        # LRU: a key read before every put survives; a raw migration
+        # read does not refresh, so the untouched key ages out.
+        assert result_cache.get(hot) == "hot"
+        assert result_cache.read_entry(cold) is None
+
+    def test_placement_leaves_with_its_entry(self):
+        _memory_only()
+        with result_cache.placement_scope("route"):
+            for i in range(3000):
+                result_cache.put(_key(i), i)
+        resident = {key for key, _ in result_cache.list_keys()}
+        assert len(resident) == result_cache._MEMORY_CAP
+        assert set(result_cache.placements()) == resident
+
+    def test_disk_placement_mirror_is_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(result_cache, "_MEMORY_CAP", 8)
+        result_cache.configure(str(tmp_path))
+        with result_cache.placement_scope("route"):
+            for i in range(20):
+                result_cache.put(_key(i), i)
+        assert len(result_cache._placement_memory) == 8
+        # The journal still answers for every entry.
+        assert len(result_cache.placements()) == 20
+        assert result_cache.placement_of(_key(0)) == "route"
+
+
 class TestKeys:
     def test_task_digest_stable_across_objects(self):
         assert result_cache.task_digest(_fresh_demo()) == result_cache.task_digest(
@@ -132,13 +177,6 @@ class TestKeys:
             "t", {"y": (2, 8), "x": (1, 5)}, [("y", "x", 6), ("x", "y", 4)]
         )
         assert result_cache.task_digest(a) != result_cache.task_digest(b)
-
-    def test_key_covers_backend(self):
-        with backend_mod.use_backend("exact"):
-            exact = result_cache.analysis_key("k", ["p"])
-        with backend_mod.use_backend("hybrid"):
-            hybrid = result_cache.analysis_key("k", ["p"])
-        assert exact != hybrid
 
     def test_key_covers_kind_and_parts(self):
         assert result_cache.analysis_key("a", ["p"]) != result_cache.analysis_key(

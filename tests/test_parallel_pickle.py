@@ -13,8 +13,8 @@ from repro.core.backlog import structural_backlog
 from repro.core.context import AnalysisContext
 from repro.core.delay import structural_delay
 from repro.drt.model import DRTTask
-from repro.minplus import backend as backend_mod
 from repro.minplus import kernels
+from repro.minplus.backend import _force
 from repro.minplus.builders import rate_latency, token_bucket
 from repro.minplus.curve import Curve
 from repro.parallel import parallel_map
@@ -91,7 +91,7 @@ class TestResultPickle:
 
 
 # ---------------------------------------------------------------------------
-# Backend parity inside worker processes
+# Kernel-tier parity inside worker processes
 # ---------------------------------------------------------------------------
 
 
@@ -101,12 +101,12 @@ def _worker_delay(item):
 
 
 def test_hybrid_worker_matches_exact_parent(demo_task):
+    """A worker on its own size dispatch matches an exact-pinned parent
+    (the pin is a test seam and never ships to workers)."""
     beta = rate_latency(F(1, 2), 4)
-    with backend_mod.use_backend("exact"):
+    with _force("exact"):
         exact = structural_delay(_rt(demo_task), beta).delay
-    with backend_mod.use_backend("hybrid"):
-        # The plane ships the parent's backend to the workers.
-        (hybrid,) = parallel_map(
-            _worker_delay, [(demo_task, beta)], jobs=2, fresh_caches=True
-        )
-    assert hybrid == exact
+    (dispatched,) = parallel_map(
+        _worker_delay, [(demo_task, beta)], jobs=2, fresh_caches=True
+    )
+    assert dispatched == exact

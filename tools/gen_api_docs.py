@@ -74,34 +74,34 @@ instead of recomputing its inputs privately:
 """
 
 KERNEL_BACKENDS_SECTION = """\
-## Kernel backends
+## Kernel tiers
 
 The min-plus operators (convolution, deconvolution, horizontal
-deviation) run on a backend selected by
-`repro.minplus.backend` (explicit `backend=` keyword > `set_backend` /
-`use_backend` override > `REPRO_BACKEND` environment variable > default,
-which is `auto` when NumPy is importable and `exact` otherwise; the CLI
-exposes `--backend {exact,hybrid,auto}`):
+deviation) have two implementations:
 
 - **`exact`** — the pure-`fractions.Fraction` pairwise-segment
-  algorithms, bit-identical to every release before the kernel layer.
+  algorithms.
 - **`hybrid`** — the same exact algorithms steered by the vectorized
   float64 screens of `repro.minplus.kernels`.  Final results (curves,
   bounds, critical tuples, raised exceptions) are **identical** to
   `exact`: the screens never decide an outcome, they only skip work
   whose outcome is already certified.
-- **`auto`** (default) — per-operation *size-threshold dispatch*
-  between the two concrete tiers above.  `op_backend(op, n)` routes
-  `deconv` below 24 segments and `hdev` below 48 to `exact` (the
-  regimes where `BENCH_minplus_kernels.json` shows hybrid's per-call
-  lowering as pure overhead: 0.98x and 0.75x at n=10) and everything
-  else to `hybrid` (`backend.EXACT_BELOW`; counters
-  `dispatch.<op>.exact` / `dispatch.<op>.hybrid`).  Because both tiers
-  are bit-identical, dispatch only ever changes *speed*, never results.
+
+Which one runs is not an option: `repro.minplus.backend.op_backend(op,
+n)` is the one selector.  It routes `deconv` below 24 segments and
+`hdev` below 48 to `exact` (the regimes where
+`BENCH_minplus_kernels.json` shows hybrid's per-call lowering as pure
+overhead: 0.98x and 0.75x at n=10) and everything else to `hybrid`
+(`backend.EXACT_BELOW`; counters `dispatch.<op>.exact` /
+`dispatch.<op>.hybrid`); without NumPy everything runs `exact`.
+Because both tiers are bit-identical, the choice only ever changes
+*speed*, never results.  Tests and the kernel micro-benchmark pin a
+tier through a private seam (`backend._force`) that no entry point,
+environment variable or wire field reaches.
 
 The structural DRT path — frontier domination, the delay, per-job and
 backlog maximisations of an `AnalysisContext`, the EDF sweep — has no
-float tier: it runs the same exact loops under every backend.
+float tier: it runs exact loops only.
 
 **Fused pipelines.**  `repro.minplus.kernels` exposes fused chains for
 the hot multi-op sequences: `fused_deconv_hdev(alpha, beta)` produces
@@ -162,9 +162,8 @@ variable > 1 (serial); `"auto"` means the machine's CPU count, and the
 count is always capped by the number of items.  The CLI exposes
 `--jobs`.  Fan-out is a pure execution change:
 
-- every worker inherits the parent's kernel backend and cache
-  configuration (shipped per item, so pooled workers never act on stale
-  settings);
+- every worker inherits the parent's cache and chaos configuration
+  (shipped per item, so pooled workers never act on stale settings);
 - worker-side `repro.perf` counters/timers are snapshot and merged into
   the parent registry, so instrumentation totals match the serial run;
 - the *first* failing item **in item order** raises in the parent —
@@ -173,9 +172,10 @@ count is always capped by the number of items.  The CLI exposes
 - pool breakage (fork failure, unpicklable payloads) degrades to the
   serial path, never to an error;
 - nested fan-out is suppressed: inside a worker `resolve_jobs` pins to 1;
-- `fresh_caches=True` resets process-local memo state (curve interning,
-  kernel op memo, in-memory result cache) before each item — the
-  benchmark harness uses it to keep cost measurements honest.
+- `fresh_caches=True` resets every process-wide memo (curve interning,
+  kernel op memo, busy-window fixpoint memo, cluster routing memo,
+  in-memory result cache) before each item — the benchmark harness uses
+  it to keep cost measurements honest.
 
 Batch entry points that fan out: `sp_schedulable(..., jobs=)`,
 `edf_structural_delays(..., jobs=)`, `analyze_many(tasks, beta)`,
@@ -187,12 +187,12 @@ tree-reduce of the hop convolution, valid by associativity).
 results are pure functions of the task definition, the service curve and
 the analysis parameters, so they are stored on disk content-addressed by
 a SHA-256 over exactly those inputs (curve/task digests of the exact
-rational coordinates) plus the library version and the active backend.
+rational coordinates) plus the library version.
 Off by default; enabled by `REPRO_CACHE_DIR`, `configure_cache()`, or
 the CLI's `--cache-dir`.  Writes are atomic (temp file + `os.replace`),
 the directory is LRU-capped by total size (`REPRO_CACHE_MAX_BYTES`,
 default 256 MiB), corrupt entries are evicted as misses, and an
-unwritable directory degrades to a bounded in-memory store with a
+unwritable directory degrades to a bounded in-memory LRU store with a
 `RuntimeWarning` — never a traceback.  `AnalysisContext` consults it per
 result kind, and `sp_schedulable`/`edf_structural_delays` additionally
 cache whole-set verdicts, so a warm re-run of a sweep skips every
