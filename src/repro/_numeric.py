@@ -17,7 +17,10 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Union
 
-__all__ = ["Q", "INF", "Num", "NumLike", "as_q", "is_inf", "q_min", "q_max", "ceil_div"]
+__all__ = [
+    "Q", "INF", "Num", "NumLike", "as_q", "is_inf", "q_min", "q_max",
+    "ceil_div", "scaled_int",
+]
 
 #: Alias used throughout the library for exact rationals.
 Q = Fraction
@@ -149,3 +152,9 @@ def ceil_div(numerator: int, denominator: int) -> int:
     if denominator <= 0:
         raise ValueError("denominator must be positive")
     return -((-numerator) // denominator)
+
+
+def scaled_int(value: Fraction, scale: int) -> int:
+    """``value * scale`` as an int (*scale* is a multiple of the
+    denominator of *value*)."""
+    return value.numerator * (scale // value.denominator)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro._numeric import Q, NumLike, as_q
@@ -159,6 +160,14 @@ class DRTTask:
 
     def deadline(self, name: str) -> Fraction:
         return self.job(name).deadline
+
+    def scales(self) -> Tuple[int, int]:
+        """``(S, W)``: the lcm of the separation denominators and of the
+        WCET denominators, the integer time and work units of the engine."""
+        return (
+            lcm(*(e.separation.denominator for e in self._edges)),
+            lcm(*(j.wcet.denominator for j in self._jobs.values())),
+        )
 
     @property
     def max_wcet(self) -> Fraction:

@@ -23,6 +23,13 @@ explored horizon are exact: exploration is best-first by release time, so
 the frontier state restricted to ``time <= h`` coincides with a
 from-scratch run at horizon ``h`` (evictions only ever happen among
 equal-time tuples, which both runs process identically).
+
+The engine runs on Python ints: times in units of ``1/S`` and works in
+units of ``1/W`` (:meth:`~repro.drt.model.DRTTask.scales`), and a horizon
+``h`` compares as ``t > floor(h * S)``, exact for integer ``t``.  Values
+become Fractions only where they leave the engine: the
+:class:`RequestTuple` list of :meth:`FrontierExplorer.tuples` (converted
+lazily, once per tuple) and the steps of :meth:`FrontierExplorer.rbf_curve`.
 """
 
 from __future__ import annotations
@@ -31,10 +38,12 @@ import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from repro import perf
-from repro._numeric import Q, NumLike, as_q
+from repro._numeric import Q, NumLike, as_q, scaled_int
 from repro.drt import snapshot as _snapshot
 from repro.drt.model import DRTTask
 from repro.errors import ModelError
@@ -51,6 +60,11 @@ __all__ = [
     "rbf_value",
     "FrontierStats",
 ]
+
+#: Sort key of a frontier tuple, ``(time, -work, vertex position,
+#: vertex)`` in scaled ints: a total order equal to the stable sort by
+#: ``(time, -work)`` over the frontiers in task vertex order.
+Key = Tuple[int, int, int, str]
 
 
 @dataclass(frozen=True)
@@ -90,7 +104,7 @@ class FrontierStats:
 
 
 class _VertexFrontier:
-    """Pareto frontier of (time, work) tuples for one end vertex.
+    """Pareto frontier of scaled (time, work) tuples for one end vertex.
 
     Invariant: times strictly increasing and works strictly increasing —
     a tuple is kept only if no other tuple has smaller-or-equal time and
@@ -100,17 +114,17 @@ class _VertexFrontier:
     __slots__ = ("times", "works")
 
     def __init__(self) -> None:
-        self.times: List[Q] = []
-        self.works: List[Q] = []
+        self.times: List[int] = []
+        self.works: List[int] = []
 
-    def dominated(self, time: Q, work: Q) -> bool:
+    def dominated(self, time: int, work: int) -> bool:
         """True iff (time, work) is dominated by a stored tuple."""
         # Find tuples with stored_time <= time; the best of them has the
         # largest work (works increase with times).
         idx = bisect_right(self.times, time) - 1
         return idx >= 0 and self.works[idx] >= work
 
-    def insert(self, time: Q, work: Q) -> int:
+    def insert(self, time: int, work: int) -> int:
         """Insert a non-dominated tuple; return how many it evicts."""
         idx = bisect_left(self.times, time)
         # Remove stored tuples dominated by the new one: time' >= time
@@ -125,22 +139,20 @@ class _VertexFrontier:
         self.works.insert(idx, work)
         return evicted
 
-    def tuples(self, vertex: str, horizon: Optional[Q] = None) -> List[RequestTuple]:
-        hi = (
-            len(self.times)
-            if horizon is None
-            else bisect_right(self.times, horizon)
-        )
+    def keys(self, pos: int, vertex: str, limit: int) -> List[Key]:
+        """Sort keys of the tuples with scaled time ``<= limit``."""
+        hi = bisect_right(self.times, limit)
         return [
-            RequestTuple(t, w, vertex)
+            (t, -w, pos, vertex)
             for t, w in zip(self.times[:hi], self.works[:hi])
         ]
 
-    def copy(self) -> "_VertexFrontier":
-        """An independent copy (used when forking an explorer)."""
+    def rescaled(self, ft: int, fw: int) -> "_VertexFrontier":
+        """An independent copy with times times *ft*, works times *fw*
+        (used when forking an explorer)."""
         out = _VertexFrontier()
-        out.times = self.times[:]
-        out.works = self.works[:]
+        out.times = [t * ft for t in self.times]
+        out.works = [w * fw for w in self.works]
         return out
 
 
@@ -168,13 +180,16 @@ class FrontierExplorer:
     __slots__ = (
         "task",
         "prune",
+        "_S",
+        "_W",
+        "_wcet",
+        "_succ",
         "_frontiers",
         "_heap",
         "_deferred",
         "_tiebreak",
         "_explored",
         "_all",
-        "_all_times",
         "_pop_times",
         "_popdom_times",
         "_evict_times",
@@ -183,61 +198,81 @@ class FrontierExplorer:
         "_pushprune_sorted",
         "_new_kept_since_query",
         "_sorted_hz",
-        "_sorted_times",
+        "_sorted",
         "_sorted_tuples",
         "_fork_cone",
         "_fork_carried_hz",
         "_fork_carried",
-        "_fork_carried_times",
     )
 
     def __init__(self, task: DRTTask, prune: bool = True) -> None:
+        self._reset(task, prune, *task.scales())
+        for v, wcet in self._wcet.items():
+            heapq.heappush(self._heap, (0, self._tiebreak, wcet, v))
+            self._tiebreak += 1
+
+    def _reset(self, task: DRTTask, prune: bool, S: int, W: int) -> None:
+        """Empty exploration state for *task* in time units ``1/S`` and
+        work units ``1/W`` (multiples of the task's own scales)."""
         self.task = task
         self.prune = prune
+        self._S = S
+        self._W = W
+        # Scaled WCETs and, per vertex, ``(separation * S, wcet(dst) *
+        # W, dst)`` for every outgoing edge in the task's edge order.
+        self._wcet = {v: scaled_int(task.wcet(v), W) for v in task.job_names}
+        self._succ = {
+            v: [
+                (scaled_int(e.separation, S), self._wcet[e.dst], e.dst)
+                for e in task.successors(v)
+            ]
+            for v in task.job_names
+        }
         self._frontiers: Dict[str, _VertexFrontier] = {
             v: _VertexFrontier() for v in task.job_names
         }
         # Heap of (time, tiebreak, work, vertex); best-first by release
         # time so that domination checks see the strongest tuples early.
-        self._heap: List[Tuple[Q, int, Q, str]] = []
+        self._heap: List[Tuple[int, int, int, str]] = []
         # Successors released beyond the explored horizon, waiting for a
         # later extend_to to reactivate them (same entry layout).
-        self._deferred: List[Tuple[Q, int, Q, str]] = []
+        self._deferred: List[Tuple[int, int, int, str]] = []
         self._tiebreak = 0
         self._explored: Optional[Q] = None
-        # Unpruned mode keeps every popped tuple (time-ordered).
-        self._all: List[RequestTuple] = []
-        self._all_times: List[Q] = []
+        # Unpruned mode keeps every popped tuple as a sort key whose
+        # position slot is the pop index (pops are time-ordered).
+        self._all: List[Key] = []
         # Event logs for exact truncated statistics; every list is
         # nondecreasing except _pushprune_times (sorted on demand).
-        self._pop_times: List[Q] = []
-        self._popdom_times: List[Q] = []
-        self._evict_times: List[Q] = []
+        self._pop_times: List[int] = []
+        self._popdom_times: List[int] = []
+        self._evict_times: List[int] = []
         self._evict_counts: List[int] = []
-        self._pushprune_times: List[Q] = []
+        self._pushprune_times: List[int] = []
         self._pushprune_sorted = True
         self._new_kept_since_query = 0
-        # Sorted-tuples prefix cache: once explored past a horizon, every
+        # Sorted-keys prefix cache: once explored past a horizon, every
         # tuple at or below it is final (pops are time-ordered and evict
         # only equal-time entries), so queries at smaller horizons slice
-        # an exact prefix instead of re-merging and re-sorting.
+        # an exact prefix instead of re-merging and re-sorting — and a
+        # merge at a larger horizon keeps the old list as its prefix, so
+        # the converted RequestTuple prefix stays valid across merges.
         self._sorted_hz: Optional[Q] = None
-        self._sorted_times: List[Q] = []
+        self._sorted: List[Key] = []
         self._sorted_tuples: List[RequestTuple] = []
         # Fork-carried sorted prefix (set by :meth:`fork`): the source
-        # explorer's sorted merge restricted to carried vertices.  The
+        # explorer's sorted keys restricted to carried vertices.  The
         # cone is forward-closed, so below the carried horizon the
-        # non-cone frontiers are final and a keyed two-way merge with
-        # the cone's (small) tuple set replaces the full re-sort.
+        # non-cone frontiers are final and a merge with the cone's
+        # (small) key set replaces the full re-sort.
         self._fork_cone: Optional[frozenset] = None
         self._fork_carried_hz: Optional[Q] = None
-        self._fork_carried: List[RequestTuple] = []
-        self._fork_carried_times: List[Q] = []
-        for v in task.job_names:
-            heapq.heappush(
-                self._heap, (Q(0), self._tiebreak, task.wcet(v), v)
-            )
-            self._tiebreak += 1
+        self._fork_carried: List[Key] = []
+
+    def _limit(self, hz: Fraction) -> int:
+        """``floor(hz * S)``: a scaled time ``t`` lies at or below *hz*
+        iff ``t <= floor(hz * S)``."""
+        return hz.numerator * self._S // hz.denominator
 
     # -- exploration -----------------------------------------------------
 
@@ -260,7 +295,9 @@ class FrontierExplorer:
         if self._explored is not None and hz <= self._explored:
             perf.record("frontier.extend_noop")
             return
-        task = self.task
+        limit = self._limit(hz)
+        succ = self._succ
+        prune = self.prune
         heap = self._heap
         deferred = self._deferred
         frontiers = self._frontiers
@@ -276,7 +313,7 @@ class FrontierExplorer:
         ckpt_stride = _snapshot.checkpoint_stride()
         ckpt_countdown = ckpt_stride
         # Reactivate deferred successors that the new horizon admits.
-        while deferred and deferred[0][0] <= hz:
+        while deferred and deferred[0][0] <= limit:
             heapq.heappush(heap, heapq.heappop(deferred))
         while heap:
             if ckpt_stride:
@@ -291,7 +328,7 @@ class FrontierExplorer:
             checkpoint()
             time, _, work, vertex = heapq.heappop(heap)
             self._pop_times.append(time)
-            if self.prune:
+            if prune:
                 front = frontiers[vertex]
                 if front.dominated(time, work):
                     self._popdom_times.append(time)
@@ -304,23 +341,20 @@ class FrontierExplorer:
                     self._evict_counts.append(evicted)
                 self._new_kept_since_query += 1 - evicted
             else:
-                self._all.append(RequestTuple(time, work, vertex))
-                self._all_times.append(time)
+                self._all.append((time, -work, len(self._all), vertex))
                 self._new_kept_since_query += 1
-            for edge in task.successors(vertex):
-                t2 = time + edge.separation
-                w2 = work + task.wcet(edge.dst)
-                if t2 > hz:
-                    heapq.heappush(
-                        deferred, (t2, self._tiebreak, w2, edge.dst)
-                    )
+            for sep, wcet, dst in succ[vertex]:
+                t2 = time + sep
+                w2 = work + wcet
+                if t2 > limit:
+                    heapq.heappush(deferred, (t2, self._tiebreak, w2, dst))
                     self._tiebreak += 1
                     continue
-                if self.prune and frontiers[edge.dst].dominated(t2, w2):
+                if prune and frontiers[dst].dominated(t2, w2):
                     self._pushprune_times.append(t2)
                     self._pushprune_sorted = False
                     continue
-                heapq.heappush(heap, (t2, self._tiebreak, w2, edge.dst))
+                heapq.heappush(heap, (t2, self._tiebreak, w2, dst))
                 self._tiebreak += 1
         self._explored = hz
         pops = len(self._pop_times) - pops0
@@ -360,6 +394,10 @@ class FrontierExplorer:
         explorer's event log counts the *incremental* work, which is
         the quantity the what-if engine reports.
 
+        An edit may change the scales (a fractional separation or
+        WCET): the fork then counts in ``lcm`` units of both tasks and
+        rescales the carried ints, which leaves every value unchanged.
+
         A mid-extension explorer (budget exhaustion left tuples on the
         heap) has no consistent carried state, and an unexplored one
         has nothing to carry; both fall back to a fresh explorer.
@@ -379,82 +417,64 @@ class FrontierExplorer:
                 f"diff marks {missing} as carried but the source explorer "
                 "never had them (stale diff?)"
             )
+        S_new, W_new = new_task.scales()
+        S, W = lcm(self._S, S_new), lcm(self._W, W_new)
+        ft, fw = S // self._S, W // self._W
         new = FrontierExplorer.__new__(FrontierExplorer)
-        new.task = new_task
-        new.prune = True
-        new._heap = []
-        new._deferred = []
+        new._reset(new_task, True, S, W)
         new._tiebreak = self._tiebreak
-        new._explored = None
-        new._all = []
-        new._all_times = []
-        new._pop_times = []
-        new._popdom_times = []
-        new._evict_times = []
-        new._evict_counts = []
-        new._pushprune_times = []
-        new._pushprune_sorted = True
-        new._new_kept_since_query = 0
-        new._sorted_hz = None
-        new._sorted_times = []
-        new._sorted_tuples = []
-        new._fork_cone = None
-        new._fork_carried_hz = None
-        new._fork_carried = []
-        new._fork_carried_times = []
-        # Frontiers in new_task.job_names order: tuples() iterates this
-        # dict, so query ordering (and critical-tuple tie-breaking)
-        # matches a from-scratch explorer of new_task exactly.
+        # Frontiers in new_task.job_names order: queries number vertices
+        # in this order, so query ordering (and critical-tuple
+        # tie-breaking) matches a from-scratch explorer of new_task.
         new._frontiers = {
             v: (
                 _VertexFrontier()
                 if v in cone
-                else self._frontiers[v].copy()
+                else self._frontiers[v].rescaled(ft, fw)
             )
             for v in new_task.job_names
         }
-        # Carry the source's sorted-tuples prefix, restricted to carried
+        # Carry the source's sorted-keys prefix, restricted to carried
         # vertices.  Sound because (a) below the source's sorted horizon
         # the carried frontiers are final — the forward-closed cone
         # re-expands only into itself, and every carried deferred entry
-        # lies beyond the source's explored horizon — and (b) the global
-        # query order is (time, -work, vertex position), which the
-        # filtered prefix preserves whenever the carried vertex sequence
-        # is the same in both models (the guard below).
+        # lies beyond the source's explored horizon — and (b) re-keying
+        # with new-task positions keeps the filtered prefix sorted
+        # whenever the carried vertex sequence is the same in both
+        # models (the guard below).
         if self._sorted_hz is not None and tuple(
             v for v in self.task.job_names if v not in cone
         ) == tuple(v for v in new_task.job_names if v not in cone):
+            pos = {v: k for k, v in enumerate(new_task.job_names)}
             new._fork_cone = frozenset(cone)
             new._fork_carried_hz = self._sorted_hz
             new._fork_carried = [
-                t for t in self._sorted_tuples if t.vertex not in cone
+                (t * ft, nw * fw, pos[v], v)
+                for t, nw, _, v in self._sorted
+                if v not in cone
             ]
-            new._fork_carried_times = [t.time for t in new._fork_carried]
         # Carried beyond-horizon successors: their generating paths end
         # outside the cone (a push into vertex v comes from a pop at a
         # predecessor u; u in the cone would put v in the cone too).
-        for entry in self._deferred:
-            if entry[3] not in cone:
-                new._deferred.append(entry)
+        for t, tb, w, v in self._deferred:
+            if v not in cone:
+                new._deferred.append((t * ft, tb, w * fw, v))
         # Cone origin seeds.
-        for v in new_task.job_names:
+        for v, wcet in new._wcet.items():
             if v in cone:
-                new._deferred.append(
-                    (Q(0), new._tiebreak, new_task.wcet(v), v)
-                )
+                new._deferred.append((0, new._tiebreak, wcet, v))
                 new._tiebreak += 1
         # Carried-prefix crossings into the cone along new-graph edges.
         for u in new_task.job_names:
             if u in cone:
                 continue
             front = new._frontiers[u]
-            for edge in new_task.successors(u):
-                if edge.dst not in cone:
+            for sep, wcet, dst in new._succ[u]:
+                if dst not in cone:
                     continue
-                w_dst = new_task.wcet(edge.dst)
                 for t, w in zip(front.times, front.works):
                     new._deferred.append(
-                        (t + edge.separation, new._tiebreak, w + w_dst, edge.dst)
+                        (t + sep, new._tiebreak, w + wcet, dst)
                     )
                     new._tiebreak += 1
         heapq.heapify(new._deferred)
@@ -471,53 +491,59 @@ class FrontierExplorer:
 
     # -- queries ---------------------------------------------------------
 
-    def _merge_carried(
-        self,
-        carried: List[RequestTuple],
-        hi: int,
-        fresh: List[RequestTuple],
-    ) -> List[RequestTuple]:
-        """Stable two-way merge of the carried prefix (first *hi*
-        entries) with the re-expanded cone's sorted tuples.
+    def _keys(self, hz: Fraction) -> Tuple[List[Key], int]:
+        """Explore to *hz*; return sorted keys and how many of them lie
+        at or below *hz* (the first ones).
 
-        Both inputs are sorted by ``(time, -work, vertex position)``;
-        full-key ties across the lists fall back to the vertex's
-        position in the frontier order — exactly where the full stable
-        sort would place them.  Times are compared first and almost
-        always decide, so no per-element key tuples are built.
+        Counts the query in ``frontier.tuples_served``/``_reused``.
         """
-        out: List[RequestTuple] = []
-        append = out.append
-        vidx: Optional[Dict[str, int]] = None
-        i = j = 0
-        nb = len(fresh)
-        while i < hi and j < nb:
-            ra = carried[i]
-            rb = fresh[j]
-            if ra.time < rb.time:
-                append(ra)
-                i += 1
-            elif rb.time < ra.time:
-                append(rb)
-                j += 1
-            elif ra.work > rb.work:
-                append(ra)
-                i += 1
-            elif rb.work > ra.work:
-                append(rb)
-                j += 1
-            else:
-                if vidx is None:
-                    vidx = {v: k for k, v in enumerate(self._frontiers)}
-                if vidx[ra.vertex] <= vidx[rb.vertex]:
-                    append(ra)
-                    i += 1
-                else:
-                    append(rb)
-                    j += 1
-        out.extend(carried[i:hi])
-        out.extend(fresh[j:])
-        return out
+        self.extend_to(hz)
+        above = (self._limit(hz) + 1,)
+        if not self.prune:
+            keys = sorted(self._all[: bisect_left(self._all, above)])
+            hi = len(keys)
+        elif self._sorted_hz is not None and hz <= self._sorted_hz:
+            # Exact prefix of the cached merge: tuples at or below the
+            # cached horizon are final (see the cache comment in
+            # ``_reset``), and time is the primary sort key.
+            keys = self._sorted
+            hi = bisect_left(keys, above)
+            perf.record("frontier.tuples_sliced")
+        else:
+            # A forked explorer below the carried horizon sorts only the
+            # re-expanded cone's keys and merges in the carried prefix.
+            fork = (
+                self._fork_carried_hz is not None
+                and hz <= self._fork_carried_hz
+            )
+            keys = sorted(
+                k
+                for pos, (v, f) in enumerate(self._frontiers.items())
+                if not fork or v in self._fork_cone
+                for k in f.keys(pos, v, above[0] - 1)
+            )
+            if fork:
+                carried = self._fork_carried
+                keys = list(
+                    heapq.merge(carried[: bisect_left(carried, above)], keys)
+                )
+                perf.record("frontier.tuples_fork_merged")
+            self._sorted_hz = hz
+            self._sorted = keys
+            hi = len(keys)
+        reused = max(0, hi - self._new_kept_since_query)
+        self._new_kept_since_query = 0
+        perf.record("frontier.tuples_served", hi)
+        perf.record("frontier.tuples_reused", reused)
+        return keys, hi
+
+    def _convert(self, keys) -> List[RequestTuple]:
+        """The request tuples of sort *keys*, as Fractions."""
+        S, W = self._S, self._W
+        return [
+            RequestTuple(Fraction(t, S), Fraction(-nw, W), v)
+            for t, nw, _, v in keys
+        ]
 
     def tuples(self, horizon: NumLike) -> List[RequestTuple]:
         """All non-dominated request tuples with ``time <= horizon``.
@@ -527,63 +553,13 @@ class FrontierExplorer:
         across vertices — the per-vertex structure is what downstream
         structural analysis needs.
         """
-        hz = as_q(horizon)
-        self.extend_to(hz)
-        if self.prune:
-            if self._sorted_hz is not None and hz <= self._sorted_hz:
-                # Exact prefix of the cached merge: tuples at or below
-                # the cached horizon are final (see the cache comment in
-                # ``__init__``), and time is the primary sort key.
-                hi = bisect_right(self._sorted_times, hz)
-                out = self._sorted_tuples[:hi]
-                perf.record("frontier.tuples_sliced")
-            elif (
-                self._fork_carried_hz is not None
-                and hz <= self._fork_carried_hz
-            ):
-                # Forked explorer below the carried horizon: merge the
-                # carried sorted prefix with the re-expanded cone's
-                # tuples.  The merge key appends the vertex's position so
-                # cross-vertex ties land exactly where the full stable
-                # sort would put them.
-                hi = bisect_right(self._fork_carried_times, hz)
-                cone = self._fork_cone
-                fresh = [
-                    t
-                    for v, f in self._frontiers.items()
-                    if v in cone
-                    for t in f.tuples(v, hz)
-                ]
-                fresh.sort(key=lambda r: (r.time, -r.work))
-                out = self._merge_carried(
-                    self._fork_carried, hi, fresh
-                )
-                self._sorted_hz = hz
-                self._sorted_tuples = out
-                self._sorted_times = [r.time for r in out]
-                out = list(out)
-                perf.record("frontier.tuples_fork_merged")
-            else:
-                out = [
-                    t
-                    for v, f in self._frontiers.items()
-                    for t in f.tuples(v, hz)
-                ]
-                out.sort(key=lambda r: (r.time, -r.work))
-                self._sorted_hz = hz
-                self._sorted_tuples = out
-                self._sorted_times = [r.time for r in out]
-                out = list(out)
-        else:
-            hi = bisect_right(self._all_times, hz)
-            out = list(self._all[:hi])
-            out.sort(key=lambda r: (r.time, -r.work))
-        served = len(out)
-        reused = max(0, served - self._new_kept_since_query)
-        self._new_kept_since_query = 0
-        perf.record("frontier.tuples_served", served)
-        perf.record("frontier.tuples_reused", reused)
-        return out
+        keys, hi = self._keys(as_q(horizon))
+        if not self.prune:
+            return self._convert(keys)
+        done = self._sorted_tuples
+        if len(done) < hi:
+            done.extend(self._convert(islice(keys, len(done), hi)))
+        return done[:hi]
 
     def stats_at(self, horizon: NumLike) -> FrontierStats:
         """Exploration statistics truncated at *horizon*.
@@ -594,14 +570,15 @@ class FrontierExplorer:
         """
         hz = as_q(horizon)
         self.extend_to(hz)
-        pops = bisect_right(self._pop_times, hz)
-        popdom = bisect_right(self._popdom_times, hz)
-        evict_events = bisect_right(self._evict_times, hz)
+        limit = self._limit(hz)
+        pops = bisect_right(self._pop_times, limit)
+        popdom = bisect_right(self._popdom_times, limit)
+        evict_events = bisect_right(self._evict_times, limit)
         evicted = sum(self._evict_counts[:evict_events])
         if not self._pushprune_sorted:
             self._pushprune_times.sort()
             self._pushprune_sorted = True
-        pushpruned = bisect_right(self._pushprune_times, hz)
+        pushpruned = bisect_right(self._pushprune_times, limit)
         return FrontierStats(
             expanded=pops + pushpruned,
             kept=pops - popdom - evicted,
@@ -616,19 +593,17 @@ class FrontierExplorer:
         :func:`rbf_curve` (module level) for the full contract.
         """
         hz = as_q(horizon)
-        tuples = self.tuples(hz)
+        keys, hi = self._keys(hz)
         # Merge per-vertex frontiers into the global staircase: cumulative
-        # max of work by time.
-        segs: List[Segment] = []
-        best = Q(0)
-        for t in tuples:
-            if t.work > best:
-                if segs and segs[-1].start == t.time:
-                    segs[-1] = Segment(t.time, t.work, Q(0))
-                else:
-                    segs.append(Segment(t.time, t.work, Q(0)))
-                best = t.work
-        if not segs or segs[0].start != 0:
+        # max of work by time, on the scaled ints (keys put the heaviest
+        # tuple of each time first, so every time gets at most one step).
+        steps: List[Tuple[int, int]] = []
+        best = 0
+        for t, nw, _, _ in islice(keys, hi):
+            if -nw > best:
+                steps.append((t, -nw))
+                best = -nw
+        if not steps or steps[0][0] != 0:
             raise ModelError("request frontier must contain a tuple at time 0")
         # Tight affine tail from the exact linear bound rbf(D) <= B + rho*D
         # (see repro.drt.utilization.linear_request_bound): sound for every
@@ -637,7 +612,14 @@ class FrontierExplorer:
         from repro.drt.utilization import linear_request_bound
 
         burst, rho = linear_request_bound(self.task)
-        segs = [s for s in segs if s.start < hz]
+        S, W = self._S, self._W
+        # Steps strictly before hz: t / S < hz.
+        end = hz.numerator * S
+        segs = [
+            Segment(Fraction(t, S), Fraction(w, W), Q(0))
+            for t, w in steps
+            if t * hz.denominator < end
+        ]
         # B + rho*hz >= rbf(hz) >= every exact step value, so the curve
         # stays nondecreasing across the tail joint.
         segs.append(Segment(hz, burst + rho * hz, rho))

@@ -18,8 +18,10 @@ Checkpointing is **off by default** (zero cost beyond one falsy test
 per pop).  Enable it with ``REPRO_CHECKPOINT_STRIDE=<pops>`` or
 :func:`set_checkpoint_stride`; every *stride* expansions the explorer
 snapshots itself under a key derived from its task digest (plus the
-library version, like every cache entry).  The payload holds exact
-rationals only.  Snapshots write atomically via
+library version, like every cache entry).  The payload holds the
+explorer's scaled ints (times in units of ``1/S``, works in units of
+``1/W``) plus the two scales, and Fractions only for the explored and
+sorted horizons.  Snapshots write atomically via
 :func:`repro.parallel.cache.put` — a torn write is evicted on load and
 the resume degrades to a cold start, never a wrong answer.
 """
@@ -27,6 +29,7 @@ the resume degrades to a cold start, never a wrong answer.
 from __future__ import annotations
 
 import os
+from copy import copy
 from typing import Dict, Optional
 
 from repro.resilience.budget import active_meter
@@ -44,7 +47,7 @@ __all__ = [
 ]
 
 #: Snapshot payload schema version (bump to orphan old checkpoints).
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _stride: Optional[int] = None  # None = unresolved from the environment
 
@@ -76,6 +79,19 @@ def checkpoint_key(task) -> str:
     )
 
 
+#: Explorer fields a snapshot carries verbatim: every piece of
+#: exploration state except the task, the successor lists (rebuilt from
+#: the task and the scales), the frontiers (copied per vertex) and the
+#: converted ``RequestTuple`` prefix (rebuilt lazily on the next query).
+_FIELDS = (
+    "prune", "_S", "_W", "_heap", "_deferred", "_tiebreak", "_explored",
+    "_all", "_pop_times", "_popdom_times", "_evict_times", "_evict_counts",
+    "_pushprune_times", "_pushprune_sorted", "_new_kept_since_query",
+    "_sorted_hz", "_sorted", "_fork_cone", "_fork_carried_hz",
+    "_fork_carried",
+)
+
+
 def snapshot_explorer(ex) -> Dict[str, object]:
     """A picklable deep snapshot of one explorer's exploration state.
 
@@ -88,42 +104,23 @@ def snapshot_explorer(ex) -> Dict[str, object]:
     from repro.parallel import cache as result_cache
 
     meter = active_meter()
-    return {
-        "version": SNAPSHOT_VERSION,
-        "task_digest": result_cache.task_digest(ex.task),
-        "prune": ex.prune,
-        "frontiers": {
+    state = {name: copy(getattr(ex, name)) for name in _FIELDS}
+    state.update(
+        version=SNAPSHOT_VERSION,
+        task_digest=result_cache.task_digest(ex.task),
+        frontiers={
             v: (list(f.times), list(f.works))
             for v, f in ex._frontiers.items()
         },
-        "heap": list(ex._heap),
-        "deferred": list(ex._deferred),
-        "tiebreak": ex._tiebreak,
-        "explored": ex._explored,
-        "all": list(ex._all),
-        "all_times": list(ex._all_times),
-        "pop_times": list(ex._pop_times),
-        "popdom_times": list(ex._popdom_times),
-        "evict_times": list(ex._evict_times),
-        "evict_counts": list(ex._evict_counts),
-        "pushprune_times": list(ex._pushprune_times),
-        "pushprune_sorted": ex._pushprune_sorted,
-        "new_kept_since_query": ex._new_kept_since_query,
-        "sorted_hz": ex._sorted_hz,
-        "sorted_times": list(ex._sorted_times),
-        "sorted_tuples": list(ex._sorted_tuples),
-        "fork_cone": ex._fork_cone,
-        "fork_carried_hz": ex._fork_carried_hz,
-        "fork_carried": list(ex._fork_carried),
-        "fork_carried_times": list(ex._fork_carried_times),
-        "meter": None
+        meter=None
         if meter is None
         else {
             "remaining_expansions": meter.remaining_expansions(),
             "remaining_seconds": meter.remaining_seconds(),
             "max_segments": meter.max_segments(),
         },
-    }
+    )
+    return state
 
 
 def restore_explorer(task, state: Dict[str, object]):
@@ -134,7 +131,7 @@ def restore_explorer(task, state: Dict[str, object]):
             digest or its schema version — stale checkpoints are a
             mismatch, never a silent wrong resume.
     """
-    from repro.drt.request import FrontierExplorer, _VertexFrontier
+    from repro.drt.request import FrontierExplorer
     from repro.parallel import cache as result_cache
 
     if state.get("version") != SNAPSHOT_VERSION:
@@ -142,35 +139,12 @@ def restore_explorer(task, state: Dict[str, object]):
     if state.get("task_digest") != result_cache.task_digest(task):
         raise ValueError("checkpoint belongs to a different task definition")
     ex = FrontierExplorer.__new__(FrontierExplorer)
-    ex.task = task
-    ex.prune = bool(state["prune"])
-    frontiers = {}
+    ex._reset(task, state["prune"], state["_S"], state["_W"])
+    for name in _FIELDS:
+        setattr(ex, name, copy(state[name]))
     for v, (times, works) in state["frontiers"].items():
-        f = _VertexFrontier()
-        f.times = list(times)
-        f.works = list(works)
-        frontiers[v] = f
-    ex._frontiers = frontiers
-    ex._heap = list(state["heap"])
-    ex._deferred = list(state["deferred"])
-    ex._tiebreak = int(state["tiebreak"])
-    ex._explored = state["explored"]
-    ex._all = list(state["all"])
-    ex._all_times = list(state["all_times"])
-    ex._pop_times = list(state["pop_times"])
-    ex._popdom_times = list(state["popdom_times"])
-    ex._evict_times = list(state["evict_times"])
-    ex._evict_counts = list(state["evict_counts"])
-    ex._pushprune_times = list(state["pushprune_times"])
-    ex._pushprune_sorted = bool(state["pushprune_sorted"])
-    ex._new_kept_since_query = int(state["new_kept_since_query"])
-    ex._sorted_hz = state["sorted_hz"]
-    ex._sorted_times = list(state["sorted_times"])
-    ex._sorted_tuples = list(state["sorted_tuples"])
-    ex._fork_cone = state["fork_cone"]
-    ex._fork_carried_hz = state["fork_carried_hz"]
-    ex._fork_carried = list(state["fork_carried"])
-    ex._fork_carried_times = list(state["fork_carried_times"])
+        ex._frontiers[v].times = list(times)
+        ex._frontiers[v].works = list(works)
     return ex
 
 

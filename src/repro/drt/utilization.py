@@ -8,6 +8,11 @@ cycle in the graph re-weighted with ``wcet(u) - lambda * separation(u,v)``,
 and jump to the exact ratio of any positive cycle found.  Each jump
 strictly increases ``lambda`` to a realised cycle ratio, so the iteration
 terminates at the maximum.
+
+Everything runs on ints: with ``lambda = p/q`` every re-weighted edge
+times ``q * S * W`` is an integer (:meth:`~repro.drt.model.DRTTask.scales`),
+and scaling by a positive constant preserves every comparison, so the
+relaxations — and the cycles found — are those of the rational weights.
 """
 
 from __future__ import annotations
@@ -15,55 +20,109 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from repro._numeric import Q
+from repro._numeric import Q, scaled_int
 from repro.drt.model import DRTTask
 
 __all__ = ["max_cycle_ratio", "utilization", "critical_cycle", "linear_request_bound"]
 
 
-def _positive_cycle(
-    task: DRTTask, lam: Fraction
-) -> Optional[List[str]]:
+class _IntGraph:
+    """The task's WCETs times ``W`` and its edges as ``(src, dst,
+    separation * S)``, in edge order."""
+
+    def __init__(self, task: DRTTask) -> None:
+        self.S, self.W = task.scales()
+        self.wcet = {v: scaled_int(task.wcet(v), self.W) for v in task.job_names}
+        self.edges = [
+            (e.src, e.dst, scaled_int(e.separation, self.S)) for e in task.edges
+        ]
+
+    def reduced(self, lam: Fraction, at_src: bool) -> List[Tuple[str, str, int]]:
+        """Edge weights ``wcet - lam * separation`` times ``q * S * W``
+        (``lam = p/q``), charging the WCET of the source or destination."""
+        p, qS, W = lam.numerator, lam.denominator * self.S, self.W
+        return [
+            (src, dst, self.wcet[src if at_src else dst] * qS - p * sep * W)
+            for src, dst, sep in self.edges
+        ]
+
+
+def _relax(
+    dist: Dict[str, int], edges: List[Tuple[str, str, int]], rounds: int
+) -> Tuple[Dict[str, str], Optional[str]]:
+    """Up to *rounds* Bellman rounds maximising *dist* in place.
+
+    Returns the predecessor map and the vertex last improved in the
+    final round — None when some round improved nothing (a fixpoint).
+    """
+    pred: Dict[str, str] = {}
+    for _ in range(rounds):
+        updated = None
+        for src, dst, w in edges:
+            cand = dist[src] + w
+            if cand > dist[dst]:
+                dist[dst] = cand
+                pred[dst] = src
+                updated = dst
+        if updated is None:
+            return pred, None
+    return pred, updated
+
+
+def _positive_cycle(graph: _IntGraph, lam: Fraction) -> Optional[List[str]]:
     """A cycle with positive weight under ``wcet(u) - lam * sep(u, v)``,
     or None. Bellman-Ford over all vertices simultaneously."""
-    names = task.job_names
-    dist: Dict[str, Q] = {v: Q(0) for v in names}
-    pred: Dict[str, Optional[Tuple[str, str]]] = {v: None for v in names}
-    n = len(names)
-    updated_vertex: Optional[str] = None
-    for _ in range(n):
-        updated_vertex = None
-        for edge in task.edges:
-            w = task.wcet(edge.src) - lam * edge.separation
-            cand = dist[edge.src] + w
-            if cand > dist[edge.dst]:
-                dist[edge.dst] = cand
-                pred[edge.dst] = (edge.src, edge.dst)
-                updated_vertex = edge.dst
-        if updated_vertex is None:
-            return None
+    n = len(graph.wcet)
+    pred, v = _relax(dict.fromkeys(graph.wcet, 0), graph.reduced(lam, True), n)
+    if v is None:
+        return None
     # A relaxation in the n-th round implies a positive cycle reachable
     # backwards from the updated vertex.
-    v = updated_vertex
     for _ in range(n):
-        v = pred[v][0]  # type: ignore[index]
+        v = pred[v]
     cycle = [v]
-    u = pred[v][0]  # type: ignore[index]
+    u = pred[v]
     while u != v:
         cycle.append(u)
-        u = pred[u][0]  # type: ignore[index]
+        u = pred[u]
     cycle.reverse()
     return cycle
 
 
-def _cycle_ratio(task: DRTTask, cycle: List[str]) -> Fraction:
+def _cycle_ratio(graph: _IntGraph, cycle: List[str]) -> Fraction:
     """Work/separation ratio of a vertex cycle (closing edge implied)."""
-    work = sum((task.wcet(v) for v in cycle), Q(0))
-    sep = Q(0)
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        edge = next(e for e in task.successors(a) if e.dst == b)
-        sep += edge.separation
-    return work / sep
+    sep_of = {(src, dst): sep for src, dst, sep in graph.edges}
+    work = sum(graph.wcet[v] for v in cycle)
+    sep = sum(sep_of[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    return Fraction(work * graph.S, sep * graph.W)
+
+
+def _critical(task: DRTTask) -> Tuple[Fraction, Optional[Tuple[str, ...]]]:
+    """``(rho, cycle)``: the maximum cycle ratio and the cycle whose
+    exact ratio set it in the Lawler loop (``(0, None)`` if acyclic),
+    memoized on the task."""
+    from repro.drt.digest import guard_cache
+
+    cache = guard_cache(task)
+    cached = cache.get("max_cycle_ratio")
+    if cached is not None:
+        return cached  # type: ignore[return-value]
+    lam, best = Q(0), None
+    if task.has_cycle():
+        graph = _IntGraph(task)
+        for _ in range(100000):  # far above any realistic cycle-ratio count
+            cycle = _positive_cycle(graph, lam)
+            if cycle is None:
+                break
+            ratio = _cycle_ratio(graph, cycle)
+            if ratio <= lam:
+                # The detected cycle no longer improves: lam is the maximum.
+                break
+            lam, best = ratio, tuple(cycle)
+        else:  # pragma: no cover
+            raise AssertionError("max_cycle_ratio did not converge")
+    cache["max_cycle_ratio"] = (lam, best)
+    return lam, best
 
 
 def max_cycle_ratio(task: DRTTask) -> Fraction:
@@ -72,45 +131,13 @@ def max_cycle_ratio(task: DRTTask) -> Fraction:
     This is the exact long-run request rate: behaviours can sustain work
     arrival at this rate forever but no higher.
     """
-    from repro.drt.digest import guard_cache
-
-    cache = guard_cache(task)
-    cached = cache.get("max_cycle_ratio")
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    result = _max_cycle_ratio_uncached(task)
-    cache["max_cycle_ratio"] = result
-    return result
-
-
-def _max_cycle_ratio_uncached(task: DRTTask) -> Fraction:
-    if not task.has_cycle():
-        return Q(0)
-    lam = Q(0)
-    for _ in range(100000):  # far above any realistic cycle-ratio count
-        cycle = _positive_cycle(task, lam)
-        if cycle is None:
-            return lam
-        ratio = _cycle_ratio(task, cycle)
-        if ratio <= lam:
-            # The detected cycle no longer improves: lam is the maximum.
-            return lam
-        lam = ratio
-    raise AssertionError("max_cycle_ratio did not converge")  # pragma: no cover
+    return _critical(task)[0]
 
 
 def critical_cycle(task: DRTTask) -> Optional[List[str]]:
     """A cycle realising the maximum cycle ratio (None if acyclic)."""
-    if not task.has_cycle():
-        return None
-    rho = max_cycle_ratio(task)
-    best: Optional[List[str]] = None
-    # Slightly lower the ratio to make the critical cycle positive.
-    eps = Q(1, 10**9)
-    cycle = _positive_cycle(task, rho - eps)
-    if cycle is not None and _cycle_ratio(task, cycle) == rho:
-        best = cycle
-    return best
+    cycle = _critical(task)[1]
+    return None if cycle is None else list(cycle)
 
 
 def utilization(task: DRTTask) -> Fraction:
@@ -141,19 +168,12 @@ def linear_request_bound(task: DRTTask) -> Tuple[Fraction, Fraction]:
     if cached is not None:
         return cached  # type: ignore[return-value]
     rho = max_cycle_ratio(task)
-    dist: Dict[str, Q] = {v: task.wcet(v) for v in task.job_names}
-    n = len(task.job_names)
-    for round_no in range(n + 1):
-        changed = False
-        for edge in task.edges:
-            cand = dist[edge.src] + task.wcet(edge.dst) - rho * edge.separation
-            if cand > dist[edge.dst]:
-                dist[edge.dst] = cand
-                changed = True
-        if not changed:
-            break
-    else:  # pragma: no cover - impossible without a positive reduced cycle
+    graph = _IntGraph(task)
+    qS = rho.denominator * graph.S
+    dist = {v: w * qS for v, w in graph.wcet.items()}
+    if _relax(dist, graph.reduced(rho, False), len(dist) + 1)[1] is not None:
+        # pragma: no cover - impossible without a positive reduced cycle
         raise AssertionError("linear_request_bound did not stabilise")
-    result = (max(dist.values()), rho)
+    result = (Fraction(max(dist.values()), qS * graph.W), rho)
     cache["linear_request_bound"] = result
     return result

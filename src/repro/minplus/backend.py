@@ -18,9 +18,12 @@ deviation — have two implementations:
 :func:`op_backend` is the one selector: tiny operands of the ops where
 hybrid's per-call lowering never amortizes run ``exact``
 (:data:`EXACT_BELOW`), everything else runs ``hybrid``, and without
-NumPy everything runs ``exact``.  Since both tiers are bit-identical, the
-choice can only ever cost time, never correctness, so it is not a
-user-settable option.  :func:`_force` pins one tier for a ``with`` block;
+NumPy everything runs ``exact``.  NumPy itself is imported only when
+the first hybrid operation lowers a curve
+(:func:`repro.minplus.kernels.lowered`), so a process whose operations
+all dispatch ``exact`` never loads it.  Since both tiers are
+bit-identical, the choice can only ever cost time, never correctness,
+so it is not a user-settable option.  :func:`_force` pins one tier for a ``with`` block;
 it exists so tests and the kernel micro-benchmark can drive both tiers
 on the same operands.
 
@@ -31,6 +34,7 @@ backlog maximisations, the EDF sweep) has no float tier at all.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from importlib.util import find_spec
 from typing import Iterator, Optional
 
 from repro import perf
@@ -45,12 +49,9 @@ __all__ = ["EXACT_BELOW", "HAVE_NUMPY", "op_backend"]
 #: losing side.
 EXACT_BELOW = {"deconv": 24, "hdev": 48}
 
-try:  # NumPy is an optional accelerator, never a hard dependency.
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only without numpy
-    HAVE_NUMPY = False
+#: NumPy is an optional accelerator, never a hard dependency; finding
+#: it does not import it.
+HAVE_NUMPY = find_spec("numpy") is not None
 
 #: Tier pinned by :func:`_force` (None = size dispatch).
 _forced: Optional[str] = None

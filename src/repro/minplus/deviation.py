@@ -324,8 +324,8 @@ def _horizontal_deviation_hybrid(f: Curve, g: Curve) -> Optional[MaybeInf]:
 
     if not kernels.AVAILABLE:
         return None
-    np = kernels.np
     fl = kernels.lowered(f)
+    np = kernels.np
     # Exact g values (the pseudo-inverse's slope-change levels), sorted so
     # their float bounds are monotone and searchsorted applies.
     g_values_set = set()

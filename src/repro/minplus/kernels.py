@@ -28,6 +28,9 @@ memoized on curve fingerprints (``kernel.memo_hits``).
 
 Everything here degrades gracefully: without NumPy (:data:`AVAILABLE` is
 False) every helper returns ``None`` and callers run the exact path.
+NumPy is imported by the first :func:`lowered` call — every screen
+lowers its operands before touching an array — so importing this module
+does not load it.
 """
 
 from __future__ import annotations
@@ -39,13 +42,8 @@ from repro import perf
 from repro._numeric import Q
 from repro.minplus import backend as backend_mod
 
-try:  # pragma: no cover - the import either works or it doesn't
-    import numpy as np
-
-    AVAILABLE = True
-except ImportError:  # pragma: no cover
-    np = None
-    AVAILABLE = False
+AVAILABLE = backend_mod.HAVE_NUMPY
+np = None  # bound by the first lowered() call
 
 __all__ = [
     "AVAILABLE",
@@ -237,6 +235,9 @@ def lowered(curve) -> Optional[Lowered]:
     lw = curve._lowered
     if lw is not None:
         return lw
+    global np
+    if np is None:
+        import numpy as np
     canon = curve.interned()
     if canon is not curve and canon._lowered is not None:
         curve._lowered = canon._lowered

@@ -157,9 +157,10 @@ class WhatIfSession:
                 cache = guard_cache(new_task)
                 cache["frontier_explorer"] = forked
                 if cycles_untouched(diff, self.task, new_task):
-                    # Identical cycle set: the base's (warm) cycle-ratio
-                    # memo is exactly the edited task's value, so the
-                    # per-edit cycle search is skipped entirely.
+                    # Identical cycle set: the base's (warm) memo of the
+                    # maximum cycle ratio and a cycle realising it holds
+                    # for the edited task too, so the per-edit cycle
+                    # search is skipped entirely.
                     base_memo = guard_cache(self.task).get("max_cycle_ratio")
                     if base_memo is not None:
                         cache["max_cycle_ratio"] = base_memo

@@ -117,6 +117,27 @@ def service_curves(draw) -> Curve:
     return rate_latency(rate, latency)
 
 
+def _drt_task(draw, number) -> DRTTask:
+    """A small strongly-connected DRT task; ``number(lo, hi)`` draws
+    each WCET, deadline and separation."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    names = [f"v{i}" for i in range(n)]
+    jobs = [Job(name, number(1, 4), number(2, 20)) for name in names]
+    # Backbone cycle guarantees recurrence.
+    edges = {}
+    for a, b in zip(names, names[1:] + names[:1]):
+        edges[(a, b)] = number(4, 20)
+    extra = draw(st.integers(min_value=0, max_value=3))
+    for _ in range(extra):
+        a = draw(st.sampled_from(names))
+        b = draw(st.sampled_from(names))
+        if (a, b) not in edges and (n > 1 or a == b):
+            edges[(a, b)] = number(4, 20)
+    return DRTTask(
+        "h", jobs, [Edge(a, b, sep) for (a, b), sep in edges.items()]
+    )
+
+
 @st.composite
 def small_drt_tasks(draw) -> DRTTask:
     """Small strongly-connected DRT tasks with integer parameters.
@@ -124,29 +145,25 @@ def small_drt_tasks(draw) -> DRTTask:
     Kept tiny so brute-force path enumeration stays tractable in
     reference comparisons.
     """
-    n = draw(st.integers(min_value=1, max_value=4))
-    names = [f"v{i}" for i in range(n)]
-    jobs = [
-        Job(
-            name,
-            F(draw(st.integers(min_value=1, max_value=4))),
-            F(draw(st.integers(min_value=2, max_value=20))),
-        )
-        for name in names
-    ]
-    # Backbone cycle guarantees recurrence.
-    edges = {}
-    for a, b in zip(names, names[1:] + names[:1]):
-        edges[(a, b)] = F(draw(st.integers(min_value=4, max_value=20)))
-    extra = draw(st.integers(min_value=0, max_value=3))
-    for _ in range(extra):
-        a = draw(st.sampled_from(names))
-        b = draw(st.sampled_from(names))
-        if (a, b) not in edges and (n > 1 or a == b):
-            edges[(a, b)] = F(draw(st.integers(min_value=4, max_value=20)))
-    return DRTTask(
-        "h", jobs, [Edge(a, b, sep) for (a, b), sep in edges.items()]
+    return _drt_task(
+        draw, lambda lo, hi: F(draw(st.integers(min_value=lo, max_value=hi)))
     )
+
+
+#: Denominators of :func:`rational_drt_tasks` parameters.
+SMALL_DENOMINATORS = (1, 2, 3, 4, 6, 7)
+
+
+@st.composite
+def rational_drt_tasks(draw) -> DRTTask:
+    """Like :func:`small_drt_tasks`, with rational parameters of small
+    denominators, so the frontier's time and work scales exceed 1."""
+
+    def number(lo, hi):
+        d = draw(st.sampled_from(SMALL_DENOMINATORS))
+        return F(draw(st.integers(min_value=lo * d, max_value=hi * d)), d)
+
+    return _drt_task(draw, number)
 
 
 # Rational sample grids used to compare curves pointwise.

@@ -284,6 +284,65 @@ class TestCheckpointSnapshot:
         resumed = drt_snapshot.restore_explorer(task, state)
         assert resumed.tuples(40) == expected
 
+    def test_rational_task_resumes_bit_identically_mid_extension(
+        self, monkeypatch
+    ):
+        """A v2 snapshot taken between pops of an ``extend_to`` on a task
+        with time and work scales above 1 resumes bit-identically."""
+        task = DRTTask.build(
+            "rational",
+            jobs={"a": (F(3, 2), 9), "b": (F(2, 3), 8), "c": (F(5, 4), 7)},
+            edges=[
+                ("a", "b", F(13, 3)),
+                ("b", "c", F(9, 2)),
+                ("c", "a", F(17, 4)),
+                ("a", "c", F(31, 6)),
+            ],
+        )
+        assert task.scales() == (12, 12)
+        full = FrontierExplorer(task, prune=True)
+        expected = (full.tuples(40), full.stats_at(40), full.rbf_curve(40))
+
+        snapshots = []
+        monkeypatch.setattr(
+            drt_snapshot,
+            "save_checkpoint",
+            lambda ex: snapshots.append(drt_snapshot.snapshot_explorer(ex)),
+        )
+        drt_snapshot.set_checkpoint_stride(7)
+        partial = FrontierExplorer(task, prune=True)
+        partial.tuples(F(35, 3))
+        partial.extend_to(40)
+        drt_snapshot.set_checkpoint_stride(0)
+        mid = [s for s in snapshots if s["_heap"] and s["_sorted"]]
+        assert mid, "no snapshot was taken mid-extension"
+        for state in (mid[0], mid[-1]):
+            assert state["version"] == drt_snapshot.SNAPSHOT_VERSION == 2
+            assert (state["_S"], state["_W"]) == (12, 12)
+            resumed = drt_snapshot.restore_explorer(task, state)
+            assert (
+                resumed.tuples(40),
+                resumed.stats_at(40),
+                resumed.rbf_curve(40),
+            ) == expected
+
+    def test_v1_checkpoint_is_ignored_and_analysis_starts_cold(self, tmp_path):
+        from repro.drt.request import frontier_explorer
+
+        result_cache.configure(str(tmp_path))
+        drt_snapshot.set_checkpoint_stride(1)
+        task = _task(5)
+        ex = FrontierExplorer(task, prune=True)
+        ex.extend_to(15)
+        state = drt_snapshot.snapshot_explorer(ex)
+        state["version"] = 1
+        result_cache.put(drt_snapshot.checkpoint_key(task), state)
+        assert drt_snapshot.load_checkpoint_payload(task) is not None
+        assert drt_snapshot.load_checkpoint(task) is None
+        cold = frontier_explorer(task)
+        assert cold.explored_horizon is None
+        assert cold.tuples(30) == FrontierExplorer(task, prune=True).tuples(30)
+
     def test_checkpoint_rejects_foreign_task(self):
         ex = FrontierExplorer(_task(1), prune=True)
         ex.extend_to(10)

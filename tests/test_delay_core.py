@@ -32,7 +32,7 @@ from repro.drt.model import DRTTask
 from repro.errors import UnboundedBusyWindowError
 from repro.minplus.builders import rate_latency
 
-from .conftest import service_curves, small_drt_tasks
+from .conftest import rational_drt_tasks, service_curves, small_drt_tasks
 
 
 class TestFrontierUtils:
@@ -221,10 +221,7 @@ class TestConcaveHull:
         assert slopes == sorted(slopes, reverse=True)
 
 
-@settings(max_examples=25, deadline=None)
-@given(task=small_drt_tasks(), beta=service_curves())
-def test_structural_equals_exhaustive_random(task, beta):
-    """Property: abstraction loses nothing vs brute-force enumeration."""
+def _assert_structural_equals_exhaustive(task, beta):
     from repro.drt.utilization import utilization
 
     if utilization(task) >= beta.tail_rate:
@@ -236,6 +233,20 @@ def test_structural_equals_exhaustive_random(task, beta):
     if res.busy_window > 60:
         return  # keep brute force tractable
     assert res.delay == exhaustive_delay(task, beta)
+
+
+@settings(max_examples=25, deadline=None)
+@given(task=small_drt_tasks(), beta=service_curves())
+def test_structural_equals_exhaustive_random(task, beta):
+    """Property: abstraction loses nothing vs brute-force enumeration."""
+    _assert_structural_equals_exhaustive(task, beta)
+
+
+@settings(max_examples=25, deadline=None)
+@given(task=rational_drt_tasks(), beta=service_curves())
+def test_structural_equals_exhaustive_rational(task, beta):
+    """Property: the same with rational parameters (scales above 1)."""
+    _assert_structural_equals_exhaustive(task, beta)
 
 
 @settings(max_examples=25, deadline=None)

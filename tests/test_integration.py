@@ -141,3 +141,56 @@ class TestSerializationPipeline:
         save_task(demo_task, p)
         after = structural_delay(load_task(p), beta).delay
         assert before == after
+
+
+# ---------------------------------------------------------------------------
+# NumPy loads on demand
+# ---------------------------------------------------------------------------
+
+_NUMPY_ON_DEMAND = """
+import sys
+from repro import StructuralAnalysis
+from repro.minplus import backend, horizontal_deviation
+from repro.drt.request import rbf_curve
+from repro.workloads.case_studies import CASE_STUDIES
+
+cases = [make() for make in CASE_STUDIES.values()]
+for cs in cases:
+    analysis = StructuralAnalysis(cs.task, cs.service)
+    analysis.delay()
+    analysis.backlog()
+print("after-analysis", "numpy" in sys.modules)
+if backend.HAVE_NUMPY:
+    for cs in cases:
+        rbf = rbf_curve(cs.task, 60)
+        with backend._force("exact"):
+            exact = horizontal_deviation(rbf, cs.service)
+        with backend._force("hybrid"):
+            hybrid = horizontal_deviation(rbf, cs.service)
+        assert hybrid == exact, (cs.name, hybrid, exact)
+    print("after-hybrid", "numpy" in sys.modules)
+"""
+
+
+def test_numpy_is_loaded_only_by_a_hybrid_operation():
+    """``import repro`` and the structural analyses of E1 leave NumPy
+    unloaded; the first hybrid operation loads it and matches exact."""
+    import os
+    import subprocess
+    import sys
+
+    from repro.minplus import backend
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ON_DEMAND],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    ).stdout.split("\n")
+    assert "after-analysis False" in out
+    if backend.HAVE_NUMPY:
+        assert "after-hybrid True" in out

@@ -28,7 +28,13 @@ from repro.minplus.deviation import (
 )
 from repro._numeric import is_inf
 
-from .conftest import monotone_curves, sample_grid, service_curves, small_drt_tasks
+from .conftest import (
+    monotone_curves,
+    rational_drt_tasks,
+    sample_grid,
+    service_curves,
+    small_drt_tasks,
+)
 
 GRID = sample_grid(F(30), F(1))
 
@@ -242,6 +248,20 @@ class TestDeviationOracles:
             assert f.at(t) - beta.at(t) <= v
 
 
+def _assert_extend_then_extend_equals_scratch(task, h1, h2):
+    from repro.drt.request import FrontierExplorer
+
+    incremental = FrontierExplorer(task)
+    incremental.extend_to(h1)
+    incremental.extend_to(max(h1, h2))
+    scratch = FrontierExplorer(task)
+    tuples_inc = incremental.tuples(h2)
+    tuples_scr = scratch.tuples(h2)
+    assert tuples_inc == tuples_scr
+    assert incremental.stats_at(h2) == scratch.stats_at(h2)
+    assert incremental.rbf_curve(h2) == scratch.rbf_curve(h2)
+
+
 class TestIncrementalFrontierProperties:
     """The incremental engine must be indistinguishable from scratch runs.
 
@@ -259,17 +279,18 @@ class TestIncrementalFrontierProperties:
     )
     def test_extend_then_extend_equals_scratch(self, task, h1, h2):
         """extend_to(h1); extend_to(h2) == one-shot exploration at h2."""
-        from repro.drt.request import FrontierExplorer
+        _assert_extend_then_extend_equals_scratch(task, h1, h2)
 
-        incremental = FrontierExplorer(task)
-        incremental.extend_to(h1)
-        incremental.extend_to(max(h1, h2))
-        scratch = FrontierExplorer(task)
-        tuples_inc = incremental.tuples(h2)
-        tuples_scr = scratch.tuples(h2)
-        assert tuples_inc == tuples_scr
-        assert incremental.stats_at(h2) == scratch.stats_at(h2)
-        assert incremental.rbf_curve(h2) == scratch.rbf_curve(h2)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        task=rational_drt_tasks(),
+        h1=st.fractions(min_value=0, max_value=40, max_denominator=12),
+        h2=st.fractions(min_value=0, max_value=80, max_denominator=12),
+    )
+    def test_extend_then_extend_equals_scratch_rational(self, task, h1, h2):
+        """The same with rational parameters and horizons: the scaled
+        horizon comparison ``t > floor(h * S)`` is exact."""
+        _assert_extend_then_extend_equals_scratch(task, h1, h2)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -17,7 +17,7 @@ from repro.drt.request import (
 )
 from repro.errors import ModelError
 
-from .conftest import small_drt_tasks
+from .conftest import rational_drt_tasks, small_drt_tasks
 
 
 def brute_rbf(task: DRTTask, delta) -> F:
@@ -179,6 +179,19 @@ def test_rbf_matches_brute_force_random(task):
     """Property: frontier rbf equals exhaustive enumeration."""
     for delta in [0, 5, 11, F(33, 2), 24]:
         assert rbf_value(task, delta) == brute_rbf(task, delta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(task=rational_drt_tasks())
+def test_rbf_matches_brute_force_rational(task):
+    """Property: with rational parameters (time and work scales above 1)
+    the frontier rbf equals exhaustive enumeration, at fractional
+    horizons too, and the staircase is exact below its horizon."""
+    for delta in [0, F(5, 2), F(11, 3), F(33, 4), F(97, 7), 17]:
+        assert rbf_value(task, delta) == brute_rbf(task, delta)
+    curve = FrontierExplorer(task).rbf_curve(F(43, 3))
+    for delta in [0, F(1, 7), F(7, 2), F(29, 6), F(10), F(85, 6)]:
+        assert curve.at(delta) == brute_rbf(task, delta), delta
 
 
 @settings(max_examples=30, deadline=None)

@@ -13,7 +13,7 @@ from repro.drt.utilization import (
     utilization,
 )
 
-from .conftest import small_drt_tasks
+from .conftest import rational_drt_tasks, small_drt_tasks
 
 
 class TestMaxCycleRatio:
@@ -51,6 +51,31 @@ class TestMaxCycleRatio:
 
     def test_critical_cycle_acyclic_none(self, chain_task):
         assert critical_cycle(chain_task) is None
+
+    def test_critical_cycle_beside_a_near_tie(self):
+        """A second cycle whose ratio lies within 1e-9 below rho must not
+        hide the critical one (it used to make this return None)."""
+        near = 1 - F(2, 10**12)
+        t = DRTTask.build(
+            "near-tie",
+            jobs={"a": (1, 9), "b": (1, 9), "c": (1, 9), "d": (near, 9)},
+            edges=[
+                ("a", "b", 2), ("b", "a", 2), ("c", "d", 2), ("d", "c", 2),
+            ],
+        )
+        assert max_cycle_ratio(t) == F(1, 2)
+        cyc = critical_cycle(t)
+        assert cyc is not None
+        assert set(cyc) == {"a", "b"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(task=rational_drt_tasks())
+    def test_critical_cycle_realises_rho_rational(self, task):
+        from repro.drt.utilization import _IntGraph, _cycle_ratio
+
+        cyc = critical_cycle(task)
+        assert cyc is not None
+        assert _cycle_ratio(_IntGraph(task), cyc) == max_cycle_ratio(task)
 
 
 class TestLinearRequestBound:

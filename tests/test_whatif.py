@@ -51,7 +51,7 @@ from repro.whatif import (
     whatif_sweep,
 )
 
-from tests.conftest import service_curves, small_drt_tasks
+from tests.conftest import rational_drt_tasks, service_curves, small_drt_tasks
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -283,6 +283,57 @@ class TestFork:
             assert forked._frontiers[v].times == ex._frontiers[v].times
             assert forked._frontiers[v].works == ex._frontiers[v].works
         assert forked._frontiers["d"].times == []
+
+    @pytest.mark.parametrize(
+        "edit, scales",
+        [
+            (SetSeparation("c", "d", F(29, 3)), (3, 1)),
+            (SetWcet("d", F(5, 2)), (1, 2)),
+            (SetSeparation("a", "b", F(13, 2)), (2, 1)),
+        ],
+    )
+    def test_fork_rescales_when_an_edit_changes_the_scales(self, edit, scales):
+        """A fractional edit moves the time or work unit: the fork counts
+        in the new unit and still answers bit-identically."""
+        from repro.drt.request import FrontierExplorer
+
+        base = _core_chain(F(10))
+        ex = self._warm(base)
+        ex.tuples(F(60))  # fill the sorted prefix the fork carries
+        new, _ = apply_edit(base, _beta(), edit)
+        forked = ex.fork(new, structural_diff(base, new))
+        assert (forked._S, forked._W) == scales
+        reference = FrontierExplorer(_fresh(new))
+        for horizon in (F(20), F(121, 3), F(60), F(140)):
+            assert forked.tuples(horizon) == reference.tuples(horizon)
+            assert forked.rbf_curve(horizon) == reference.rbf_curve(horizon)
+
+    @settings(max_examples=30, deadline=None)
+    @given(task=rational_drt_tasks(), data=st.data())
+    def test_fork_equals_scratch_on_rational_edits(self, task, data):
+        """fork == scratch for fractional ``SetSeparation`` (moves S) and
+        ``SetWcet`` (moves W) edits of rational-parameter tasks."""
+        from repro.drt.request import FrontierExplorer
+
+        d = data.draw(st.sampled_from((5, 9)))
+        if data.draw(st.booleans()):
+            src, dst = data.draw(
+                st.sampled_from([(e.src, e.dst) for e in task.edges])
+            )
+            sep = data.draw(st.integers(min_value=4 * d, max_value=20 * d))
+            edit = SetSeparation(src, dst, F(sep, d))
+        else:
+            job = data.draw(st.sampled_from(task.job_names))
+            wcet = data.draw(st.integers(min_value=d, max_value=4 * d))
+            edit = SetWcet(job, F(wcet, d))
+        new_task, _ = apply_edit(task, _beta(), edit)
+        ex = FrontierExplorer(task)
+        ex.tuples(F(30))
+        forked = ex.fork(new_task, structural_diff(task, new_task))
+        reference = FrontierExplorer(_fresh(new_task))
+        for horizon in (F(10), F(61, 3), F(30), F(45)):
+            assert forked.tuples(horizon) == reference.tuples(horizon)
+            assert forked.rbf_curve(horizon) == reference.rbf_curve(horizon)
 
     def test_fork_of_unexplored_explorer_starts_fresh(self):
         base = _core_chain()

@@ -541,8 +541,9 @@ object unchanged, keeping its memo cache live).
 Forking re-seeds only the affected cone; per-vertex frontiers and
 deferred successors outside the cone carry over verbatim (the cone is
 forward-closed, and extensions of dominated tuples are dominated), and
-the source's sorted-tuples prefix carries too, so a forked query below
-the carried horizon is a two-way merge instead of a full re-sort.
+the source's sorted-key prefix carries too (rescaled when an edit
+changes the integer time or work unit), so a forked query below the
+carried horizon is a merge instead of a full re-sort.
 Warm re-analysis additionally seeds the busy-window fixpoint with the
 base's exactness horizon (the converged length is seed-independent),
 reuses the base's `max_cycle_ratio` memo whenever the diff provably
