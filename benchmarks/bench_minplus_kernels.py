@@ -135,7 +135,7 @@ def _time_rounds(fns, n):
             t0 = time.perf_counter()
             out = None
             for _ in range(iters):
-                kernels.op_cache_clear()
+                kernels.OP_MEMO.clear()
                 out = fn()
             samples[key].append((time.perf_counter() - t0) / iters)
             results[key] = out

@@ -143,7 +143,7 @@ from repro.mp import (
     graham_bound,
 )
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "INF",

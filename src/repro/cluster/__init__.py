@@ -4,8 +4,8 @@ The coordinator tier of the analysis service (ROADMAP item 1's
 "millions of users" step): a :class:`ClusterCoordinator` fronts N
 ``repro serve`` workers, placing every request on a consistent-hash
 ring (:class:`HashRing`) keyed by the *content digests* the result
-cache already uses, so warm cache entries, interned curves and what-if
-state stay pinned to their node.  See :mod:`repro.cluster.coordinator`
+cache already uses, so warm cache entries, memoized curve operations and
+what-if state stay pinned to their node.  See :mod:`repro.cluster.coordinator`
 for the full design and ``docs/API.md`` ("Sharded cluster").
 
 Entry points: the ``repro cluster`` CLI (:func:`cluster_main`), the

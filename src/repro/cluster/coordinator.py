@@ -9,8 +9,8 @@ included — points at a coordinator unchanged.  What it adds:
   content digest the result cache already keys on
   (:mod:`repro.cluster.routing`); a consistent-hash ring
   (:mod:`repro.cluster.ring`) pins the key to one worker, so warm
-  persistent-cache entries, interned curves and what-if session state
-  stay on the node that built them;
+  persistent-cache entries, memoized curve operations and what-if
+  session state stay on the node that built them;
 * **fan-out/merge** — one split-by-owner path: ``/v1/batch`` (plain or
   streamed) splits by owner, runs the sub-batches concurrently and
   settles every envelope exactly once at its original index;
@@ -47,12 +47,13 @@ ejecting).  Framing lives in :mod:`repro.service.http`.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import perf
+from repro._memo import LRU
 from repro.parallel import transport
 from repro.resilience import chaos
 from repro.service import protocol
@@ -319,11 +320,11 @@ class ClusterCoordinator(HttpEndpoint):
         self._inflight = 0
         self._probe_task: Optional[asyncio.Task] = None
         self._lease_task: Optional[asyncio.Task] = None
-        #: Completed responses keyed by X-Idempotency-Key: a client that
-        #: lost a response (timeout, dropped connection) re-issues the
-        #: request with the same key and gets the recorded response back
-        #: without re-execution.
-        self._idempotent: "OrderedDict[str, bytes]" = OrderedDict()
+        #: Completed responses keyed by (X-Idempotency-Key, path, body
+        #: digest): a client that lost a response (timeout, dropped
+        #: connection) re-issues the request with the same key and gets
+        #: the recorded response back without re-execution.
+        self._idempotent = LRU(IDEMPOTENCY_CAP)
         #: Per-worker cache counters at the last planned ring-generation
         #: change — /metrics reports hit-rate deltas relative to this.
         self._gen_baseline: Dict[str, Any] = {
@@ -559,10 +560,11 @@ class ClusterCoordinator(HttpEndpoint):
         A keyed POST whose response was already recorded is replayed
         verbatim without re-execution — the retry a client sends after
         losing a response (timeout, coordinator bounce mid-reply) lands
-        exactly once.  Keys are per-coordinator; a replay on a *failed-
-        over* coordinator re-executes instead, which is safe because
-        every analysis is pure: the re-executed response is
-        bit-identical to the lost one.
+        exactly once.  The log keys on the header, path and body
+        digest, so a key reused for another request executes it.  Keys
+        are per-coordinator; a replay on a *failed-over* coordinator
+        re-executes instead, which is safe because every analysis is
+        pure: the re-executed response is bit-identical to the lost one.
         """
         idem = request.headers.get("x-idempotency-key")
         # Injected coordinator crash: drop the connection after the
@@ -583,9 +585,10 @@ class ClusterCoordinator(HttpEndpoint):
             or not request.path.startswith("/v1/")
         ):
             return await self.route(request, writer)
-        recorded = self._idempotent.get(idem)
+        body_digest = hashlib.sha256(request.body).digest()
+        replay_key = (idem, request.path, body_digest)
+        recorded = self._idempotent.get(replay_key)
         if recorded is not None:
-            self._idempotent.move_to_end(idem)
             self.metrics.record("idempotent_replays")
             perf.record("cluster.idempotent_replays")
             writer.write(recorded)
@@ -593,10 +596,10 @@ class ClusterCoordinator(HttpEndpoint):
             return True
         recording = _RecordingWriter(writer)
         ok = await self.route(request, recording)
-        self._remember_idempotent(idem, recording.raw())
+        self._remember_idempotent(replay_key, recording.raw())
         return ok
 
-    def _remember_idempotent(self, key: str, raw: bytes) -> None:
+    def _remember_idempotent(self, key: tuple, raw: bytes) -> None:
         """Record one completed 200 response for replay (bounded LRU).
 
         Streams (chunked framing) and oversized or non-200 responses
@@ -605,10 +608,7 @@ class ClusterCoordinator(HttpEndpoint):
         """
         if len(raw) > IDEMPOTENT_MAX_BYTES or not http.replayable(raw):
             return
-        self._idempotent[key] = raw
-        self._idempotent.move_to_end(key)
-        while len(self._idempotent) > IDEMPOTENCY_CAP:
-            self._idempotent.popitem(last=False)
+        self._idempotent.put(key, raw)
 
     # -- admission -------------------------------------------------------
 

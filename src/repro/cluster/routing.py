@@ -5,9 +5,9 @@ worker whose caches are already warm for its *content*.  Every cache
 layer below the service keys on content digests — the persistent result
 cache on :func:`repro.parallel.cache.task_digest` (itself composed from
 the per-vertex/per-edge digests of :mod:`repro.drt.digest`) plus
-:meth:`Curve.digest` for the service curve, interned lowered arrays on
-:meth:`Curve.fingerprint`, and what-if sessions on the base task's
-digest.  The coordinator therefore computes its routing key from the
+:meth:`Curve.digest` for the service curve, shared lowered arrays on
+the curve's fingerprint and segments, and what-if sessions on the base
+task's digest.  The coordinator therefore computes its routing key from the
 *same* digests: two wire requests about the same task and curve map to
 the same key — regardless of JSON key order, formatting, or which
 client sent them — and the consistent-hash ring pins that key to one
@@ -32,18 +32,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import perf
+from repro._memo import process_memo
 
 __all__ = ["routing_digest", "whatif_edit_digest"]
 
-#: Routing-key memo capacity (canonical spec JSON -> digest).  Sized for
-#: steady request mixes; eviction only costs a re-decode.
-MEMO_CAP = 4096
-
-_memo: "OrderedDict[str, str]" = OrderedDict()
+#: Routing-key memo (canonical spec JSON -> digest).  Sized for steady
+#: request mixes; eviction only costs a re-decode.
+_MEMO = process_memo("cluster.route_memo", 4096)
 
 
 def _canonical(spec: Dict[str, Any]) -> str:
@@ -108,20 +106,15 @@ def routing_digest(spec: Any) -> str:
         blob = json.dumps(spec, sort_keys=True, separators=(",", ":"), default=str)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
     key = _canonical(spec)
-    hit = _memo.get(key)
+    hit = _MEMO.get(key)
     if hit is not None:
-        _memo.move_to_end(key)
-        perf.record("cluster.route_memo_hits")
         return hit
     try:
         digest = _content_digest(spec)
     except Exception:  # noqa: BLE001 - undecodable routes by its JSON
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         perf.record("cluster.route_fallbacks")
-    _memo[key] = digest
-    if len(_memo) > MEMO_CAP:
-        _memo.popitem(last=False)
-    perf.record("cluster.route_memo_misses")
+    _MEMO.put(key, digest)
     return digest
 
 
@@ -143,4 +136,4 @@ def whatif_edit_digest(base_digest: str, edit_spec: Any) -> str:
 
 def memo_clear() -> None:
     """Drop the routing memo (tests, per-job cache isolation)."""
-    _memo.clear()
+    _MEMO.clear()

@@ -39,6 +39,7 @@ from fractions import Fraction
 from typing import Optional
 
 from repro import perf
+from repro._memo import process_memo
 from repro._numeric import Q, NumLike, as_q
 from repro.drt.model import DRTTask
 from repro.drt.request import FrontierExplorer, rbf_curve
@@ -56,9 +57,9 @@ __all__ = ["BusyWindow", "busy_window_bound", "last_positive_time"]
 #: an edge whose work never sets the running maximum — share one curve
 #: subtraction instead of repeating it per variant.  The stored budget
 #: charge is replayed on hits so resilience accounting is identical
-#: either way.
-_FIXPOINT_MEMO: dict = {}
-_FIXPOINT_MEMO_CAP = 512
+#: either way.  The cap must hold a whole cyclic pool of requests: an
+#: LRU smaller than the cycle it serves never hits.
+_FIXPOINT_MEMO = process_memo("busy_window.fixpoint_memo", 512)
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,6 @@ def _iterate(
         if hit is not None:
             last, charge = hit
             checkpoint(charge)
-            perf.record("busy_window.fixpoint_memo_hits")
         else:
             diff = rbf - beta
             # One budget unit per doubling round plus an amortised charge
@@ -216,9 +216,7 @@ def _iterate(
                     f"with workload of {task.name!r} (rate {rho}, "
                     "positive burst)"
                 ) from None
-            if len(_FIXPOINT_MEMO) >= _FIXPOINT_MEMO_CAP:
-                _FIXPOINT_MEMO.clear()
-            _FIXPOINT_MEMO[memo_key] = (last, charge)
+            _FIXPOINT_MEMO.put(memo_key, (last, charge))
         if last is None:
             # Service dominates from the start; the only busy "window" is
             # the instantaneous burst at 0.

@@ -161,8 +161,8 @@ def min_plus_conv(f: Curve, g: Curve, on_dip: str = "fill") -> Curve:
     )
     hybrid = mode == "hybrid"
     if hybrid:
-        memo_key = ("conv", f.interned(), g.interned(), on_dip)
-        hit = kernels.op_cache_get(memo_key)
+        memo_key = ("conv", f, g, on_dip)
+        hit = kernels.OP_MEMO.get(memo_key)
         if hit is not None:
             return hit
     h0 = _ultimate_horizon(f, g, lower=True)
@@ -204,7 +204,7 @@ def min_plus_conv(f: Curve, g: Curve, on_dip: str = "fill") -> Curve:
     if on_dip == "raise":
         _verify_point_exactness(result, pieces, point_value, h0, lower=True)
     if hybrid:
-        kernels.op_cache_put(memo_key, result)
+        kernels.OP_MEMO.put(memo_key, result)
     return result
 
 
@@ -281,8 +281,8 @@ def min_plus_deconv(f: Curve, g: Curve, on_dip: str = "raise") -> Curve:
     )
     hybrid = mode == "hybrid"
     if hybrid:
-        memo_key = ("deconv", f.interned(), g.interned(), on_dip)
-        hit = kernels.op_cache_get(memo_key)
+        memo_key = ("deconv", f, g, on_dip)
+        hit = kernels.OP_MEMO.get(memo_key)
         if hit is not None:
             return hit
     u_max = max(f.last_breakpoint, g.last_breakpoint)
@@ -321,7 +321,7 @@ def min_plus_deconv(f: Curve, g: Curve, on_dip: str = "raise") -> Curve:
     if on_dip == "raise":
         _verify_point_exactness(result, pieces, point_value, t_max, lower=False)
     if hybrid:
-        kernels.op_cache_put(memo_key, result)
+        kernels.OP_MEMO.put(memo_key, result)
     return result
 
 

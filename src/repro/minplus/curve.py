@@ -15,21 +15,14 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from collections import OrderedDict
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro import perf
 from repro._numeric import Q, NumLike, as_q
 from repro.errors import CurveDomainError, EmptyCurveError
 from repro.minplus.segment import Segment
 
 __all__ = ["Curve"]
-
-#: Interning table: fingerprint -> equality-checked bucket of curves
-#: (LRU, so long-running sweeps cannot grow it without bound).
-_INTERN_CAP = 4096
-_intern_table: "OrderedDict[int, List[Curve]]" = OrderedDict()
 
 
 class Curve:
@@ -380,45 +373,11 @@ class Curve:
         return dg
 
     def __reduce__(self):
-        """Pickle as the bare segment tuple.
-
-        Unpickling rebuilds the curve and re-interns it, so every copy a
-        worker process receives maps back to one canonical object per
-        structure — sharing the cached fingerprint and the hybrid
-        tier's lowered arrays instead of re-deriving them per copy.
-        Derived state (``_fp``, ``_digest``, ``_lowered``) is therefore
-        deliberately not shipped.
-        """
-        return (_unpickle_curve, (self._segments,))
-
-    def interned(self) -> "Curve":
-        """The canonical representative of this curve's structure.
-
-        Structurally equal curves map to one shared object (LRU table,
-        fingerprint-keyed with equality-checked buckets), so expensive
-        per-curve derived state — the hybrid tier's lowered arrays in
-        particular — is computed once per *structure*, not once per
-        object.
-        """
-        fp = self.fingerprint()
-        bucket = _intern_table.get(fp)
-        if bucket is None:
-            perf.record("curve.intern_misses")
-            _intern_table[fp] = [self]
-            while len(_intern_table) > _INTERN_CAP:
-                _intern_table.popitem(last=False)
-                perf.record("curve.intern_evictions")
-            return self
-        _intern_table.move_to_end(fp)
-        for canon in bucket:
-            if canon is self:
-                return self
-            if canon._segments == self._segments:
-                perf.record("curve.intern_hits")
-                return canon
-        perf.record("curve.intern_misses")
-        bucket.append(self)
-        return self
+        """Pickle as the bare segment tuple.  Derived state (``_fp``,
+        ``_digest``, ``_lowered``) is rebuilt on demand; a copy shares
+        the original's lowered arrays through the ``kernel.lowered``
+        memo, which keys on fingerprint and segments, not identity."""
+        return (Curve, (self._segments,))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Curve):
@@ -448,22 +407,6 @@ class Curve:
                 f"  [{s.start}, {end}): f(t) = {s.value} + {s.slope}*(t - {s.start})"
             )
         return "\n".join(lines)
-
-
-def _unpickle_curve(segments: Tuple[Segment, ...]) -> Curve:
-    """Rebuild a pickled curve and map it onto the canonical interned
-    representative of its structure (see :meth:`Curve.__reduce__`)."""
-    return Curve(segments).interned()
-
-
-def clear_intern_table() -> None:
-    """Drop every interned curve (per-process cache isolation).
-
-    Used by :func:`repro.parallel.reset_process_caches` so jobs run with
-    ``fresh_caches=True`` cannot observe lowered arrays or canonical
-    objects left behind by earlier jobs in the same worker process.
-    """
-    _intern_table.clear()
 
 
 def op_slope(op: Callable[[Q, Q], Q], sa: Q, sb: Q) -> Q:

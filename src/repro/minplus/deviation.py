@@ -237,13 +237,13 @@ def horizontal_deviation(f: Curve, g: Curve) -> MaybeInf:
     if mode == "hybrid":
         from repro.minplus import kernels
 
-        key = ("hdev", f.interned(), g.interned())
-        hit = kernels.op_cache_get(key)
+        key = ("hdev", f, g)
+        hit = kernels.OP_MEMO.get(key)
         if hit is not None:
             return hit[0]
         result = _horizontal_deviation_hybrid(f, g)
         if result is not None:
-            kernels.op_cache_put(key, (result,))
+            kernels.OP_MEMO.put(key, (result,))
             return result
     # Values at which g's pseudo-inverse changes slope: values of g at and
     # just before each of its breakpoints.

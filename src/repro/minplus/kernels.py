@@ -20,11 +20,12 @@ kernel design dispatched by :mod:`repro.minplus.backend`:
   :class:`~fractions.Fraction` path (``kernel.exact_fallbacks``), so the
   hybrid tier's final results are **identical** to the exact tier's.
 
-Lowering is cached per curve object and deduplicated across structurally
-equal curves through the interning table of
-:meth:`repro.minplus.curve.Curve.interned` (``curve.intern_hits``), and
-whole operations (convolution, deconvolution, horizontal deviation) are
-memoized on curve fingerprints (``kernel.memo_hits``).
+Lowering is cached per curve object and shared across structurally equal
+curves through the ``kernel.lowered`` memo, keyed by the curve itself
+(curves hash by fingerprint and compare by segments), and whole
+operations (convolution, deconvolution, horizontal deviation, fused
+chains) are memoized in :data:`OP_MEMO` (``kernel.memo_hits``).  Both
+are :func:`repro._memo.process_memo` LRUs.
 
 Everything here degrades gracefully: without NumPy (:data:`AVAILABLE` is
 False) every helper returns ``None`` and callers run the exact path.
@@ -35,10 +36,10 @@ does not load it.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional, Sequence, Tuple
 
 from repro import perf
+from repro._memo import process_memo
 from repro._numeric import Q
 from repro.minplus import backend as backend_mod
 
@@ -49,9 +50,7 @@ __all__ = [
     "AVAILABLE",
     "Lowered",
     "lowered",
-    "op_cache_get",
-    "op_cache_put",
-    "op_cache_clear",
+    "OP_MEMO",
     "conv_prune_mask",
     "deconv_prune_mask",
     "conv_point_value_screened",
@@ -223,12 +222,18 @@ class Lowered:
         lo = np.minimum(_down(self.V_lo[k0] + m_lo), self.VE_lo[k0])
         return np.where(valid, lo, _NEG), hi
 
+#: Lowerings shared across structurally equal curves.
+_LOWERED = process_memo("kernel.lowered", 4096)
+
+#: Whole-operation results keyed by ``(op, curves..., options)``.
+OP_MEMO = process_memo("kernel.memo", 4096)
+
+
 def lowered(curve) -> Optional[Lowered]:
     """The cached :class:`Lowered` form of *curve* (None without NumPy).
 
     Per-object lowering is cached on the curve; structurally equal curves
-    share one lowering through the interning table
-    (:meth:`~repro.minplus.curve.Curve.interned`).
+    share one lowering through the ``kernel.lowered`` memo.
     """
     if not AVAILABLE:
         return None
@@ -238,55 +243,13 @@ def lowered(curve) -> Optional[Lowered]:
     global np
     if np is None:
         import numpy as np
-    canon = curve.interned()
-    if canon is not curve and canon._lowered is not None:
-        curve._lowered = canon._lowered
-        return canon._lowered
-    perf.record("kernel.lowerings")
-    lw = Lowered(curve)
+    lw = _LOWERED.get(curve)
+    if lw is None:
+        perf.record("kernel.lowerings")
+        lw = Lowered(curve)
+        _LOWERED.put(curve, lw)
     curve._lowered = lw
-    canon._lowered = lw
     return lw
-
-
-# ----------------------------------------------------------------------
-# Fingerprint-keyed operation memo
-# ----------------------------------------------------------------------
-
-_OP_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
-_OP_CACHE_CAP = 4096
-
-
-def op_cache_get(key: tuple):
-    """Memoized result of a prior min-plus operation, or None."""
-    hit = _OP_CACHE.get(key)
-    if hit is not None:
-        _OP_CACHE.move_to_end(key)
-        perf.record("kernel.memo_hits")
-    else:
-        perf.record("kernel.memo_misses")
-    return hit
-
-
-def op_cache_put(key: tuple, value) -> None:
-    """Memoize an operation result under a fingerprint key (LRU)."""
-    _OP_CACHE[key] = value
-    _OP_CACHE.move_to_end(key)
-    while len(_OP_CACHE) > _OP_CACHE_CAP:
-        _OP_CACHE.popitem(last=False)
-        perf.record("kernel.memo_evictions")
-
-
-def op_cache_clear() -> None:
-    """Drop every memoized operation result (benchmarks / tests / the
-    per-job cache isolation of :func:`repro.parallel.reset_process_caches`)."""
-    _OP_CACHE.clear()
-
-
-def op_cache_stats() -> Tuple[int, int]:
-    """``(entries, capacity)`` of the operation memo — lets tests and the
-    execution plane assert that cache isolation actually emptied it."""
-    return (len(_OP_CACHE), _OP_CACHE_CAP)
 
 
 # ----------------------------------------------------------------------
@@ -718,8 +681,8 @@ def fused_deconv_hdev(f, g):
         return None
     if not (fl.nondecreasing and gl.nondecreasing):
         return None
-    key = ("gpc_chain", f.interned(), g.interned())
-    hit = op_cache_get(key)
+    key = ("gpc_chain", f, g)
+    hit = OP_MEMO.get(key)
     if hit is not None:
         return hit
     perf.record("kernel.fused_chains")
@@ -740,7 +703,7 @@ def fused_deconv_hdev(f, g):
             backlog = vertical_deviation(f, g)
     output = min_plus_deconv(f, g, on_dip="fill")
     result = (delay, backlog, output)
-    op_cache_put(key, result)
+    OP_MEMO.put(key, result)
     return result
 
 
@@ -768,10 +731,8 @@ def fused_conv_hdev(alpha, betas):
     )
     if backend_mod.op_backend("hdev", n) != "hybrid":
         return None
-    key = ("chain_e2e", alpha.interned()) + tuple(
-        b.interned() for b in betas
-    )
-    hit = op_cache_get(key)
+    key = ("chain_e2e", alpha, *betas)
+    hit = OP_MEMO.get(key)
     if hit is not None:
         return hit
     perf.record("kernel.fused_chains")
@@ -783,5 +744,5 @@ def fused_conv_hdev(alpha, betas):
         acc = min_plus_conv(acc, b, on_dip="raise")
     delay = horizontal_deviation(alpha, acc)
     result = (delay, acc)
-    op_cache_put(key, result)
+    OP_MEMO.put(key, result)
     return result

@@ -15,7 +15,7 @@ Cached values are bit-identical to freshly computed ones: the key covers
 every input that influences the result, curves and tasks digest their
 exact rational coordinates (:meth:`repro.minplus.curve.Curve.digest`),
 and values round-trip through :mod:`pickle` without loss (Fractions are
-exact; curves re-intern on load).
+exact; curves rebuild from their segments on load).
 
 The cache is **off by default**.  It activates when the
 ``REPRO_CACHE_DIR`` environment variable names a directory, when
@@ -23,8 +23,9 @@ The cache is **off by default**.  It activates when the
 workers that inherit the parent's configuration.  An unwritable
 directory degrades to a bounded in-memory store with a warning — never a
 traceback.  Disk writes are atomic (temp file + ``os.replace``) and the
-directory is LRU-capped by total size (``REPRO_CACHE_MAX_BYTES``,
-default 256 MiB): stale entries are evicted oldest-access first.
+directory is LRU-capped by total size, placement journal included
+(``REPRO_CACHE_MAX_BYTES``, default 256 MiB): stale entries are evicted
+oldest-access first and the journal is compacted with them.
 
 Layout: ``<dir>/<key[:2]>/<key>.pkl``, one pickled result per file.
 Invalidation is purely key-based — bumping the library version simply
@@ -44,10 +45,10 @@ import pickle
 import tempfile
 import time
 import warnings
-from collections import OrderedDict
 from typing import Iterable, Optional, Sequence, Tuple
 
 from repro import perf
+from repro._memo import LRU
 from repro.resilience import chaos
 
 __all__ = [
@@ -87,7 +88,7 @@ _resolved = False
 _dir: Optional[str] = None
 _max_bytes = DEFAULT_MAX_BYTES
 _memory_only = False
-_memory: "OrderedDict[str, bytes]" = OrderedDict()
+_memory = LRU(_MEMORY_CAP)
 
 #: Placement journal: entry key -> the routing key of the request the
 #: entry was written under.  A cluster resize places *requests* on the
@@ -103,7 +104,7 @@ _PLACEMENT_FILE = "placements.jsonl"
 _placement_var: "contextvars.ContextVar[Optional[str]]" = (
     contextvars.ContextVar("repro_cache_placement", default=None)
 )
-_placement_memory: "OrderedDict[str, str]" = OrderedDict()
+_placement_memory = LRU(_MEMORY_CAP)
 
 
 def _probe_dir(path: str) -> bool:
@@ -248,7 +249,7 @@ def stats() -> "dict[str, object]":
             entries = bytes_used = None
     elif _memory_only:
         entries = len(_memory)
-        bytes_used = sum(len(b) for b in _memory.values())
+        bytes_used = sum(len(b) for _, b in _memory.items())
     return {
         "mode": describe(),
         "hits": hits,
@@ -408,7 +409,6 @@ def get(key: str) -> object:
         if blob is None:
             perf.record("rcache.misses")
             return None
-        _memory.move_to_end(key)
         perf.record("rcache.hits")
         return pickle.loads(blob)
     if _dir is None:
@@ -459,25 +459,26 @@ def _write_blob(path: str, blob: bytes) -> bool:
                 data = blob[: len(blob) // 2]
             elif chaos.should_fire("cache.corrupt") and blob:
                 data = blob[:-1] + bytes([blob[-1] ^ 0xFF])
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(path), prefix=".tmp-"
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(data)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            _replace(path, data)
             return True
         except OSError:
             if attempt + 1 < IO_RETRIES:
                 perf.record("rcache.io_retries")
                 time.sleep(IO_BACKOFF * (2**attempt))
     return False
+
+
+def _replace(path: str, data: bytes) -> None:
+    """Write *data* to *path* atomically (temp file + ``os.replace``)."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def put(key: str, value: object) -> None:
@@ -503,11 +504,8 @@ def _store(key: str, blob: bytes, placement: Optional[str] = None) -> bool:
     writes atomically and then enforces its byte cap.
     """
     if _memory_only:
-        _memory[key] = blob
-        _memory.move_to_end(key)
-        while len(_memory) > _MEMORY_CAP:
-            evicted, _ = _memory.popitem(last=False)
-            _placement_memory.pop(evicted, None)
+        for evicted in _memory.put(key, blob):
+            _placement_memory.pop(evicted)
     elif _dir is None or not _write_blob(_path_for(key), blob):
         return False
     _record_placement(key, placement)
@@ -553,15 +551,12 @@ def _record_placement(key: str, tag: Optional[str] = None) -> None:
     tag = _placement_var.get() if tag is None else tag
     if tag is None:
         return
-    if _placement_memory.get(key) == tag:
+    if _placement_memory.peek(key) == tag:
         return
-    _placement_memory[key] = tag
-    _placement_memory.move_to_end(key)
+    _placement_memory.put(key, tag)
     if _dir is None:
         return
-    while len(_placement_memory) > _MEMORY_CAP:
-        _placement_memory.popitem(last=False)
-    line = json.dumps({"k": key, "p": tag}) + "\n"
+    line = _journal_line(key, tag)
     try:
         with open(
             os.path.join(_dir, _PLACEMENT_FILE), "a", encoding="utf-8"
@@ -569,6 +564,10 @@ def _record_placement(key: str, tag: Optional[str] = None) -> None:
             fh.write(line)
     except OSError:
         pass  # the journal is an accelerator for resizes, never required
+
+
+def _journal_line(key: str, tag: str) -> str:
+    return json.dumps({"k": key, "p": tag}) + "\n"
 
 
 def placements() -> "dict[str, str]":
@@ -594,13 +593,13 @@ def placements() -> "dict[str, str]":
                         continue
         except OSError:
             pass
-    out.update(_placement_memory)
+    out.update(_placement_memory.items())
     return out
 
 
 def placement_of(key: str) -> Optional[str]:
     """The recorded routing key of one entry, or None."""
-    hit = _placement_memory.get(key)
+    hit = _placement_memory.peek(key)
     if hit is not None:
         return hit
     if _dir is None:
@@ -645,7 +644,7 @@ def read_entry(key: str) -> Optional[bytes]:
     """
     _ensure_resolved()
     if _memory_only:
-        return _memory.get(key)
+        return _memory.peek(key)
     if _dir is None:
         return None
     blob = _read_blob(_path_for(key))
@@ -671,32 +670,47 @@ def write_entry(
 
 
 def _enforce_cap() -> None:
-    """Evict least-recently-used entries until the directory fits the cap."""
+    """Evict least-recently-used entries until the directory fits the cap.
+
+    The placement journal counts toward the cap.  Past it, entries are
+    evicted oldest access first, each with its journal line and
+    mirrored tag, and the journal is rewritten atomically to the latest
+    tag of each resident entry.  A line another process appends between
+    the read and the replace is lost; that costs its entry a re-home on
+    the next resize, never a wrong answer.
+    """
     if _dir is None or _max_bytes <= 0:
         return
     entries = []
-    total = 0
+    journal = os.path.join(_dir, _PLACEMENT_FILE)
     try:
+        total = os.path.getsize(journal) if os.path.exists(journal) else 0
         for sub in os.scandir(_dir):
             if not sub.is_dir():
                 continue
             for ent in os.scandir(sub.path):
-                if not ent.name.endswith(".pkl"):
-                    continue
-                st = ent.stat()
-                entries.append((st.st_mtime, st.st_size, ent.path))
-                total += st.st_size
+                if ent.name.endswith(".pkl"):
+                    st = ent.stat()
+                    key = ent.name[: -len(".pkl")]
+                    entries.append((st.st_mtime, st.st_size, key, ent.path))
+                    total += st.st_size
     except OSError:
         return
     if total <= _max_bytes:
         return
+    tags = placements()
+    lines = {k: _journal_line(k, tags[k]) for *_, k, _ in entries if k in tags}
+    total = sum(e[1] for e in entries) + sum(map(len, lines.values()))
     entries.sort()  # oldest access first
-    for _, size, path in entries:
+    for _, size, key, path in entries:
+        if total <= _max_bytes:
+            break
         try:
             os.unlink(path)
         except OSError:
             continue
         perf.record("rcache.evictions")
-        total -= size
-        if total <= _max_bytes:
-            break
+        _placement_memory.pop(key)
+        total -= size + len(lines.pop(key, ""))
+    with contextlib.suppress(OSError):
+        _replace(journal, "".join(lines.values()).encode("utf-8"))

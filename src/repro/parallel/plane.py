@@ -32,12 +32,12 @@ out through:
   work wherever it ran.
 
 * **Cache isolation** (``fresh_caches=True``): process-local derived
-  state — every process-wide memo (:func:`reset_process_caches`) — is
-  reset before each job, so sweep instances cannot leak exploration
-  state into one another even when a worker process serves many
-  instances.  The persistent on-disk result cache is *not* cleared: it
-  is content-addressed and exact, so sharing it is sound by
-  construction.
+  state — every registered process memo and the in-memory result
+  cache (:func:`reset_process_caches`) — is reset before each job, so
+  sweep instances cannot leak exploration state into one another even
+  when a worker process serves many instances.  The persistent on-disk
+  result cache is *not* cleared: it is content-addressed and exact, so
+  sharing it is sound by construction.
 
 * **Watchdog**: with ``timeout=`` each item gets a wall-clock allowance
   in the pool; hung workers are killed (a stuck process never returns to
@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import atexit
 import os
-import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -73,6 +72,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro import perf
+from repro._memo import clear_process_memos
 from repro.errors import BudgetExhaustedError, WorkerError
 from repro.parallel import cache as result_cache
 from repro.resilience import chaos
@@ -170,24 +170,13 @@ def _mark_worker() -> None:
 def reset_process_caches() -> None:
     """Clear process-local derived-state caches (job isolation).
 
-    Drops every process-wide memo: the curve interning table, the
-    kernel operation memo, the busy-window fixpoint memo, the cluster
-    routing memo and the in-memory result-cache fallback.  Analyses
-    afterwards behave exactly as in a fresh process: same results (the
-    caches are semantically transparent), cold costs.
+    Empties every registered process memo
+    (:func:`repro._memo.clear_process_memos`) and the in-memory
+    result-cache fallback.  Analyses afterwards behave exactly as in a
+    fresh process: same results (the caches are semantically
+    transparent), cold costs.
     """
-    from repro.core import busy_window
-    from repro.minplus import curve as curve_mod
-    from repro.minplus import kernels
-
-    curve_mod.clear_intern_table()
-    kernels.op_cache_clear()
-    busy_window._FIXPOINT_MEMO.clear()
-    # Looked up, not imported: a process that never routed has an empty
-    # memo, and importing the cluster package here would cost every job.
-    routing = sys.modules.get("repro.cluster.routing")
-    if routing is not None:
-        routing.memo_clear()
+    clear_process_memos()
     result_cache.clear_memory()
 
 

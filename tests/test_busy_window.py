@@ -84,3 +84,23 @@ class TestBusyWindowBound:
         for k in range(0, 80):
             t = bw.length + F(k, 2)
             assert bw.rbf.at(t) <= beta.at(t) or t == bw.length
+
+class TestFixpointMemo:
+    def test_keeps_the_newest_512_pairs(self):
+        # The fixpoint memo evicts least recently used pairs one at a
+        # time; it never drops the whole table when it fills up.
+        from repro.core import busy_window
+        from repro.parallel import reset_process_caches
+
+        task = DRTTask.build("loop", jobs={"a": (1, 10)}, edges=[("a", "a", 10)])
+        reset_process_caches()
+        keys = []
+        for i in range(513):
+            beta = rate_latency(1, F(i, 1000))
+            bw = busy_window_bound(task, beta, initial_horizon=100)
+            assert bw.iterations == 1
+            keys.append((bw.rbf, beta))
+        memo = busy_window._FIXPOINT_MEMO
+        assert len(memo) == 512
+        assert memo.peek(keys[0]) is None
+        assert all(memo.peek(key) is not None for key in keys[1:])

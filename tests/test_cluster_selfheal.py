@@ -411,6 +411,29 @@ class TestIdempotencyReplay:
         finally:
             handle.shutdown(timeout=30)
 
+    def test_reused_key_with_another_request_executes_it(self):
+        # A key reused for a different request must not replay the
+        # first request's response: that would answer B with A's bound.
+        handle = ClusterHandle.start(n_workers=1, worker_mode="thread")
+        try:
+            headers = {"X-Idempotency-Key": "k3" + "0" * 30}
+            spec_a, spec_b = _delay_spec(3), _delay_spec(4)
+            _status, body_a = _post(
+                "127.0.0.1", handle.port, "/v1/analyze", spec_a, headers
+            )
+            status_b, body_b = _post(
+                "127.0.0.1", handle.port, "/v1/analyze", spec_b, headers
+            )
+            _status, want_b = _post(
+                "127.0.0.1", handle.port, "/v1/analyze", spec_b
+            )
+            doc_a, doc_b = json.loads(body_a), json.loads(body_b)
+            assert status_b == 200 and doc_a["ok"] and doc_b["ok"]
+            assert doc_a["result"] != doc_b["result"]
+            assert doc_b["result"] == json.loads(want_b)["result"]
+        finally:
+            handle.shutdown(timeout=30)
+
 
 # ---------------------------------------------------------------------------
 # Client: jittered backoff, Retry-After cap, failover rotation

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import perf
+from repro._memo import clear_process_memos
 from repro._numeric import Q, is_inf
 from repro.minplus import kernels
 from repro.minplus.backend import _force
@@ -50,10 +51,10 @@ def _gpc_triple_exact(f, g):
 def _fused_vs_exact(f, g):
     """Both paths' (outcome, value); fused must not decline (monotone)."""
     want = _capture(lambda: _gpc_triple_exact(f, g))
-    kernels.op_cache_clear()
+    kernels.OP_MEMO.clear()
     with _force("hybrid"):
         got = _capture(lambda: kernels.fused_deconv_hdev(f, g))
-    kernels.op_cache_clear()
+    kernels.OP_MEMO.clear()
     if got[0] == "ok":
         assert got[1] is not None
     return got, want
@@ -90,10 +91,10 @@ class TestFusedDeconvHdev:
             ]
         )
         want = _gpc_triple_exact(f, g)
-        kernels.op_cache_clear()
+        kernels.OP_MEMO.clear()
         with _force("hybrid"):
             fused = kernels.fused_deconv_hdev(f, g)
-        kernels.op_cache_clear()
+        kernels.OP_MEMO.clear()
         assert fused == want
 
     def test_overloaded_component_raises_like_unfused(self):
@@ -118,13 +119,13 @@ class TestFusedDeconvHdev:
 
     def test_memoized_per_chain(self):
         f, g = _stair(40, 1), _service(40, 2)
-        kernels.op_cache_clear()
+        kernels.OP_MEMO.clear()
         with _force("hybrid"):
             first = kernels.fused_deconv_hdev(f, g)
             before = perf.snapshot()["counters"].get("kernel.fused_chains", 0)
             again = kernels.fused_deconv_hdev(f, g)
             after = perf.snapshot()["counters"].get("kernel.fused_chains", 0)
-        kernels.op_cache_clear()
+        kernels.OP_MEMO.clear()
         assert again == first
         assert after == before  # second call served from the chain memo
 
@@ -141,22 +142,22 @@ class TestFusedConvHdev:
             for b in betas[1:]:
                 acc = min_plus_conv(acc, b, on_dip="raise")
             want = (horizontal_deviation(alpha, acc), acc)
-        kernels.op_cache_clear()
+        kernels.OP_MEMO.clear()
         with _force("hybrid"):
             fused = kernels.fused_conv_hdev(alpha, betas)
-        kernels.op_cache_clear()
+        kernels.OP_MEMO.clear()
         assert fused == want
 
     def test_memo_replays_whole_pipeline(self):
         alpha = _stair(60, 1)
         betas = [_service(60, 3), _service(50, 4)]
-        kernels.op_cache_clear()
+        kernels.OP_MEMO.clear()
         with _force("hybrid"):
             first = kernels.fused_conv_hdev(alpha, betas)
             before = perf.snapshot()["counters"].get("kernel.fused_chains", 0)
             again = kernels.fused_conv_hdev(alpha, betas)
             after = perf.snapshot()["counters"].get("kernel.fused_chains", 0)
-        kernels.op_cache_clear()
+        kernels.OP_MEMO.clear()
         assert again == first
         assert after == before
 
@@ -175,11 +176,11 @@ class TestGpcAndChainWiring:
         alpha, beta = _stair(50, 1), _service(60, 3)
         with _force("exact"):
             want = gpc(alpha, beta)
-        kernels.op_cache_clear()
+        kernels.OP_MEMO.clear()
         for tier in ("hybrid", "auto"):
             with _tier(tier):
                 got = gpc(alpha, beta)
-            kernels.op_cache_clear()
+            kernels.OP_MEMO.clear()
             assert (got.delay, got.backlog) == (want.delay, want.backlog)
             assert got.output_arrival == want.output_arrival
             assert got.remaining_service == want.remaining_service
@@ -191,36 +192,35 @@ class TestGpcAndChainWiring:
         betas = [_service(50, 3), _service(45, 4)]
         with _force("exact"):
             want = chain_analysis(alpha, betas)
-        kernels.op_cache_clear()
+        kernels.OP_MEMO.clear()
         for tier in ("hybrid", "auto"):
             with _tier(tier):
                 got = chain_analysis(alpha, betas)
-            kernels.op_cache_clear()
+            kernels.OP_MEMO.clear()
             assert got.sum_of_delays == want.sum_of_delays
             assert got.end_to_end_delay == want.end_to_end_delay
 
 
 class TestCounters:
-    def test_intern_and_memo_counters_flow(self):
-        import repro.minplus.curve as curve_mod
-
-        curve_mod.clear_intern_table()
-        kernels.op_cache_clear()
+    def test_lowered_and_memo_counters_flow(self):
+        clear_process_memos()
         f, g = _stair(30, 11), _service(30, 12)
         with _force("hybrid"):
             min_plus_deconv(f, g, on_dip="fill")
         c = perf.snapshot()["counters"]
-        for key in ("curve.intern_misses", "kernel.memo_misses"):
+        for key in ("kernel.lowered_misses", "kernel.memo_misses"):
             assert c.get(key, 0) > 0, key
-        kernels.op_cache_clear()
+        clear_process_memos()
 
-    def test_intern_eviction_counter(self):
-        import repro.minplus.curve as curve_mod
-
-        curve_mod.clear_intern_table()
-        before = perf.snapshot()["counters"].get("curve.intern_evictions", 0)
-        for i in range(curve_mod._INTERN_CAP + 5):
-            Curve([Segment(F(0), F(i), F(1))]).interned()
-        after = perf.snapshot()["counters"].get("curve.intern_evictions", 0)
-        assert after >= before + 5
-        curve_mod.clear_intern_table()
+    def test_lowered_shared_between_equal_curves(self):
+        if not kernels.AVAILABLE:
+            pytest.skip("no NumPy: nothing is lowered")
+        clear_process_memos()
+        before = perf.snapshot()["counters"].get("kernel.lowered_hits", 0)
+        a = Curve([Segment(F(0), F(1), F(2))])
+        b = Curve([Segment(F(0), F(1), F(2))])
+        assert a is not b
+        assert kernels.lowered(b) is kernels.lowered(a)
+        after = perf.snapshot()["counters"].get("kernel.lowered_hits", 0)
+        assert after == before + 1
+        clear_process_memos()

@@ -10,10 +10,12 @@ tier) and the nested-phase accounting of ``repro.perf``.
 """
 
 import copy
+import gc
 import os
 import random
 import time
 from contextlib import nullcontext
+from statistics import median
 from fractions import Fraction as F
 
 import pytest
@@ -83,7 +85,7 @@ def _both(fn):
             exact = ("ok", fn())
     except Exception as exc:
         exact = ("err", type(exc), str(exc))
-    kernels.op_cache_clear()
+    kernels.OP_MEMO.clear()
     try:
         with _force("hybrid"):
             hybrid = ("ok", fn())
@@ -270,13 +272,13 @@ class TestAutoBitIdentity:
                 min_plus_deconv(f, g, on_dip="fill"),
                 horizontal_deviation(f, g),
             )
-        kernels.op_cache_clear()
+        kernels.OP_MEMO.clear()
         got = (
             min_plus_conv(f, f, on_dip="fill"),
             min_plus_deconv(f, g, on_dip="fill"),
             horizontal_deviation(f, g),
         )
-        kernels.op_cache_clear()
+        kernels.OP_MEMO.clear()
         assert got == want
 
 
@@ -284,29 +286,45 @@ class TestSmallNFloor:
     """The n=10 regression the threshold exists to prevent: tiny
     deconv/hdev must not pay the screen overhead under size dispatch."""
 
-    def _medians(self, fn, tiers, reps=15):
-        """Per-tier medians over interleaved samples on one CPU, so
-        machine drift and per-CPU speed hit every tier equally instead
-        of biasing whichever was timed last; the tier timed first
-        rotates from rep to rep for the same reason."""
+    def _medians(self, fn, tiers, reps=15, inner=3):
+        """Per-tier per-call times on one CPU: the first tier's median,
+        times the median per-sample ratio of each tier to the first
+        (1 for the first itself).  A sample is *inner* rounds that each call
+        every tier once, the tier called first rotating from round to
+        round.  The tiers of one sample run back to back at one vCPU
+        speed, so the ratio cancels this host's speed drift, which can
+        jump ~2x mid-test and then move one tier's median but not the
+        other's.  The garbage collector is off while timing (it runs
+        between samples), so a collection cannot land on one tier."""
         samples = {tier: [] for tier in tiers}
         pin = hasattr(os, "sched_setaffinity")
         if pin:
             allowed = os.sched_getaffinity(0)
             os.sched_setaffinity(0, {min(allowed)})
+        gc.disable()
         try:
             for rep in range(reps):
-                start = rep % len(tiers)
-                for tier in tiers[start:] + tiers[:start]:
-                    with _tier(tier):
-                        kernels.op_cache_clear()
-                        t0 = time.perf_counter()
-                        fn()
-                        samples[tier].append(time.perf_counter() - t0)
+                spent = dict.fromkeys(tiers, 0.0)
+                for i in range(inner):
+                    start = (rep * inner + i) % len(tiers)
+                    for tier in tiers[start:] + tiers[:start]:
+                        with _tier(tier):
+                            kernels.OP_MEMO.clear()
+                            t0 = time.perf_counter()
+                            fn()
+                            spent[tier] += time.perf_counter() - t0
+                for tier in tiers:
+                    samples[tier].append(spent[tier] / inner)
+                gc.collect()
         finally:
+            gc.enable()
             if pin:
                 os.sched_setaffinity(0, allowed)
-        return [sorted(s)[len(s) // 2] for s in samples.values()]
+        base = samples[tiers[0]]
+        return [
+            median(base) * median([t / b for t, b in zip(samples[tier], base)])
+            for tier in tiers
+        ]
 
     @pytest.mark.parametrize("n", [5, 10])
     def test_auto_within_095x_of_exact(self, n):

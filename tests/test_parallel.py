@@ -50,18 +50,13 @@ def _raise_on_even(x):
 
 
 def _process_memo_sizes(_):
-    from repro.cluster import routing
-    from repro.core import busy_window
-    from repro.minplus import curve as curve_mod
+    from repro import _memo
+    from repro.cluster import routing  # noqa: F401 - registers its memo
     from repro.parallel import cache as result_cache
 
-    return {
-        "intern": len(curve_mod._intern_table),
-        "op": kernels.op_cache_stats()[0],
-        "fixpoint": len(busy_window._FIXPOINT_MEMO),
-        "routing": len(routing._memo),
-        "result": len(result_cache._memory),
-    }
+    sizes = {memo.name: len(memo) for memo in _memo._registry}
+    sizes["result"] = len(result_cache._memory)
+    return sizes
 
 
 def _sp_accepts(tasks, beta):
@@ -142,15 +137,14 @@ class TestParallelMap:
             parallel_map(_raise_on_even, [3, 2, 4], jobs=2)
 
     def test_fresh_caches_clears_op_memo(self):
-        """Every process-wide memo is empty inside a fresh-caches job."""
-        from repro.cluster import routing
-        from repro.core import busy_window
+        """Every registered process memo, and the in-memory result
+        cache, is empty inside a fresh-caches job."""
+        from repro import _memo
+        from repro.cluster import routing  # noqa: F401 - registers its memo
         from repro.parallel import cache as result_cache
 
-        token_bucket(1, 2).interned()
-        kernels.op_cache_put(("test-sentinel",), object())
-        busy_window._FIXPOINT_MEMO[("test-sentinel",)] = (None, 0)
-        routing.routing_digest({"kind": "delay"})
+        for memo in _memo._registry:
+            memo.put(("test-sentinel",), object())
         result_cache.configure(None)
         result_cache.apply_config((None, result_cache.DEFAULT_MAX_BYTES, True))
         try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 from fractions import Fraction as F
@@ -108,6 +109,33 @@ class TestStore:
         assert result_cache.get(keys[-1]) is not None
         assert result_cache.get(keys[0]) is None
 
+    def test_cap_covers_placement_journal(self, tmp_path):
+        # The append-only journal counts toward the byte cap; enforcing
+        # the cap compacts it to the latest tag of each resident entry.
+        cap = 4096
+        result_cache.configure(str(tmp_path), max_bytes=cap)
+        latest = {}
+        for i in range(120):
+            key = _key(i % 16)
+            with result_cache.placement_scope(f"route-{i}"):
+                result_cache.put(key, b"x" * 200)
+            latest[key] = f"route-{i}"
+        total = sum(
+            os.path.getsize(os.path.join(root, f))
+            for root, _, files in os.walk(tmp_path)
+            for f in files
+        )
+        assert total <= cap
+        journal = {}
+        with open(tmp_path / "placements.jsonl", encoding="utf-8") as fh:
+            for line in fh:
+                doc = json.loads(line)
+                journal[doc["k"]] = doc["p"]
+        resident = {key for key, _ in result_cache.list_keys()}
+        assert 0 < len(resident) < 16
+        assert set(journal) == resident
+        assert all(journal[key] == latest[key] for key in resident)
+
     def test_unpicklable_values_not_cached(self, tmp_path):
         result_cache.configure(str(tmp_path))
         key = "ef" + "0" * 62
@@ -150,7 +178,7 @@ class TestMemoryEviction:
         assert set(result_cache.placements()) == resident
 
     def test_disk_placement_mirror_is_bounded(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(result_cache, "_MEMORY_CAP", 8)
+        monkeypatch.setattr(result_cache._placement_memory, "cap", 8)
         result_cache.configure(str(tmp_path))
         with result_cache.placement_scope("route"):
             for i in range(20):

@@ -32,16 +32,20 @@ class TestCurvePickle:
     def test_round_trip_equality(self, c):
         assert _rt(c) == c
 
-    def test_reinterned_on_load(self):
-        c = rate_latency(F(3, 7), 5).interned()
-        assert _rt(c) is c
-
     def test_lowered_arrays_shared_after_round_trip(self):
         if not kernels.AVAILABLE:
             pytest.skip("no NumPy: nothing is lowered")
-        c = rate_latency(F(2, 3), 4).interned()
+        c = rate_latency(F(2, 3), 4)
         lw = kernels.lowered(c)
-        assert kernels.lowered(_rt(c)) is lw
+        copy = _rt(c)
+        assert copy is not c
+        assert kernels.lowered(copy) is lw
+
+    def test_pickle_carries_no_derived_state(self):
+        c = token_bucket(3, F(1, 2))
+        c.digest()
+        assert c.__reduce__() == (Curve, (c.segments,))
+        assert _rt(c)._digest is None
 
     def test_digest_survives_round_trip(self):
         c = token_bucket(3, F(1, 2))

@@ -119,9 +119,9 @@ arrays — segment starts, start values, slopes, and segment-end values as
 *pairs* of float64 arrays (a certified lower and upper bound per
 coordinate) plus exact tail metadata (tail-rate sign, exact
 monotonicity flag).  Lowerings are cached per curve object and shared
-across structurally equal curves through the fingerprint-keyed
-interning table (`Curve.fingerprint()` / `Curve.interned()`, counter
-`curve.intern_hits`).
+across structurally equal curves through the `kernel.lowered` memo,
+keyed by the curve itself (a `Curve` hashes by `fingerprint()` and
+compares by segments; counter `kernel.lowered_hits`).
 
 **Outward-rounding certificate.**  `float(Fraction)` rounds to nearest,
 so the exact value lies within one ulp; every lowered coordinate is
@@ -139,8 +139,8 @@ in convolution/deconvolution only drops a segment pair when its pieces
 are certified *strictly* above (below) a sound envelope bound, so the
 computed curve is unchanged.  Whole operations are additionally
 memoized on curve fingerprints (`kernel.memo_hits`, with
-`kernel.memo_misses`/`kernel.memo_evictions` and the interning table's
-`curve.intern_hits`/`curve.intern_misses`/`curve.intern_evictions`
+`kernel.memo_misses`/`kernel.memo_evictions` and the lowering memo's
+`kernel.lowered_hits`/`kernel.lowered_misses`/`kernel.lowered_evictions`
 tracking occupancy); without NumPy every resolution collapses to
 `exact`.
 """
@@ -172,10 +172,11 @@ count is always capped by the number of items.  The CLI exposes
 - pool breakage (fork failure, unpicklable payloads) degrades to the
   serial path, never to an error;
 - nested fan-out is suppressed: inside a worker `resolve_jobs` pins to 1;
-- `fresh_caches=True` resets every process-wide memo (curve interning,
-  kernel op memo, busy-window fixpoint memo, cluster routing memo,
-  in-memory result cache) before each item — the benchmark harness uses
-  it to keep cost measurements honest.
+- `fresh_caches=True` resets every process-wide memo (each
+  `repro._memo.process_memo` LRU: kernel lowerings and op results,
+  busy-window fixpoints, cluster routing keys; and the in-memory result
+  cache) before each item — the benchmark harness uses it to keep cost
+  measurements honest.
 
 Batch entry points that fan out: `sp_schedulable(..., jobs=)`,
 `edf_structural_delays(..., jobs=)`, `analyze_many(tasks, beta)`,
@@ -190,20 +191,21 @@ a SHA-256 over exactly those inputs (curve/task digests of the exact
 rational coordinates) plus the library version.
 Off by default; enabled by `REPRO_CACHE_DIR`, `configure_cache()`, or
 the CLI's `--cache-dir`.  Writes are atomic (temp file + `os.replace`),
-the directory is LRU-capped by total size (`REPRO_CACHE_MAX_BYTES`,
-default 256 MiB), corrupt entries are evicted as misses, and an
-unwritable directory degrades to a bounded in-memory LRU store with a
-`RuntimeWarning` — never a traceback.  `AnalysisContext` consults it per
+the directory is LRU-capped by total size, placement journal included
+(`REPRO_CACHE_MAX_BYTES`, default 256 MiB; eviction compacts the
+journal to one line per resident entry), corrupt entries are evicted
+as misses, and an unwritable directory degrades to a bounded in-memory
+LRU store with a `RuntimeWarning` — never a traceback.  `AnalysisContext` consults it per
 result kind, and `sp_schedulable`/`edf_structural_delays` additionally
 cache whole-set verdicts, so a warm re-run of a sweep skips every
 analysis it has seen before (counters `rcache.hits`/`rcache.misses`/
 `rcache.puts`/`rcache.evictions`).
 
-**Pickle transport.**  Curves re-intern on unpickle (fingerprint-keyed,
-so a round trip returns the *same* interned object and shares its
-lowered kernel arrays), tasks ship without their per-process analysis
-memo, and the `INF` sentinel preserves singleton identity — worker
-results compare exactly in the parent.
+**Pickle transport.**  Curves pickle as their bare segment tuple (a
+copy is equal to, and shares lowered kernel arrays with, the original
+through the `kernel.lowered` memo), tasks ship without their
+per-process analysis memo, and the `INF` sentinel preserves singleton
+identity — worker results compare exactly in the parent.
 """
 
 
@@ -373,9 +375,9 @@ content digest the persistent result cache keys on —
 (per-*edit* for what-if sweeps, so a sweep's edits shard by their
 cones) — hashed onto a consistent-hash ring with 64 virtual nodes per
 worker.  Identical content therefore always lands on the worker whose
-on-disk result cache, interned curves, and warm explorer state already
-hold it, and when the fleet changes only ~K/N keys move (ring
-`generation` counts churn; property-tested in `tests/test_cluster.py`).
+on-disk result cache, memoized curve operations, and warm explorer
+state already hold it, and when the fleet changes only ~K/N keys move
+(ring `generation` counts churn; property-tested in `tests/test_cluster.py`).
 An undecodable spec falls back to a canonical-JSON digest —
 deterministic, so even malformed requests route stably.
 
