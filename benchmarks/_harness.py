@@ -72,16 +72,34 @@ def parallel_map(
     )
 
 
-def sensitivity_suite(task, beta, reuse: bool) -> dict:
+def cold_copy(task):
+    """A fresh copy of *task* in a process with every memo cleared.
+
+    The from-scratch reference of every warm/cold gate: the copy carries
+    no analysis cache (no shared explorer, no contexts) and
+    :func:`repro.parallel.reset_process_caches` empties the content-keyed
+    process memos (busy-window fixpoint, kernel ops, routing) and the
+    in-memory result cache, so the next analysis of the copy pays
+    exactly what a cold caller in a fresh process would pay.
+    """
+    from repro.drt.model import DRTTask
+    from repro.parallel import reset_process_caches
+
+    reset_process_caches()
+    return DRTTask(task.name, list(task.jobs.values()), list(task.edges))
+
+
+def sensitivity_suite(task_for: Callable, beta) -> dict:
     """One service-sensitivity analysis pass over every entry point.
 
     Runs the eight delay/backlog analyses an evaluation sweep performs
     per ``(task, beta)`` pair — structural delay, per-job delays,
     backlog, the three RTC baselines, a request-bound query and the
-    output bound.  With ``reuse=True`` the shared incremental engine
-    serves all of them from one exploration; with ``reuse=False`` each
-    entry point pays the historical from-scratch cost.  Returns the
-    exact bounds so callers can assert the two modes agree bit-for-bit.
+    output bound — each on the task ``task_for()`` returns.  Passing
+    ``lambda: task`` serves all of them from one shared exploration;
+    passing ``lambda: cold_copy(task)`` makes every entry point pay the
+    cold cost on its own.  Returns the exact bounds so callers can
+    assert the two agree bit-for-bit.
     """
     from repro.core.backlog import structural_backlog
     from repro.core.baselines import (
@@ -94,35 +112,36 @@ def sensitivity_suite(task, beta, reuse: bool) -> dict:
     from repro.drt.request import rbf_value
 
     out = {}
-    res = structural_delay(task, beta, reuse=reuse)
+    res = structural_delay(task_for(), beta)
     out["delay"] = res.delay
-    out["per_job"] = structural_delays_per_job(task, beta, reuse=reuse)
-    out["backlog"] = structural_backlog(task, beta, reuse=reuse).backlog
-    out["rtc_delay"] = rtc_delay(task, beta, reuse=reuse)
-    out["rtc_backlog"] = rtc_backlog(task, beta, reuse=reuse)
-    out["hull_delay"] = concave_hull_delay(task, beta, reuse=reuse)
-    out["rbf_at_bw"] = rbf_value(task, res.busy_window, reuse=reuse)
-    oc = output_arrival_curve(task, beta, method="delay", reuse=reuse)
+    out["per_job"] = structural_delays_per_job(task_for(), beta)
+    out["backlog"] = structural_backlog(task_for(), beta).backlog
+    out["rtc_delay"] = rtc_delay(task_for(), beta)
+    out["rtc_backlog"] = rtc_backlog(task_for(), beta)
+    out["hull_delay"] = concave_hull_delay(task_for(), beta)
+    out["rbf_at_bw"] = rbf_value(task_for(), res.busy_window)
+    oc = output_arrival_curve(task_for(), beta, method="delay")
     out["output_at_50"] = oc.at(50)
     return out
 
 
 def speedup_case(spec: dict) -> dict:
-    """Measure one scratch-vs-incremental sensitivity sweep.
+    """Measure one cold-vs-shared sensitivity sweep.
 
     *spec* is a plain (picklable, JSON-friendly) dict::
 
         {"vertices": 10, "branching": 2.0, "separation_range": [10, 80],
          "util": [3, 5], "seed": 0, "latencies": [5, 10, 20]}
 
-    Generates the random instance, runs :func:`sensitivity_suite` for a
-    rate-1 service curve at every latency — once with ``reuse=False``
-    (every entry point re-explores, the pre-incremental cost model) and
-    once with ``reuse=True`` on a fresh task object (one shared
-    exploration) — asserts both modes agree exactly, and returns the
-    timings plus the exact structural bounds.  Each mode is timed
-    ``repeats`` times (default 2) on fresh task objects and the best
-    wall-clock is kept, the usual defence against scheduler noise.
+    Generates the random instance and runs :func:`sensitivity_suite`
+    for a rate-1 service curve at every latency twice: once with every
+    entry point on its own :func:`cold_copy` of the task (the
+    from-scratch reference), and once on one fresh task object after a
+    single :func:`cold_copy` (the shared engine: one exploration serves
+    every entry point and latency).  Asserts both agree exactly, and
+    returns the timings plus the exact structural bounds.  Each side is
+    timed ``repeats`` times (default 2) and the best wall-clock is kept,
+    the usual defence against scheduler noise.
     """
     import random
     import time
@@ -140,22 +159,29 @@ def speedup_case(spec: dict) -> dict:
         target_utilization=util,
     )
     betas = [rate_latency(1, lat) for lat in spec["latencies"]]
+    base = random_drt_task(random.Random(spec["seed"]), cfg)
 
-    def _timed(reuse: bool):
+    def _cold_pass():
+        return [sensitivity_suite(lambda: cold_copy(base), b) for b in betas]
+
+    def _shared_pass():
+        task = cold_copy(base)
+        return [sensitivity_suite(lambda: task, b) for b in betas]
+
+    def _timed(run):
         best, results = None, None
         for _ in range(repeats):
-            task = random_drt_task(random.Random(spec["seed"]), cfg)
             t0 = time.perf_counter()
-            results = [sensitivity_suite(task, b, reuse=reuse) for b in betas]
+            results = run()
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
         return best, results
 
-    t_scratch, scratch = _timed(reuse=False)
-    t_inc, incremental = _timed(reuse=True)
+    t_scratch, scratch = _timed(_cold_pass)
+    t_inc, incremental = _timed(_shared_pass)
 
     assert scratch == incremental, (
-        "incremental engine changed a bound on "
+        "shared engine changed a bound on "
         f"util={util} seed={spec['seed']}"
     )
     return {

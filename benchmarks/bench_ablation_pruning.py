@@ -9,11 +9,12 @@ linearly.  Pruning is the algorithmic core that makes the structural
 analysis practical.
 
 A second ablation targets the incremental layer on top of pruning: the
-shared frontier engine vs the historical from-scratch cost model on the
-same instances (every analysis entry point at four service latencies).
-At utilization >= 0.6 the engine must be at least 5x faster with
-bit-identical bounds — asserted and recorded in
-``out/BENCH_ablation_pruning.json``.
+shared frontier engine vs a cold reference — each entry point on its own
+fresh copy of the task after clearing every process memo
+(``_harness.cold_copy``) — on the same instances (every analysis entry
+point at four service latencies).  At utilization >= 0.6 the engine
+must be at least ``MIN_SPEEDUP`` times faster with bit-identical bounds
+— asserted and recorded in ``out/BENCH_ablation_pruning.json``.
 """
 
 import random
@@ -31,7 +32,10 @@ from _harness import report, speedup_case, write_json
 UTILS = [F(30, 100), F(50, 100), F(65, 100), F(75, 100)]
 SPEEDUP_UTILS = [F(60, 100), F(65, 100), F(75, 100)]
 SPEEDUP_LATENCIES = [8, 12, 16, 24]
-MIN_SPEEDUP = 5.0
+# 0.75 x the median, over six runs on a 2-vCPU VM, of the smallest
+# per-utilization ratio, measured on the engine before this cold
+# reference replaced the removed from-scratch flag (median 2.82x).
+MIN_SPEEDUP = 2.11
 
 
 def _task(util: F, seed: int = 1):
@@ -87,7 +91,7 @@ def test_bench_ablation_pruning(benchmark):
 
 
 def test_bench_ablation_incremental():
-    """Second ablation layer: incremental engine vs from-scratch."""
+    """Second ablation layer: shared engine vs cold copies."""
     cases = []
     rows = []
     for util in SPEEDUP_UTILS:
@@ -114,7 +118,7 @@ def test_bench_ablation_incremental():
         "ablation_incremental",
         "incremental engine ablation (6 vertices, branching 2.5, R=1, "
         "T in {8, 12, 16, 24}, 8 analyses per beta)",
-        ["utilization", "scratch ms", "incremental ms", "speedup"],
+        ["utilization", "cold ms", "shared ms", "speedup"],
         rows,
     )
     write_json(

@@ -7,11 +7,14 @@ benchmarks":
     the graph but domination pruning keeps it polynomial in practice;
 (b) runtime vs utilization at fixed size — the busy-window fixpoint
     stretches as ``1/(R - rho)``, which dominates cost near saturation;
-(c) the incremental frontier engine vs the historical from-scratch cost
-    model on a service-sensitivity sweep (every analysis entry point at
-    three service latencies).  The engine must be at least 5x faster at
-    utilization >= 0.6 while producing bit-identical bounds — asserted
-    here and recorded in ``out/BENCH_fig3_runtime.json``.
+(c) the shared incremental engine vs a cold reference on a
+    service-sensitivity sweep (every analysis entry point at three
+    service latencies).  The reference runs each entry point on its own
+    fresh copy of the task after clearing every process memo
+    (``_harness.cold_copy``); the shared engine serves them all from one
+    task object.  At utilization >= 0.6 the shared engine must be at
+    least ``MIN_SPEEDUP`` times faster while producing bit-identical
+    bounds — asserted here and recorded in ``out/BENCH_fig3_runtime.json``.
 
 Expected shape: (a) mild growth; (b) super-linear blow-up as utilization
 approaches the service rate — the structural analysis' price; (c) the
@@ -40,7 +43,10 @@ N_REPEAT = 5
 SPEEDUP_UTILS = [F(12, 20), F(14, 20), F(17, 20)]
 SPEEDUP_SEEDS = [0, 1, 2]
 SPEEDUP_LATENCIES = [5, 10, 20]
-MIN_SPEEDUP = 5.0
+# 0.75 x the median, over six runs of this sweep on a 2-vCPU VM, of the
+# smallest per-utilization ratio, measured on the engine before this
+# cold reference replaced the removed from-scratch flag (median 2.70x).
+MIN_SPEEDUP = 2.02
 
 
 def _task(vertices: int, util: F, seed: int):
@@ -110,7 +116,7 @@ def test_bench_fig3b_utilization(benchmark):
 
 
 def test_bench_fig3c_incremental_speedup():
-    """Incremental engine vs from-scratch, bit-identical, >= 5x."""
+    """Shared engine vs cold copies, bit-identical, >= MIN_SPEEDUP."""
     cases = []
     rows = []
     for util in SPEEDUP_UTILS:
@@ -141,9 +147,9 @@ def test_bench_fig3c_incremental_speedup():
         )
     report(
         "fig3c_incremental_speedup",
-        "incremental engine vs from-scratch "
+        "shared engine vs cold copy per entry point "
         "(10 vertices, R=1, T in {5, 10, 20}, 8 analyses per beta)",
-        ["utilization", "scratch ms", "incremental ms", "speedup",
+        ["utilization", "cold ms", "shared ms", "speedup",
          "min per-instance"],
         rows,
     )

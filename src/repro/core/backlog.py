@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import List, Optional
 
 from repro._numeric import Q, NumLike
-from repro.core.busy_window import busy_window_bound
+from repro.core.busy_window import BusyWindow, busy_window_bound
 from repro.drt.model import DRTTask
 from repro.drt.request import RequestTuple, request_frontier
 from repro.minplus.curve import Curve
@@ -46,39 +46,11 @@ class BacklogResult:
     critical_tuple: Optional[RequestTuple]
 
 
-def structural_backlog(
-    task: DRTTask,
-    beta: Curve,
-    initial_horizon: Optional[NumLike] = None,
-    reuse: bool = True,
+def critical_backlog(
+    beta: Curve, bw: BusyWindow, tuples: List[RequestTuple]
 ) -> BacklogResult:
-    """Worst-case backlog of structural workload *task* on service *beta*.
-
-    Args:
-        task: The structural workload.
-        beta: Lower service curve of the resource.
-        reuse: Serve the busy window and the frontier from the shared
-            per-``(task, beta)``
-            :class:`~repro.core.context.AnalysisContext` (default).
-            ``False`` recomputes both from scratch — the benchmarks'
-            reference; same result.
-
-    Raises:
-        UnboundedBusyWindowError: if the workload saturates the service.
-    """
-    if reuse and initial_horizon is None:
-        from repro.core.context import AnalysisContext
-
-        return AnalysisContext.of(task, beta).backlog_result()
-    bw = busy_window_bound(
-        task, beta, initial_horizon=initial_horizon, reuse=reuse
-    )
-    if reuse:
-        tuples = request_frontier(task, bw.length)
-    else:
-        from repro.drt.request import FrontierExplorer
-
-        tuples = FrontierExplorer(task).tuples(bw.length)
+    """The backlog bound over *tuples*: the first tuple (in tuple order)
+    with the strictly largest ``w - beta(t)`` is the critical one."""
     best = Q(0)
     critical: Optional[RequestTuple] = None
     for tup in tuples:
@@ -89,3 +61,30 @@ def structural_backlog(
     return BacklogResult(
         backlog=best, busy_window=bw.length, critical_tuple=critical
     )
+
+
+def structural_backlog(
+    task: DRTTask,
+    beta: Curve,
+    initial_horizon: Optional[NumLike] = None,
+) -> BacklogResult:
+    """Worst-case backlog of structural workload *task* on service *beta*.
+
+    Without an *initial_horizon* the result is served from the shared
+    per-``(task, beta)`` :class:`~repro.core.context.AnalysisContext`.
+
+    Args:
+        task: The structural workload.
+        beta: Lower service curve of the resource.
+        initial_horizon: Optional starting horizon for the busy-window
+            fixpoint.
+
+    Raises:
+        UnboundedBusyWindowError: if the workload saturates the service.
+    """
+    if initial_horizon is None:
+        from repro.core.context import AnalysisContext
+
+        return AnalysisContext.of(task, beta).backlog_result()
+    bw = busy_window_bound(task, beta, initial_horizon=initial_horizon)
+    return critical_backlog(beta, bw, request_frontier(task, bw.length))

@@ -39,7 +39,6 @@ def rtc_delay(
     task: DRTTask,
     beta: Curve,
     initial_horizon: Optional[NumLike] = None,
-    reuse: bool = True,
 ) -> Fraction:
     """The arrival-curve (RTC) delay bound: ``hdev(rbf, beta)``.
 
@@ -48,9 +47,7 @@ def rtc_delay(
     horizontal deviation is attained inside the exact region and the
     result does not suffer from the conservative finitary tail.
     """
-    bw = busy_window_bound(
-        task, beta, initial_horizon=initial_horizon, reuse=reuse
-    )
+    bw = busy_window_bound(task, beta, initial_horizon=initial_horizon)
     d = horizontal_deviation(bw.rbf, beta)
     if is_inf(d):  # pragma: no cover - excluded by the busy window check
         raise UnboundedBusyWindowError("horizontal deviation is infinite")
@@ -61,12 +58,9 @@ def rtc_backlog(
     task: DRTTask,
     beta: Curve,
     initial_horizon: Optional[NumLike] = None,
-    reuse: bool = True,
 ) -> Fraction:
     """The RTC backlog bound: ``vdev(rbf, beta)``."""
-    bw = busy_window_bound(
-        task, beta, initial_horizon=initial_horizon, reuse=reuse
-    )
+    bw = busy_window_bound(task, beta, initial_horizon=initial_horizon)
     v = vertical_deviation(bw.rbf, beta)
     if is_inf(v):  # pragma: no cover - excluded by the busy window check
         raise UnboundedBusyWindowError("vertical deviation is infinite")
@@ -144,7 +138,6 @@ def concave_hull_delay(
     task: DRTTask,
     beta: Curve,
     initial_horizon: Optional[NumLike] = None,
-    reuse: bool = True,
 ) -> Fraction:
     """Delay bound from the concave-hull abstraction of the request bound.
 
@@ -152,9 +145,7 @@ def concave_hull_delay(
     multi-segment approximation RTC toolboxes use — sits between the
     token-bucket and the exact curve in precision.
     """
-    bw = busy_window_bound(
-        task, beta, initial_horizon=initial_horizon, reuse=reuse
-    )
+    bw = busy_window_bound(task, beta, initial_horizon=initial_horizon)
     hull = concave_hull(bw.rbf, bw.rbf.tail_rate)
     d = horizontal_deviation(hull, beta)
     if is_inf(d):

@@ -14,22 +14,14 @@ to a chosen horizon (its tail is a sound but loose affine bound, see
 *horizon iteration*: start from an estimate, and double the horizon until
 the busy window closes strictly inside the exactly-known region.
 
-Two cost models coexist behind the ``reuse`` flag:
-
-* ``reuse=True`` (default) — the iteration draws its request curves from
-  the task's shared :class:`~repro.drt.request.FrontierExplorer`, so each
-  doubling round only pays for the exploration the new horizon adds, and
-  the closed fixpoint is memoized per ``(task, beta)`` so every later
-  analysis (delay, backlog, per-job, the baselines) reuses it for free.
-* ``reuse=False`` — the historical cost model: every round re-explores
-  the frontier from scratch and nothing is memoized.  The benchmarks use
-  it as the from-scratch reference that the incremental engine must match
-  bound-for-bound.
-
-Both modes iterate the *same* horizon sequence from the same initial
-estimate, so the returned :class:`BusyWindow` (length, horizon,
-iterations, and the attached request curve) is bit-identical between
-them.
+The iteration draws its request curves from the task's shared
+:class:`~repro.drt.request.FrontierExplorer`, so each doubling round only
+pays for the exploration the new horizon adds, and the closed fixpoint is
+memoized per ``(task, beta, initial_horizon, max_iterations)`` so every
+later analysis (delay, backlog, per-job, the baselines) reuses it for
+free.  The fixpoint of a given horizon sequence does not depend on how
+much of the frontier was explored before: the explorer's truncated view
+at a horizon equals a from-scratch exploration to that horizon.
 """
 
 from __future__ import annotations
@@ -42,7 +34,7 @@ from repro import perf
 from repro._memo import process_memo
 from repro._numeric import Q, NumLike, as_q
 from repro.drt.model import DRTTask
-from repro.drt.request import FrontierExplorer, rbf_curve
+from repro.drt.request import rbf_curve
 from repro.drt.utilization import utilization
 from repro.errors import HorizonExceededError, UnboundedBusyWindowError
 from repro.minplus.curve import Curve
@@ -121,7 +113,6 @@ def busy_window_bound(
     beta: Curve,
     initial_horizon: Optional[NumLike] = None,
     max_iterations: int = 40,
-    reuse: bool = True,
 ) -> BusyWindow:
     """Busy window bound of structural workload *task* on service *beta*.
 
@@ -132,10 +123,6 @@ def busy_window_bound(
         initial_horizon: Starting exactness horizon; default is an affine
             estimate from the workload burst and the rate gap.
         max_iterations: Safety cap on horizon doublings.
-        reuse: Serve request curves from the task's shared frontier
-            explorer and memoize the result per ``(task, beta)``
-            (default).  ``False`` re-explores from scratch every round —
-            the benchmarks' from-scratch reference; same result.
 
     Raises:
         UnboundedBusyWindowError: if long-run utilization reaches the
@@ -149,29 +136,23 @@ def busy_window_bound(
         raise UnboundedBusyWindowError(
             f"utilization {rho} >= long-run service rate {beta.tail_rate}"
         )
-    key = None
-    cache = None
-    if reuse:
-        from repro.drt.digest import guard_cache
+    from repro.drt.digest import guard_cache
 
-        cache = guard_cache(task)
-        key = (
-            "busy_window",
-            beta,
-            None if initial_horizon is None else as_q(initial_horizon),
-            max_iterations,
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            perf.record("busy_window.cache_hits")
-            return cached
+    cache = guard_cache(task)
+    key = (
+        "busy_window",
+        beta,
+        None if initial_horizon is None else as_q(initial_horizon),
+        max_iterations,
+    )
+    cached = cache.get(key)
+    if cached is not None:
+        perf.record("busy_window.cache_hits")
+        return cached
     with perf.timed("busy_window"):
-        result = _iterate(
-            task, beta, rho, initial_horizon, max_iterations, reuse
-        )
-    if key is not None:
-        cache[key] = result
-        perf.record("busy_window.cache_misses")
+        result = _iterate(task, beta, rho, initial_horizon, max_iterations)
+    cache[key] = result
+    perf.record("busy_window.cache_misses")
     return result
 
 
@@ -181,18 +162,14 @@ def _iterate(
     rho: Q,
     initial_horizon: Optional[NumLike],
     max_iterations: int,
-    reuse: bool,
 ) -> BusyWindow:
-    """The horizon-doubling fixpoint iteration (shared by both modes)."""
+    """The horizon-doubling fixpoint iteration."""
     if initial_horizon is not None:
         horizon = as_q(initial_horizon)
     else:
         horizon = _initial_estimate(task, beta, rho)
     for iteration in range(1, max_iterations + 1):
-        if reuse:
-            rbf = rbf_curve(task, horizon)
-        else:
-            rbf = FrontierExplorer(task).rbf_curve(horizon)
+        rbf = rbf_curve(task, horizon)
         memo_key = (rbf, beta)
         hit = _FIXPOINT_MEMO.get(memo_key)
         if hit is not None:

@@ -21,10 +21,16 @@ stale.  Contexts live in the task's ``_analysis_cache`` keyed by the
 service curve and are dropped with the task itself.
 
 Every bound a context produces is bit-identical (exact
-:class:`~fractions.Fraction` equality) to the from-scratch value: it
-iterates the same tuples in the same order with the same strict
-comparisons, so even tie-breaking — which tuple is reported as critical —
-is preserved.
+:class:`~fractions.Fraction` equality) to the from-scratch value: the
+frontier is the shared explorer's truncated view at ``L``, which equals
+a from-scratch exploration to ``L``, and the reductions over it are the
+very functions the ``initial_horizon`` path of
+:mod:`repro.core.delay` and :mod:`repro.core.backlog` calls
+(:func:`~repro.core.delay.tuple_delays`,
+:func:`~repro.core.delay.critical_delay`,
+:func:`~repro.core.delay.per_job_delays`,
+:func:`~repro.core.backlog.critical_backlog`), so even tie-breaking —
+which tuple is reported as critical — is the same by construction.
 """
 
 from __future__ import annotations
@@ -33,19 +39,18 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from repro import perf
-from repro._numeric import Q, is_inf
-from repro.core.backlog import BacklogResult
+from repro._numeric import Q
+from repro.core.backlog import BacklogResult, critical_backlog
 from repro.core.busy_window import BusyWindow, busy_window_bound
-from repro.core.delay import DelayResult
-from repro.drt.model import DRTTask
-from repro.drt.request import (
-    FrontierStats,
-    RequestTuple,
-    frontier_explorer,
+from repro.core.delay import (
+    DelayResult,
+    critical_delay,
+    per_job_delays,
+    tuple_delays,
 )
-from repro.errors import AnalysisError
+from repro.drt.model import DRTTask
+from repro.drt.request import FrontierStats, RequestTuple, request_frontier
 from repro.minplus.curve import Curve
-from repro.minplus.deviation import lower_pseudo_inverse_batch
 from repro.parallel import cache as result_cache
 
 __all__ = ["AnalysisContext"]
@@ -151,10 +156,11 @@ class AnalysisContext:
         """The request frontier truncated at the busy window bound."""
         if self._tuples is None:
             bw = self.busy_window()
+            self._stats = FrontierStats()
             with perf.timed("frontier"):
-                ex = frontier_explorer(self.task)
-                self._tuples = ex.tuples(bw.length)
-                self._stats = ex.stats_at(bw.length)
+                self._tuples = request_frontier(
+                    self.task, bw.length, stats=self._stats
+                )
         return self._tuples
 
     def stats(self) -> FrontierStats:
@@ -171,22 +177,12 @@ class AnalysisContext:
         Raises:
             AnalysisError: if the service never provides some tuple's
                 work (reported for the first such tuple in frontier
-                order, exactly as the scalar loop would).
+                order).
         """
         if self._delays is None:
             tuples = self.frontier()
             with perf.timed("delay"):
-                invs = lower_pseudo_inverse_batch(
-                    self.beta, [t.work for t in tuples]
-                )
-            for tup, inv in zip(tuples, invs):
-                if is_inf(inv):
-                    raise AnalysisError(
-                        f"service curve never provides {tup.work} units of work"
-                    )
-            self._delays = [
-                inv - tup.time for tup, inv in zip(tuples, invs)
-            ]
+                self._delays = tuple_delays(self.beta, tuples)
         return self._delays
 
     # -- the bounds -------------------------------------------------------
@@ -204,21 +200,11 @@ class AnalysisContext:
             if hit is not None:
                 self._delay_result = hit
                 return self._delay_result
-            bw = self.busy_window()
-            tuples = self.frontier()
-            best = Q(0)
-            critical: Optional[RequestTuple] = None
-            for tup, d in zip(tuples, self.tuple_delays()):
-                if d > best:
-                    best = d
-                    critical = tup
-            self._delay_result = DelayResult(
-                delay=best,
-                busy_window=bw.length,
-                horizon=bw.horizon,
-                critical_tuple=critical,
-                tuple_count=len(tuples),
-                stats=self.stats(),
+            self._delay_result = critical_delay(
+                self.busy_window(),
+                self.frontier(),
+                self.tuple_delays(),
+                self.stats(),
             )
             if self._persist:
                 result_cache.put_analysis(
@@ -233,14 +219,9 @@ class AnalysisContext:
             if hit is not None:
                 self._per_job = hit
                 return dict(self._per_job)
-            delays: Dict[str, Fraction] = {
-                v: Q(0) for v in self.task.job_names
-            }
-            tuples = self.frontier()
-            for tup, d in zip(tuples, self.tuple_delays()):
-                if d > delays[tup.vertex]:
-                    delays[tup.vertex] = d
-            self._per_job = delays
+            self._per_job = per_job_delays(
+                self.task, self.frontier(), self.tuple_delays()
+            )
             if self._persist:
                 result_cache.put_analysis(
                     "ctx.per_job", self.task, self.beta, self._per_job
@@ -254,17 +235,8 @@ class AnalysisContext:
             if hit is not None:
                 self._backlog_result = hit
                 return self._backlog_result
-            bw = self.busy_window()
-            tuples = self.frontier()
-            best = Q(0)
-            critical: Optional[RequestTuple] = None
-            for tup in tuples:
-                b = tup.work - self.beta.at(tup.time)
-                if b > best:
-                    best = b
-                    critical = tup
-            self._backlog_result = BacklogResult(
-                backlog=best, busy_window=bw.length, critical_tuple=critical
+            self._backlog_result = critical_backlog(
+                self.beta, self.busy_window(), self.frontier()
             )
             if self._persist:
                 result_cache.put_analysis(

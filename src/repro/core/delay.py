@@ -21,14 +21,14 @@ is therefore never smaller and often much larger.
 value, and the discrete-event simulator realises it with the witness path
 under an adversarial service process.
 
-By default the analysis runs on the incremental engine: the busy window,
-the frontier (from the task's shared
+Without an ``initial_horizon`` the analysis runs on the incremental
+engine: the busy window, the frontier (from the task's shared
 :class:`~repro.drt.request.FrontierExplorer`) and the batched per-tuple
 pseudo-inverses are memoized per ``(task, beta)`` in
-:class:`~repro.core.context.AnalysisContext`.  ``reuse=False`` runs the
-historical from-scratch pipeline — private exploration per call, scalar
-pseudo-inverse per tuple — which the benchmarks use as the reference the
-incremental engine must match bound-for-bound.
+:class:`~repro.core.context.AnalysisContext`.  With one (or with
+``prune=False``) the same reductions — :func:`tuple_delays`,
+:func:`critical_delay`, :func:`per_job_delays` — run on a busy window
+seeded from that horizon, outside the memoized context.
 """
 
 from __future__ import annotations
@@ -41,12 +41,7 @@ from repro._numeric import Q, NumLike, is_inf
 from repro.core.busy_window import BusyWindow, busy_window_bound
 from repro.drt.model import DRTTask
 from repro.drt.paths import Path, iter_paths
-from repro.drt.request import (
-    FrontierExplorer,
-    FrontierStats,
-    RequestTuple,
-    request_frontier,
-)
+from repro.drt.request import FrontierStats, RequestTuple, request_frontier
 from repro.errors import AnalysisError
 from repro.minplus.curve import Curve
 from repro.minplus.deviation import (
@@ -94,8 +89,13 @@ def _delay_of_tuple(beta: Curve, time: Q, work: Q) -> Q:
     return inv - time
 
 
-def _tuple_delays(beta: Curve, tuples: List[RequestTuple]) -> List[Q]:
-    """Batched ``beta^{-1}(w) - t`` for every tuple, in tuple order."""
+def tuple_delays(beta: Curve, tuples: List[RequestTuple]) -> List[Q]:
+    """Batched ``beta^{-1}(w) - t`` for every tuple, in tuple order.
+
+    Raises:
+        AnalysisError: if the service never provides some tuple's work
+            (reported for the first such tuple in tuple order).
+    """
     invs = lower_pseudo_inverse_batch(beta, [t.work for t in tuples])
     for tup, inv in zip(tuples, invs):
         if is_inf(inv):
@@ -105,49 +105,14 @@ def _tuple_delays(beta: Curve, tuples: List[RequestTuple]) -> List[Q]:
     return [inv - tup.time for tup, inv in zip(tuples, invs)]
 
 
-def structural_delay(
-    task: DRTTask,
-    beta: Curve,
-    initial_horizon: Optional[NumLike] = None,
-    prune: bool = True,
-    reuse: bool = True,
+def critical_delay(
+    bw: BusyWindow,
+    tuples: List[RequestTuple],
+    delays: List[Q],
+    stats: FrontierStats,
 ) -> DelayResult:
-    """Worst-case delay of structural workload *task* on service *beta*.
-
-    Args:
-        task: The structural workload (DRT task).
-        beta: Lower service curve of the processing resource; must be
-            nondecreasing with ``beta(0) == 0``-style semantics (work is
-            never served before it could be).
-        initial_horizon: Optional starting horizon for the busy-window
-            fixpoint (see :func:`repro.core.busy_window.busy_window_bound`).
-        prune: Apply Pareto domination pruning (disable only for the
-            ablation experiment; exponentially slower).
-        reuse: Serve the busy window, the frontier and the batched
-            pseudo-inverses from the shared per-``(task, beta)``
-            :class:`~repro.core.context.AnalysisContext` (default).
-            ``False`` recomputes everything from scratch with the scalar
-            pseudo-inverse — the benchmarks' reference; same result.
-
-    Raises:
-        UnboundedBusyWindowError: if the workload saturates the service.
-    """
-    if reuse and prune and initial_horizon is None:
-        from repro.core.context import AnalysisContext
-
-        return AnalysisContext.of(task, beta).delay_result()
-    bw = busy_window_bound(
-        task, beta, initial_horizon=initial_horizon, reuse=reuse
-    )
-    stats = FrontierStats()
-    if reuse:
-        tuples = request_frontier(task, bw.length, prune=prune, stats=stats)
-        delays = _tuple_delays(beta, tuples)
-    else:
-        ex = FrontierExplorer(task, prune=prune)
-        tuples = ex.tuples(bw.length)
-        stats.add(ex.stats_at(bw.length))
-        delays = [_delay_of_tuple(beta, t.time, t.work) for t in tuples]
+    """The delay bound over *tuples*: the first tuple (in tuple order)
+    with the strictly largest delay is the critical one."""
     best = Q(0)
     critical: Optional[RequestTuple] = None
     for tup, d in zip(tuples, delays):
@@ -164,11 +129,52 @@ def structural_delay(
     )
 
 
+def per_job_delays(
+    task: DRTTask, tuples: List[RequestTuple], delays: List[Q]
+) -> Dict[str, Fraction]:
+    """The largest tuple delay ending at each job type (0 if none)."""
+    out: Dict[str, Fraction] = {v: Q(0) for v in task.job_names}
+    for tup, d in zip(tuples, delays):
+        if d > out[tup.vertex]:
+            out[tup.vertex] = d
+    return out
+
+
+def structural_delay(
+    task: DRTTask,
+    beta: Curve,
+    initial_horizon: Optional[NumLike] = None,
+    prune: bool = True,
+) -> DelayResult:
+    """Worst-case delay of structural workload *task* on service *beta*.
+
+    Args:
+        task: The structural workload (DRT task).
+        beta: Lower service curve of the processing resource; must be
+            nondecreasing with ``beta(0) == 0``-style semantics (work is
+            never served before it could be).
+        initial_horizon: Optional starting horizon for the busy-window
+            fixpoint (see :func:`repro.core.busy_window.busy_window_bound`).
+        prune: Apply Pareto domination pruning (disable only for the
+            ablation experiment; exponentially slower).
+
+    Raises:
+        UnboundedBusyWindowError: if the workload saturates the service.
+    """
+    if prune and initial_horizon is None:
+        from repro.core.context import AnalysisContext
+
+        return AnalysisContext.of(task, beta).delay_result()
+    bw = busy_window_bound(task, beta, initial_horizon=initial_horizon)
+    stats = FrontierStats()
+    tuples = request_frontier(task, bw.length, prune=prune, stats=stats)
+    return critical_delay(bw, tuples, tuple_delays(beta, tuples), stats)
+
+
 def structural_delays_per_job(
     task: DRTTask,
     beta: Curve,
     initial_horizon: Optional[NumLike] = None,
-    reuse: bool = True,
 ) -> Dict[str, Fraction]:
     """Worst-case delay of each job *type* (graph vertex).
 
@@ -178,24 +184,13 @@ def structural_delays_per_job(
     Returns:
         Mapping from job name to its delay bound.
     """
-    if reuse and initial_horizon is None:
+    if initial_horizon is None:
         from repro.core.context import AnalysisContext
 
         return AnalysisContext.of(task, beta).per_job()
-    bw = busy_window_bound(
-        task, beta, initial_horizon=initial_horizon, reuse=reuse
-    )
-    if reuse:
-        tuples = request_frontier(task, bw.length)
-        delay_list = _tuple_delays(beta, tuples)
-    else:
-        tuples = FrontierExplorer(task).tuples(bw.length)
-        delay_list = [_delay_of_tuple(beta, t.time, t.work) for t in tuples]
-    delays: Dict[str, Fraction] = {v: Q(0) for v in task.job_names}
-    for tup, d in zip(tuples, delay_list):
-        if d > delays[tup.vertex]:
-            delays[tup.vertex] = d
-    return delays
+    bw = busy_window_bound(task, beta, initial_horizon=initial_horizon)
+    tuples = request_frontier(task, bw.length)
+    return per_job_delays(task, tuples, tuple_delays(beta, tuples))
 
 
 def exhaustive_delay(

@@ -29,7 +29,6 @@ def output_arrival_curve(
     beta: Curve,
     initial_horizon: Optional[NumLike] = None,
     method: str = "best",
-    reuse: bool = True,
 ) -> Curve:
     """Upper arrival curve of the task's *departures* from service *beta*.
 
@@ -40,9 +39,6 @@ def output_arrival_curve(
         method: ``"deconvolution"`` for ``rbf (/) beta``, ``"delay"`` for
             the delay-shifted request bound ``Delta -> rbf(Delta + D*)``,
             or ``"best"`` (default) for their pointwise minimum.
-        reuse: Serve the busy window and delay from the shared analysis
-            caches (default).  ``False`` recomputes both from scratch —
-            the historical cost model the benchmarks compare against.
 
     Returns:
         A sound upper arrival curve for the processed stream (valid input
@@ -54,9 +50,7 @@ def output_arrival_curve(
     """
     if method not in ("deconvolution", "delay", "best"):
         raise ValueError(f"unknown method {method!r}")
-    bw = busy_window_bound(
-        task, beta, initial_horizon=initial_horizon, reuse=reuse
-    )
+    bw = busy_window_bound(task, beta, initial_horizon=initial_horizon)
     curves = []
     if method in ("deconvolution", "best"):
         # The deconvolution bounds the *fluid* served work; jobs depart
@@ -70,12 +64,7 @@ def output_arrival_curve(
         # Work leaving within a window of length t entered within t + D*
         # (every job departs at most D* after its release), so the
         # delay-advanced request bound constrains the departures.
-        delay = structural_delay(
-            task,
-            beta,
-            initial_horizon=None if reuse else bw.horizon,
-            reuse=reuse,
-        ).delay
+        delay = structural_delay(task, beta).delay
         curves.append(bw.rbf.advance(delay))
     out = curves[0]
     for c in curves[1:]:

@@ -660,7 +660,6 @@ def request_frontier(
     horizon: NumLike,
     prune: bool = True,
     stats: Optional[FrontierStats] = None,
-    reuse: bool = True,
 ) -> List[RequestTuple]:
     """All non-dominated request tuples with ``time <= horizon``.
 
@@ -677,9 +676,6 @@ def request_frontier(
         stats: Optional mutable statistics collector; receives the
             statistics of a from-scratch exploration at *horizon* (the
             truncated view of the shared explorer's event log).
-        reuse: Serve from the task's shared explorer (default).
-            ``False`` explores a private one from scratch — the
-            benchmarks' historical cost model; same result.
 
     Returns:
         Request tuples sorted by time (ties by work descending), Pareto-
@@ -689,7 +685,7 @@ def request_frontier(
     if hz < 0:
         raise ModelError("horizon must be non-negative")
     if prune:
-        ex = frontier_explorer(task) if reuse else FrontierExplorer(task)
+        ex = frontier_explorer(task)
     else:
         ex = FrontierExplorer(task, prune=False)
     out = ex.tuples(hz)
@@ -698,15 +694,15 @@ def request_frontier(
     return out
 
 
-def rbf_value(task: DRTTask, delta: NumLike, reuse: bool = True) -> Fraction:
+def rbf_value(task: DRTTask, delta: NumLike) -> Fraction:
     """Exact ``rbf(delta)``: maximum work in a closed window of length
     *delta* (the window start coincides with some job release)."""
     d = as_q(delta)
-    tuples = request_frontier(task, d, reuse=reuse)
+    tuples = request_frontier(task, d)
     return max(t.work for t in tuples)
 
 
-def rbf_curve(task: DRTTask, horizon: NumLike, reuse: bool = True) -> Curve:
+def rbf_curve(task: DRTTask, horizon: NumLike) -> Curve:
     """The request bound function as a finitary staircase curve.
 
     Exact on ``[0, horizon)``.  Beyond the horizon the curve continues
@@ -723,11 +719,8 @@ def rbf_curve(task: DRTTask, horizon: NumLike, reuse: bool = True) -> Curve:
     Args:
         task: The structural workload.
         horizon: Exactness horizon (must be >= 0).
-        reuse: Serve from the task's shared explorer (default);
-            ``False`` explores a private one from scratch.
     """
     hz = as_q(horizon)
     if hz < 0:
         raise ModelError("horizon must be non-negative")
-    ex = frontier_explorer(task) if reuse else FrontierExplorer(task)
-    return ex.rbf_curve(hz)
+    return frontier_explorer(task).rbf_curve(hz)

@@ -74,7 +74,6 @@ def edf_structural_delays(
     beta: Curve,
     initial_horizon: Optional[NumLike] = None,
     max_iterations: int = 40,
-    reuse: bool = True,
     jobs: JobsLike = None,
 ) -> EdfDelayResult:
     """Per-job-type delay bounds under preemptive EDF.
@@ -86,10 +85,6 @@ def edf_structural_delays(
         initial_horizon: Optional starting exactness horizon.
         max_iterations: Cap on horizon doublings for the aggregate
             busy-window fixpoint.
-        reuse: Serve each task's frontier from its shared resumable
-            explorer (default).  ``False`` re-explores every task from
-            scratch — the historical cost model the benchmarks compare
-            against.
         jobs: Fan the per-task maximisations out over worker processes.
             After the shared aggregate busy window and demand curves are
             fixed, each task's bound depends on nothing computed for the
@@ -109,7 +104,6 @@ def edf_structural_delays(
     extra = (
         "ih=" + (str(as_q(initial_horizon)) if initial_horizon is not None else "-"),
         f"mi={max_iterations}",
-        f"reuse={reuse}",
     )
     cached = result_cache.get_analysis("sched.edf", tasks, beta, extra)
     if cached is not None:
@@ -118,9 +112,9 @@ def edf_structural_delays(
     busy = None
     for _ in range(max_iterations):
         checkpoint()  # one budget unit per aggregate-horizon round
-        total_rbf = rbf_curve(tasks[0], horizon, reuse=reuse)
+        total_rbf = rbf_curve(tasks[0], horizon)
         for task in tasks[1:]:
-            total_rbf = total_rbf + rbf_curve(task, horizon, reuse=reuse)
+            total_rbf = total_rbf + rbf_curve(task, horizon)
         try:
             last = last_positive_time(total_rbf - beta)
         except UnboundedBusyWindowError:
@@ -153,7 +147,6 @@ def edf_structural_delays(
             [dbfs[other.name] for other in tasks if other.name != task.name],
             beta,
             busy,
-            reuse,
         )
         for task in tasks
     ]
@@ -176,7 +169,7 @@ def _edf_task_case(case) -> Dict[str, Fraction]:
     """One task's per-job EDF delay maximisation, given the shared
     aggregate busy window and the other tasks' demand curves
     (module-level so the execution plane can ship it to workers)."""
-    task, other_dbfs, beta, busy, reuse = case
+    task, other_dbfs, beta, busy = case
     # Aggregate interference demand of the other tasks, and the jump
     # points where increasing the anchor offset can pay off.
     interference_jumps: List[Q] = sorted(
@@ -187,7 +180,7 @@ def _edf_task_case(case) -> Dict[str, Fraction]:
         return sum((dbf.at(window) for dbf in other_dbfs), Q(0))
 
     delays: Dict[str, Fraction] = {v: Q(0) for v in task.job_names}
-    tuples = request_frontier(task, busy, reuse=reuse)
+    tuples = request_frontier(task, busy)
     # The busy window may start with *another task's* job: the
     # analysed task's path begins at an unknown anchor offset
     # a >= 0 and the job sits at s = a + t.  Its interference

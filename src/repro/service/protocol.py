@@ -446,7 +446,7 @@ register_kind(
     KindSpec(
         kind="edf_structural_delays",
         arity="set",
-        params=frozenset({"initial_horizon", "max_iterations", "reuse"}),
+        params=frozenset({"initial_horizon", "max_iterations"}),
         rational_params=frozenset({"initial_horizon"}),
         encode=_encode_edf,
         decode=_decode_edf,
@@ -625,11 +625,15 @@ def decode_beta(spec: Any) -> Curve:
     raise _bad("'beta' needs either 'segments' or 'rate'/'latency'")
 
 
+def _decode_count(value: Any, what: str, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise _bad(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def decode_m(value: Any) -> int:
     """The processor count of a multiprocessor request."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise _bad(f"'m' must be an integer >= 1, got {value!r}")
-    return value
+    return _decode_count(value, "'m'", 1)
 
 
 def decode_request(data: Any, trace_id: Optional[str] = None) -> DecodedRequest:
@@ -696,6 +700,9 @@ def decode_request(data: Any, trace_id: Optional[str] = None) -> DecodedRequest:
     for name in spec.rational_params & set(params):
         if params[name] is not None:
             params[name] = _decode_rational(params[name], f"params.{name}")
+    for name, least in (("max_iterations", 1), ("max_paths", 0)):
+        if name in params:
+            _decode_count(params[name], f"params.{name}", least)
 
     if spec.needs_m:
         if "m" not in data:

@@ -19,6 +19,7 @@ from repro.core.facade import StructuralAnalysis
 from repro.drt.model import DRTTask
 from repro.drt.request import frontier_explorer
 from repro.minplus.builders import rate_latency
+from repro.parallel import reset_process_caches
 
 
 @pytest.fixture
@@ -45,15 +46,28 @@ class TestAnalysisContext:
         assert structural_delays_per_job(demo_task, beta) == ctx.per_job()
 
     def test_matches_scratch_bit_exact(self, demo_task, beta):
+        """A task whose shared explorer was extended past ``L`` by an
+        earlier analysis answers exactly like a fresh copy analysed in
+        a process with every memo cleared."""
+        warm = structural_delay(demo_task, beta.hshift(10))
         cached = structural_delay(demo_task, beta)
-        scratch = structural_delay(demo_task, beta, reuse=False)
+        assert warm.busy_window > cached.busy_window
+        reset_process_caches()
+        fresh = DRTTask(
+            demo_task.name, list(demo_task.jobs.values()), list(demo_task.edges)
+        )
+        scratch = structural_delay(fresh, beta)
         assert cached.delay == scratch.delay
         assert cached.busy_window == scratch.busy_window
+        assert cached.horizon == scratch.horizon
         assert cached.critical_tuple == scratch.critical_tuple
+        assert cached.tuple_count == scratch.tuple_count
         assert cached.stats == scratch.stats
-        assert (
-            structural_backlog(demo_task, beta).backlog
-            == structural_backlog(demo_task, beta, reuse=False).backlog
+        assert structural_delays_per_job(
+            demo_task, beta
+        ) == structural_delays_per_job(fresh, beta)
+        assert structural_backlog(demo_task, beta) == structural_backlog(
+            fresh, beta
         )
 
     def test_per_job_returns_fresh_dict(self, demo_task, beta):

@@ -312,25 +312,34 @@ class TestIncrementalFrontierProperties:
     @settings(max_examples=40, deadline=None)
     @given(task=small_drt_tasks(), beta=service_curves())
     def test_reused_analyses_equal_scratch(self, task, beta):
-        """Every cached analysis equals its from-scratch counterpart."""
+        """Every cached analysis of a task whose shared explorer an
+        earlier analysis extended past ``L`` equals the same analysis of
+        a fresh copy with every process memo cleared."""
         from repro.core.backlog import structural_backlog
         from repro.core.delay import structural_delay, structural_delays_per_job
+        from repro.drt.model import DRTTask
         from repro.errors import UnboundedBusyWindowError
+        from repro.parallel import reset_process_caches
 
         try:
-            scratch = structural_delay(task, beta, reuse=False)
+            warm = structural_delay(task, beta.hshift(10))
         except UnboundedBusyWindowError:
             assume(False)
         cached = structural_delay(task, beta)
+        assert warm.busy_window >= cached.busy_window
+        reset_process_caches()
+        fresh = DRTTask(task.name, list(task.jobs.values()), list(task.edges))
+        scratch = structural_delay(fresh, beta)
         assert cached.delay == scratch.delay
         assert cached.busy_window == scratch.busy_window
+        assert cached.horizon == scratch.horizon
         assert cached.critical_tuple == scratch.critical_tuple
         assert cached.stats == scratch.stats
         assert structural_delays_per_job(
             task, beta
-        ) == structural_delays_per_job(task, beta, reuse=False)
+        ) == structural_delays_per_job(fresh, beta)
         cached_b = structural_backlog(task, beta)
-        scratch_b = structural_backlog(task, beta, reuse=False)
+        scratch_b = structural_backlog(fresh, beta)
         assert cached_b.backlog == scratch_b.backlog
         assert cached_b.critical_tuple == scratch_b.critical_tuple
 

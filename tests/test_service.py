@@ -13,6 +13,7 @@ from repro.curves.service import rate_latency_service
 from repro.drt.model import DRTTask
 from repro.errors import SerializationError, ValidationError
 from repro.io.json_io import curve_to_dict, task_to_dict
+from repro.mp import DAGTask, dag_to_dict
 from repro.resilience import Budget, bounded_delay, chaos
 from repro.resilience.bounded import LEVELS
 from repro.sched.edf_delay import edf_structural_delays
@@ -113,6 +114,29 @@ class TestProtocol:
             decode_request("not an object")
         with pytest.raises(SerializationError):
             decode_request({**base, "kind": "analyze_many"})  # needs tasks
+        task_set = {"tasks": [task_to_dict(demo_task)], "beta": base["beta"]}
+        for kind, params in (
+            ("sp_schedulable", {"max_iterations": "x"}),
+            ("sp_schedulable", {"max_iterations": 0}),
+            ("sp_schedulable", {"max_iterations": True}),
+            ("edf_structural_delays", {"max_iterations": 2.5}),
+            ("edf_structural_delays", {"reuse": "no"}),
+        ):
+            with pytest.raises(SerializationError):
+                decode_request({**task_set, "kind": kind, "params": params})
+        dag = DAGTask.build(
+            "dag", vertices={"s": 1, "t": 1}, edges=[("s", "t")], period=10
+        )
+        for max_paths in (-1, "2", 1.0, False):
+            with pytest.raises(SerializationError):
+                decode_request(
+                    {
+                        "kind": "dag_rta",
+                        "task": dag_to_dict(dag),
+                        "m": 2,
+                        "params": {"max_paths": max_paths},
+                    }
+                )
 
     @pytest.mark.parametrize(
         "kind",

@@ -59,15 +59,14 @@ instead of recomputing its inputs privately:
   memoizes its fixpoint per `(beta, horizon hints)`.  All entry points
   (`structural_delay`, `structural_delays_per_job`, `structural_backlog`,
   the RTC baselines, `output_arrival_curve`, `edf_structural_delays`,
-  `rbf_curve`/`rbf_value`) serve from these caches by default.
+  `rbf_curve`/`rbf_value`) serve from these caches; there is no
+  from-scratch mode.  The benchmarks' from-scratch reference is a fresh
+  copy of the task after `repro.parallel.reset_process_caches()`, and
+  results are bit-identical to it because all caches are keyed by
+  immutable inputs and hold value-type results.
 - **Batched pseudo-inverse** — `lower_pseudo_inverse_batch` answers all
   service-curve queries of an analysis in one sorted sweep over the
   curve's segments instead of one scan per query.
-- **Opting out** — every cached entry point takes `reuse=False` to
-  reproduce the historical from-scratch cost model (used by the
-  benchmarks as the speedup reference); results are bit-identical in
-  both modes because all caches are keyed by immutable inputs and hold
-  value-type results.
 - **Instrumentation** — `repro.perf` counts cache hits/misses, tuples
   expanded/pruned and pseudo-inverse evaluations, and times the
   busy-window/frontier/delay phases; `perf.report()` renders a summary.
@@ -296,6 +295,12 @@ envelopes (`bad_request`, `validation`, `unbounded`,
 `budget_exhausted`, `worker`, `internal`), never raw tracebacks; every
 envelope and every response carries the request's trace ID
 (`X-Trace-Id`).
+`params` are checked per kind at decode, and an unknown or mistyped
+one is a `bad_request`: `sp_schedulable` and `edf_structural_delays`
+take `initial_horizon` (a rational) and `max_iterations` (an integer
+>= 1), `analyze_many` takes `initial_horizon`, `dag_rta` takes
+`max_paths` (an integer >= 0), and the global DAG kinds take
+`max_iterations`.  `edf_structural_delays` no longer takes `reuse`.
 
 **Micro-batching** (`repro.service.batching`).  Every accepted request
 — single or batch member — joins one shared `Batcher`.  The dispatcher
