@@ -215,7 +215,9 @@ def fmt(value) -> str:
 def report(experiment: str, title: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """Render, print, and persist one experiment table.
 
-    Returns the rendered text (also written to ``benchmarks/out``).
+    Returns the rendered text (also written to ``benchmarks/out``, except
+    under ``REPRO_BENCH_SMOKE=1``: a smoke run's reduced table must not
+    overwrite the committed one).
     """
     rows = [list(map(fmt, row)) for row in rows]
     widths = [
@@ -228,8 +230,9 @@ def report(experiment: str, title: str, header: Sequence[str], rows: Iterable[Se
     for r in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
     text = "\n".join(lines) + "\n"
-    os.makedirs(OUT_DIR, exist_ok=True)
-    with open(os.path.join(OUT_DIR, f"{experiment}.txt"), "w") as fh:
-        fh.write(text)
+    if os.environ.get("REPRO_BENCH_SMOKE") != "1":
+        os.makedirs(OUT_DIR, exist_ok=True)
+        with open(os.path.join(OUT_DIR, f"{experiment}.txt"), "w") as fh:
+            fh.write(text)
     print("\n" + text)
     return text

@@ -21,11 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from repro._numeric import Q, NumLike
+from repro._numeric import NumLike
 from repro.core.busy_window import BusyWindow, busy_window_bound
 from repro.drt.model import DRTTask
-from repro.drt.request import RequestTuple, request_frontier
+from repro.drt.request import (
+    FrontierExplorer, Key, RequestTuple, frontier_explorer,
+)
 from repro.minplus.curve import Curve
+from repro.resilience.budget import checkpoint
 
 __all__ = ["BacklogResult", "structural_backlog"]
 
@@ -47,19 +50,24 @@ class BacklogResult:
 
 
 def critical_backlog(
-    beta: Curve, bw: BusyWindow, tuples: List[RequestTuple]
+    ex: FrontierExplorer, bw: BusyWindow, keys: List[Key], beta: Curve
 ) -> BacklogResult:
-    """The backlog bound over *tuples*: the first tuple (in tuple order)
-    with the strictly largest ``w - beta(t)`` is the critical one."""
-    best = Q(0)
-    critical: Optional[RequestTuple] = None
-    for tup in tuples:
-        b = tup.work - beta.at(tup.time)
+    """The backlog bound over the frontier *keys* of *ex* up to the busy
+    window: the first key (in key order) with the strictly largest
+    ``w - beta(t)`` is the critical one.  Swept on ints over ``E`` (the
+    lowering's denominator), one budget unit per key."""
+    low = ex.lowered(beta)
+    value, g = low.value, low.work_unit
+    best, critical = 0, None
+    for key in keys:
+        b = -key[1] * g - value(key[0])
         if b > best:
-            best = b
-            critical = tup
+            best, critical = b, key
+    checkpoint(len(keys))
     return BacklogResult(
-        backlog=best, busy_window=bw.length, critical_tuple=critical
+        backlog=Fraction(best, low.E),
+        busy_window=bw.length,
+        critical_tuple=None if critical is None else ex.request_tuple(critical),
     )
 
 
@@ -87,4 +95,5 @@ def structural_backlog(
 
         return AnalysisContext.of(task, beta).backlog_result()
     bw = busy_window_bound(task, beta, initial_horizon=initial_horizon)
-    return critical_backlog(beta, bw, request_frontier(task, bw.length))
+    ex = frontier_explorer(task)
+    return critical_backlog(ex, bw, ex.keys(bw.length), beta)

@@ -16,14 +16,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from repro._numeric import INF, Q, NumLike, is_inf
+from repro._numeric import Q, NumLike, is_inf
 from repro.core.busy_window import busy_window_bound
 from repro.drt.model import DRTTask, SporadicTask
+from repro.drt.request import frontier_explorer
 from repro.drt.transform import sporadic_abstraction
 from repro.errors import UnboundedBusyWindowError
 from repro.minplus.builders import staircase
 from repro.minplus.curve import Curve
 from repro.minplus.deviation import horizontal_deviation, vertical_deviation
+from repro.resilience.budget import checkpoint
 
 __all__ = [
     "rtc_delay",
@@ -42,16 +44,20 @@ def rtc_delay(
 ) -> Fraction:
     """The arrival-curve (RTC) delay bound: ``hdev(rbf, beta)``.
 
-    The request bound function is computed exactly up to the busy window
-    bound; beyond it the curve lies below *beta* permanently, so the
-    horizontal deviation is attained inside the exact region and the
-    result does not suffer from the conservative finitary tail.
+    Past the busy window bound ``L`` the request curve lies below *beta*,
+    so every step and the tail there deviate by at most 0, and on a
+    staircase the deviation peaks at a step's start: the bound is the
+    largest ``beta^{-1}(w) - t`` over the steps up to ``L`` (at least 0),
+    the delay sweep of :mod:`repro.core.delay` run on the steps.
     """
-    bw = busy_window_bound(task, beta, initial_horizon=initial_horizon)
-    d = horizontal_deviation(bw.rbf, beta)
-    if is_inf(d):  # pragma: no cover - excluded by the busy window check
-        raise UnboundedBusyWindowError("horizontal deviation is infinite")
-    return d
+    _, low, steps = _steps_to_busy_window(task, beta, initial_horizon)
+    best = 0
+    for t, w in steps:
+        x = low.inverse(w)
+        if x is None:  # pragma: no cover - excluded by the busy window
+            raise UnboundedBusyWindowError("horizontal deviation is infinite")
+        best = max(best, x - t * low.time_unit)
+    return Fraction(best, low.D)
 
 
 def rtc_backlog(
@@ -59,12 +65,29 @@ def rtc_backlog(
     beta: Curve,
     initial_horizon: Optional[NumLike] = None,
 ) -> Fraction:
-    """The RTC backlog bound: ``vdev(rbf, beta)``."""
+    """The RTC backlog bound: ``vdev(rbf, beta)``, the largest ``w -
+    beta(t)`` over the steps up to ``L``.  When no step exceeds *beta*
+    (``L == 0``; a service burst at 0 can make the deviation negative)
+    it is taken on the curves."""
+    bw, low, steps = _steps_to_busy_window(task, beta, initial_horizon)
+    best = max(w * low.work_unit - low.value(t) for t, w in steps)
+    if best > 0:
+        return Fraction(best, low.E)
+    return vertical_deviation(bw.rbf, beta)
+
+
+def _steps_to_busy_window(task, beta, initial_horizon):
+    """The busy window, *beta* lowered to the explorer's units and the
+    request staircase's steps up to ``L``; one budget unit per step."""
     bw = busy_window_bound(task, beta, initial_horizon=initial_horizon)
-    v = vertical_deviation(bw.rbf, beta)
-    if is_inf(v):  # pragma: no cover - excluded by the busy window check
-        raise UnboundedBusyWindowError("vertical deviation is infinite")
-    return v
+    ex = frontier_explorer(task)
+    low, (num, den) = ex.lowered(beta), bw.length.as_integer_ratio()
+    steps = [  # t/S <= L, cross-multiplied over D
+        (t, w) for t, w in ex.staircase(bw.horizon)
+        if t * low.time_unit * den <= num * low.D
+    ]
+    checkpoint(len(steps))
+    return bw, low, steps
 
 
 def token_bucket_delay(task: DRTTask, beta: Curve) -> Fraction:

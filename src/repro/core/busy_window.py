@@ -14,44 +14,36 @@ to a chosen horizon (its tail is a sound but loose affine bound, see
 *horizon iteration*: start from an estimate, and double the horizon until
 the busy window closes strictly inside the exactly-known region.
 
-The iteration draws its request curves from the task's shared
-:class:`~repro.drt.request.FrontierExplorer`, so each doubling round only
-pays for the exploration the new horizon adds, and the closed fixpoint is
-memoized per ``(task, beta, initial_horizon, max_iterations)`` so every
-later analysis (delay, backlog, per-job, the baselines) reuses it for
-free.  The fixpoint of a given horizon sequence does not depend on how
-much of the frontier was explored before: the explorer's truncated view
-at a horizon equals a from-scratch exploration to that horizon.
+Each round sweeps the int staircase of the task's shared
+:class:`~repro.drt.request.FrontierExplorer` (which only explores what
+the new horizon adds) against ``beta`` lowered to the same units, and
+the closed fixpoint is memoized per ``(task, beta, initial_horizon,
+max_iterations)`` for every later analysis.  The fixpoint does not depend
+on how much was explored before: the explorer's truncated view at a
+horizon equals a from-scratch exploration to that horizon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from repro import perf
-from repro._memo import process_memo
 from repro._numeric import Q, NumLike, as_q
 from repro.drt.model import DRTTask
-from repro.drt.request import rbf_curve
-from repro.drt.utilization import utilization
-from repro.errors import HorizonExceededError, UnboundedBusyWindowError
+from repro.drt.request import FrontierExplorer, frontier_explorer, rbf_curve
+from repro.drt.utilization import linear_request_bound, utilization
+from repro.errors import (
+    CurveError, HorizonExceededError, UnboundedBusyWindowError,
+)
+from repro.minplus.builders import affine
 from repro.minplus.curve import Curve
+from repro.minplus.lowering import IntService
 from repro.resilience.budget import checkpoint
 
 __all__ = ["BusyWindow", "busy_window_bound", "last_positive_time"]
-
-#: Memo of the fixpoint step ``last_positive_time(rbf - beta)`` keyed by
-#: the curve pair itself.  The step is a pure function of the two curves
-#: (both immutable with cached structural hashes), so distinct tasks that
-#: produce the *same* request staircase — e.g. a what-if sweep retiming
-#: an edge whose work never sets the running maximum — share one curve
-#: subtraction instead of repeating it per variant.  The stored budget
-#: charge is replayed on hits so resilience accounting is identical
-#: either way.  The cap must hold a whole cyclic pool of requests: an
-#: LRU smaller than the cycle it serves never hits.
-_FIXPOINT_MEMO = process_memo("busy_window.fixpoint_memo", 512)
 
 
 @dataclass(frozen=True)
@@ -62,14 +54,18 @@ class BusyWindow:
         length: The busy window bound ``L``.
         horizon: The exactness horizon at which the fixpoint closed.
         iterations: Number of horizon-doubling rounds used.
-        rbf: The request bound curve at the final horizon (reusable by
-            the delay analyses, which need tuples up to ``L <= horizon``).
+        task: The workload the window belongs to.
     """
 
     length: Fraction
     horizon: Fraction
     iterations: int
-    rbf: Curve
+    task: DRTTask = field(repr=False, compare=False)
+
+    @cached_property
+    def rbf(self) -> Curve:
+        """The request bound curve at the final horizon (built on read)."""
+        return rbf_curve(self.task, self.horizon)
 
 
 def last_positive_time(diff: Curve) -> Optional[Q]:
@@ -168,43 +164,71 @@ def _iterate(
         horizon = as_q(initial_horizon)
     else:
         horizon = _initial_estimate(task, beta, rho)
+    ex = frontier_explorer(task)
+    low = ex.lowered(beta)
+    if not low.nondecreasing:
+        raise CurveError("busy window requires a nondecreasing service curve")
+    tail = _tail_last_positive(task, beta, rho)
     for iteration in range(1, max_iterations + 1):
-        rbf = rbf_curve(task, horizon)
-        memo_key = (rbf, beta)
-        hit = _FIXPOINT_MEMO.get(memo_key)
-        if hit is not None:
-            last, charge = hit
-            checkpoint(charge)
-        else:
-            diff = rbf - beta
-            # One budget unit per doubling round plus an amortised charge
-            # for the curve arithmetic (the exploration inside rbf_curve
-            # already checkpoints per expanded tuple).
-            charge = 1 + len(diff.segments) // 64
-            checkpoint(charge)
-            try:
-                last = last_positive_time(diff)
-            except UnboundedBusyWindowError:
-                # The request curve's tail carries the exact long-run
-                # rate, so a positive tail cannot be an artefact of a
-                # short horizon: the service genuinely never catches up.
-                raise UnboundedBusyWindowError(
-                    f"service (rate {beta.tail_rate}) never catches up "
-                    f"with workload of {task.name!r} (rate {rho}, "
-                    "positive burst)"
-                ) from None
-            _FIXPOINT_MEMO.put(memo_key, (last, charge))
+        last = _last_positive(ex, low, tail, horizon)
         if last is None:
             # Service dominates from the start; the only busy "window" is
             # the instantaneous burst at 0.
-            return BusyWindow(Q(0), horizon, iteration, rbf)
+            return BusyWindow(Q(0), horizon, iteration, task)
         if last < horizon:
-            return BusyWindow(last, horizon, iteration, rbf)
+            return BusyWindow(last, horizon, iteration, task)
         horizon *= 2
     raise HorizonExceededError(
         f"busy window did not close within {max_iterations} horizon "
         f"doublings (final horizon {horizon})"
     )
+
+
+def _tail_last_positive(task: DRTTask, beta: Curve, rho: Q) -> Optional[Q]:
+    """``last_positive_time(line - beta)`` for the line ``B + rho*t`` that
+    continues the request curve beyond every horizon."""
+    try:
+        return last_positive_time(affine(*linear_request_bound(task)) - beta)
+    except UnboundedBusyWindowError:
+        # The tail carries the exact long-run rate, so a positive tail is
+        # no artefact of a short horizon: the service never catches up.
+        raise UnboundedBusyWindowError(
+            f"service (rate {beta.tail_rate}) never catches up "
+            f"with workload of {task.name!r} (rate {rho}, positive burst)"
+        ) from None
+
+
+def _last_positive(
+    ex: FrontierExplorer, low: IntService, tail: Optional[Q], horizon: Q
+) -> Optional[Q]:
+    """``last_positive_time(ex.rbf_curve(horizon) - beta)`` on ints.
+
+    A *tail* (:func:`_tail_last_positive`) past *horizon* decides.  Else
+    the last step ``(t_i, w_i)`` with ``beta^{-1}(w_i) > t_i`` does: it
+    stays positive up to ``min(t_{i+1}, beta^{-1}(w_i))``, at or below
+    any later step's time.  The sweep runs backwards to it, charging one
+    budget unit per step visited.
+    """
+    if tail is not None and tail > horizon:
+        checkpoint()
+        return tail
+    steps = ex.staircase(horizon)
+    inv, f = low.inverse, low.time_unit
+    end = None  # the next step's time over D; None: the horizon
+    for visited, (t, w) in enumerate(reversed(steps), 1):
+        x = inv(w)
+        if x is None or x > t * f:
+            break
+        end = t * f
+    else:
+        checkpoint(len(steps))
+        return None
+    checkpoint(visited)
+    if end is None:  # the last step before the horizon
+        if x is None or x * horizon.denominator >= horizon.numerator * low.D:
+            return horizon
+        return Fraction(x, low.D)
+    return Fraction(end if x is None or x > end else x, low.D)
 
 
 def _initial_estimate(task: DRTTask, beta: Curve, rho: Q) -> Q:

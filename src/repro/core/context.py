@@ -2,16 +2,12 @@
 
 Every analysis of a structural task on a service curve needs the same two
 expensive artefacts: the busy-window fixpoint ``L`` and the request
-frontier truncated at ``L``.  Historically each entry point
-(:func:`~repro.core.delay.structural_delay`,
-:func:`~repro.core.delay.structural_delays_per_job`,
-:func:`~repro.core.backlog.structural_backlog`, the baselines, the EDF
-and multi-task analyses) recomputed both from scratch — six independent
-``request_frontier`` call sites.  :class:`AnalysisContext` computes each
-artefact once per ``(task, beta)`` pair and derives every bound from the
-shared copy, including the per-tuple delays, which it obtains with a
-single batched pseudo-inverse sweep
-(:func:`~repro.minplus.deviation.lower_pseudo_inverse_batch`).
+frontier truncated at ``L``.  :class:`AnalysisContext` computes each once
+per ``(task, beta)`` pair and derives every bound from the shared copy.
+The frontier stays in the explorer's int keys: each bound is one sweep
+over them against ``beta`` lowered to the same units, and
+:class:`~repro.drt.request.RequestTuple` objects are built only for a
+bound's critical tuple, or when a caller asks for :meth:`frontier`.
 
 Invalidation story: there is none, by construction.  ``DRTTask`` is
 immutable after ``__init__`` (its docstring blesses free memoization in
@@ -22,12 +18,11 @@ service curve and are dropped with the task itself.
 
 Every bound a context produces is bit-identical (exact
 :class:`~fractions.Fraction` equality) to the from-scratch value: the
-frontier is the shared explorer's truncated view at ``L``, which equals
-a from-scratch exploration to ``L``, and the reductions over it are the
-very functions the ``initial_horizon`` path of
-:mod:`repro.core.delay` and :mod:`repro.core.backlog` calls
-(:func:`~repro.core.delay.tuple_delays`,
-:func:`~repro.core.delay.critical_delay`,
+keys are the shared explorer's truncated view at ``L``, which equals a
+from-scratch exploration to ``L``, and the reductions over them are the
+very functions the ``initial_horizon`` path of :mod:`repro.core.delay`
+and :mod:`repro.core.backlog` calls
+(:func:`~repro.core.delay.critical_delay`,
 :func:`~repro.core.delay.per_job_delays`,
 :func:`~repro.core.backlog.critical_backlog`), so even tie-breaking —
 which tuple is reported as critical — is the same by construction.
@@ -39,17 +34,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from repro import perf
-from repro._numeric import Q
 from repro.core.backlog import BacklogResult, critical_backlog
 from repro.core.busy_window import BusyWindow, busy_window_bound
-from repro.core.delay import (
-    DelayResult,
-    critical_delay,
-    per_job_delays,
-    tuple_delays,
-)
+from repro.core.delay import DelayResult, critical_delay, per_job_delays
 from repro.drt.model import DRTTask
-from repro.drt.request import FrontierStats, RequestTuple, request_frontier
+from repro.drt.request import (
+    FrontierExplorer, FrontierStats, Key, RequestTuple, frontier_explorer,
+)
 from repro.minplus.curve import Curve
 from repro.parallel import cache as result_cache
 
@@ -83,9 +74,8 @@ class AnalysisContext:
         "_persist",
         "_initial_horizon",
         "_bw",
-        "_tuples",
-        "_stats",
-        "_delays",
+        "_ex",
+        "_keys",
         "_delay_result",
         "_per_job",
         "_backlog_result",
@@ -103,9 +93,8 @@ class AnalysisContext:
         self._persist = persist
         self._initial_horizon = initial_horizon
         self._bw: Optional[BusyWindow] = None
-        self._tuples: Optional[List[RequestTuple]] = None
-        self._stats: Optional[FrontierStats] = None
-        self._delays: Optional[List[Q]] = None
+        self._ex: Optional[FrontierExplorer] = None
+        self._keys: Optional[List[Key]] = None
         self._delay_result: Optional[DelayResult] = None
         self._per_job: Optional[Dict[str, Fraction]] = None
         self._backlog_result: Optional[BacklogResult] = None
@@ -152,38 +141,27 @@ class AnalysisContext:
             )
         return self._bw
 
+    def _explorer(self) -> FrontierExplorer:
+        if self._ex is None:
+            self._ex = frontier_explorer(self.task)
+        return self._ex
+
+    def keys(self) -> List[Key]:
+        """The explorer's int frontier keys up to the busy window bound
+        (fetched once per context)."""
+        if self._keys is None:
+            bw = self.busy_window()
+            with perf.timed("frontier"):
+                self._keys = self._explorer().keys(bw.length)
+        return self._keys
+
     def frontier(self) -> List[RequestTuple]:
         """The request frontier truncated at the busy window bound."""
-        if self._tuples is None:
-            bw = self.busy_window()
-            self._stats = FrontierStats()
-            with perf.timed("frontier"):
-                self._tuples = request_frontier(
-                    self.task, bw.length, stats=self._stats
-                )
-        return self._tuples
+        return self._explorer().tuples(self.busy_window().length)
 
     def stats(self) -> FrontierStats:
-        """Exploration statistics of :meth:`frontier` (a fresh copy)."""
-        self.frontier()
-        out = FrontierStats()
-        out.add(self._stats)
-        return out
-
-    def tuple_delays(self) -> List[Q]:
-        """Per-tuple delay ``beta^{-1}(w) - t``, aligned with
-        :meth:`frontier`, via one batched pseudo-inverse sweep.
-
-        Raises:
-            AnalysisError: if the service never provides some tuple's
-                work (reported for the first such tuple in frontier
-                order).
-        """
-        if self._delays is None:
-            tuples = self.frontier()
-            with perf.timed("delay"):
-                self._delays = tuple_delays(self.beta, tuples)
-        return self._delays
+        """Exploration statistics of the frontier (a fresh copy)."""
+        return self._explorer().stats_at(self.busy_window().length)
 
     # -- the bounds -------------------------------------------------------
 
@@ -200,12 +178,15 @@ class AnalysisContext:
             if hit is not None:
                 self._delay_result = hit
                 return self._delay_result
-            self._delay_result = critical_delay(
-                self.busy_window(),
-                self.frontier(),
-                self.tuple_delays(),
-                self.stats(),
-            )
+            keys = self.keys()
+            with perf.timed("delay"):
+                self._delay_result = critical_delay(
+                    self._explorer(),
+                    self.busy_window(),
+                    keys,
+                    self.beta,
+                    self.stats(),
+                )
             if self._persist:
                 result_cache.put_analysis(
                     "ctx.delay", self.task, self.beta, self._delay_result
@@ -220,7 +201,7 @@ class AnalysisContext:
                 self._per_job = hit
                 return dict(self._per_job)
             self._per_job = per_job_delays(
-                self.task, self.frontier(), self.tuple_delays()
+                self._explorer(), self.keys(), self.beta
             )
             if self._persist:
                 result_cache.put_analysis(
@@ -236,7 +217,7 @@ class AnalysisContext:
                 self._backlog_result = hit
                 return self._backlog_result
             self._backlog_result = critical_backlog(
-                self.beta, self.busy_window(), self.frontier()
+                self._explorer(), self.busy_window(), self.keys(), self.beta
             )
             if self._persist:
                 result_cache.put_analysis(

@@ -22,32 +22,35 @@ value, and the discrete-event simulator realises it with the witness path
 under an adversarial service process.
 
 Without an ``initial_horizon`` the analysis runs on the incremental
-engine: the busy window, the frontier (from the task's shared
-:class:`~repro.drt.request.FrontierExplorer`) and the batched per-tuple
-pseudo-inverses are memoized per ``(task, beta)`` in
-:class:`~repro.core.context.AnalysisContext`.  With one (or with
-``prune=False``) the same reductions — :func:`tuple_delays`,
-:func:`critical_delay`, :func:`per_job_delays` — run on a busy window
-seeded from that horizon, outside the memoized context.
+engine: the busy window and the frontier (from the task's shared
+:class:`~repro.drt.request.FrontierExplorer`) are memoized per
+``(task, beta)`` in :class:`~repro.core.context.AnalysisContext`.  With
+one (or with ``prune=False``) the same reductions —
+:func:`critical_delay` and :func:`per_job_delays` — run on a busy window
+seeded from that horizon, outside the memoized context.  Both sweep the
+explorer's int keys against ``beta`` lowered to the same units
+(:class:`~repro.minplus.lowering.IntService`) and convert only the
+winning tuple and bound to ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from repro import perf
 from repro._numeric import Q, NumLike, is_inf
 from repro.core.busy_window import BusyWindow, busy_window_bound
 from repro.drt.model import DRTTask
 from repro.drt.paths import Path, iter_paths
-from repro.drt.request import FrontierStats, RequestTuple, request_frontier
+from repro.drt.request import (
+    FrontierExplorer, FrontierStats, Key, RequestTuple, frontier_explorer,
+)
 from repro.errors import AnalysisError
 from repro.minplus.curve import Curve
-from repro.minplus.deviation import (
-    lower_pseudo_inverse,
-    lower_pseudo_inverse_batch,
-)
+from repro.minplus.deviation import lower_pseudo_inverse
+from repro.resilience.budget import checkpoint
 
 __all__ = [
     "DelayResult",
@@ -89,55 +92,64 @@ def _delay_of_tuple(beta: Curve, time: Q, work: Q) -> Q:
     return inv - time
 
 
-def tuple_delays(beta: Curve, tuples: List[RequestTuple]) -> List[Q]:
-    """Batched ``beta^{-1}(w) - t`` for every tuple, in tuple order.
+def tuple_delays(
+    ex: FrontierExplorer, keys: List[Key], beta: Curve
+) -> Iterator[Tuple[int, Key]]:
+    """``beta^{-1}(w) - t`` over ``D`` (the lowering's denominator) for
+    every key, in key order, charging the budget one unit per key.
 
     Raises:
         AnalysisError: if the service never provides some tuple's work
-            (reported for the first such tuple in tuple order).
+            (reported for the first such tuple in key order).
     """
-    invs = lower_pseudo_inverse_batch(beta, [t.work for t in tuples])
-    for tup, inv in zip(tuples, invs):
-        if is_inf(inv):
+    low = ex.lowered(beta)
+    inv, f = low.inverse, low.time_unit
+    perf.record("pinv.evaluations", len(keys))
+    for key in keys:
+        x = inv(-key[1])
+        if x is None:
             raise AnalysisError(
-                f"service curve never provides {tup.work} units of work"
+                "service curve never provides "
+                f"{ex.request_tuple(key).work} units of work"
             )
-    return [inv - tup.time for tup, inv in zip(tuples, invs)]
+        yield x - key[0] * f, key
+    checkpoint(len(keys))
 
 
 def critical_delay(
+    ex: FrontierExplorer,
     bw: BusyWindow,
-    tuples: List[RequestTuple],
-    delays: List[Q],
+    keys: List[Key],
+    beta: Curve,
     stats: FrontierStats,
 ) -> DelayResult:
-    """The delay bound over *tuples*: the first tuple (in tuple order)
-    with the strictly largest delay is the critical one."""
-    best = Q(0)
-    critical: Optional[RequestTuple] = None
-    for tup, d in zip(tuples, delays):
+    """The delay bound over the frontier *keys* of *ex* up to the busy
+    window: the first key (in key order) with the strictly largest delay
+    is the critical one."""
+    best, critical = 0, None
+    for d, key in tuple_delays(ex, keys, beta):
         if d > best:
-            best = d
-            critical = tup
+            best, critical = d, key
     return DelayResult(
-        delay=best,
+        delay=Fraction(best, ex.lowered(beta).D),
         busy_window=bw.length,
         horizon=bw.horizon,
-        critical_tuple=critical,
-        tuple_count=len(tuples),
+        critical_tuple=None if critical is None else ex.request_tuple(critical),
+        tuple_count=len(keys),
         stats=stats,
     )
 
 
 def per_job_delays(
-    task: DRTTask, tuples: List[RequestTuple], delays: List[Q]
+    ex: FrontierExplorer, keys: List[Key], beta: Curve
 ) -> Dict[str, Fraction]:
     """The largest tuple delay ending at each job type (0 if none)."""
-    out: Dict[str, Fraction] = {v: Q(0) for v in task.job_names}
-    for tup, d in zip(tuples, delays):
-        if d > out[tup.vertex]:
-            out[tup.vertex] = d
-    return out
+    best = dict.fromkeys(ex.task.job_names, 0)
+    for d, key in tuple_delays(ex, keys, beta):
+        if d > best[key[3]]:
+            best[key[3]] = d
+    D = ex.lowered(beta).D
+    return {v: Fraction(d, D) for v, d in best.items()}
 
 
 def structural_delay(
@@ -166,9 +178,9 @@ def structural_delay(
 
         return AnalysisContext.of(task, beta).delay_result()
     bw = busy_window_bound(task, beta, initial_horizon=initial_horizon)
-    stats = FrontierStats()
-    tuples = request_frontier(task, bw.length, prune=prune, stats=stats)
-    return critical_delay(bw, tuples, tuple_delays(beta, tuples), stats)
+    ex = frontier_explorer(task) if prune else FrontierExplorer(task, False)
+    keys = ex.keys(bw.length)
+    return critical_delay(ex, bw, keys, beta, ex.stats_at(bw.length))
 
 
 def structural_delays_per_job(
@@ -189,8 +201,8 @@ def structural_delays_per_job(
 
         return AnalysisContext.of(task, beta).per_job()
     bw = busy_window_bound(task, beta, initial_horizon=initial_horizon)
-    tuples = request_frontier(task, bw.length)
-    return per_job_delays(task, tuples, tuple_delays(beta, tuples))
+    ex = frontier_explorer(task)
+    return per_job_delays(ex, ex.keys(bw.length), beta)
 
 
 def exhaustive_delay(

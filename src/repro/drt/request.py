@@ -28,8 +28,11 @@ The engine runs on Python ints: times in units of ``1/S`` and works in
 units of ``1/W`` (:meth:`~repro.drt.model.DRTTask.scales`), and a horizon
 ``h`` compares as ``t > floor(h * S)``, exact for integer ``t``.  Values
 become Fractions only where they leave the engine: the
-:class:`RequestTuple` list of :meth:`FrontierExplorer.tuples` (converted
-lazily, once per tuple) and the steps of :meth:`FrontierExplorer.rbf_curve`.
+:class:`RequestTuple` list of :meth:`FrontierExplorer.tuples` and the
+steps of :meth:`FrontierExplorer.rbf_curve`.  The analyses reduce the int
+:meth:`FrontierExplorer.keys` and :meth:`FrontierExplorer.staircase`
+against the service curve lowered to the same units
+(:meth:`FrontierExplorer.lowered`) and convert only the winner.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
@@ -49,6 +51,7 @@ from repro.drt.model import DRTTask
 from repro.errors import ModelError
 from repro.resilience.budget import checkpoint
 from repro.minplus.curve import Curve
+from repro.minplus.lowering import IntService
 from repro.minplus.segment import Segment
 
 __all__ = [
@@ -199,10 +202,10 @@ class FrontierExplorer:
         "_new_kept_since_query",
         "_sorted_hz",
         "_sorted",
-        "_sorted_tuples",
         "_fork_cone",
         "_fork_carried_hz",
         "_fork_carried",
+        "_services",
     )
 
     def __init__(self, task: DRTTask, prune: bool = True) -> None:
@@ -254,12 +257,9 @@ class FrontierExplorer:
         # Sorted-keys prefix cache: once explored past a horizon, every
         # tuple at or below it is final (pops are time-ordered and evict
         # only equal-time entries), so queries at smaller horizons slice
-        # an exact prefix instead of re-merging and re-sorting — and a
-        # merge at a larger horizon keeps the old list as its prefix, so
-        # the converted RequestTuple prefix stays valid across merges.
+        # an exact prefix instead of re-merging and re-sorting.
         self._sorted_hz: Optional[Q] = None
         self._sorted: List[Key] = []
-        self._sorted_tuples: List[RequestTuple] = []
         # Fork-carried sorted prefix (set by :meth:`fork`): the source
         # explorer's sorted keys restricted to carried vertices.  The
         # cone is forward-closed, so below the carried horizon the
@@ -268,6 +268,8 @@ class FrontierExplorer:
         self._fork_cone: Optional[frozenset] = None
         self._fork_carried_hz: Optional[Q] = None
         self._fork_carried: List[Key] = []
+        # Service curves lowered to this explorer's units, per curve.
+        self._services: Dict[Curve, IntService] = {}
 
     def _limit(self, hz: Fraction) -> int:
         """``floor(hz * S)``: a scaled time ``t`` lies at or below *hz*
@@ -321,18 +323,23 @@ class FrontierExplorer:
                 if ckpt_countdown <= 0:
                     ckpt_countdown = ckpt_stride
                     _snapshot.save_checkpoint(self)
+            time, _, work, vertex = heap[0]
+            if prune and frontiers[vertex].dominated(time, work):
+                heapq.heappop(heap)
+                self._pop_times.append(time)
+                self._popdom_times.append(time)
+                continue
             # Cooperative budget checkpoint: one charged unit per tuple
-            # expansion.  A BudgetExhaustedError unwinding here leaves
-            # the explorer resumable (``_explored`` is only advanced on
-            # completion; the heap and frontiers keep partial progress).
+            # expansion (a pop the frontier dominates expands nothing).
+            # A BudgetExhaustedError unwinding here, before the pop,
+            # leaves the explorer resumable (``_explored`` is only
+            # advanced on completion; the heap and frontiers keep
+            # partial progress).
             checkpoint()
-            time, _, work, vertex = heapq.heappop(heap)
+            heapq.heappop(heap)
             self._pop_times.append(time)
             if prune:
                 front = frontiers[vertex]
-                if front.dominated(time, work):
-                    self._popdom_times.append(time)
-                    continue
                 evicted = front.insert(time, work)
                 if evicted:
                     # Evictions happen only among equal-time tuples (pops
@@ -491,12 +498,14 @@ class FrontierExplorer:
 
     # -- queries ---------------------------------------------------------
 
-    def _keys(self, hz: Fraction) -> Tuple[List[Key], int]:
-        """Explore to *hz*; return sorted keys and how many of them lie
-        at or below *hz* (the first ones).
+    def keys(self, horizon: NumLike) -> List[Key]:
+        """Explore to *horizon*; the int sort keys ``(t, -w, position,
+        vertex)`` of :meth:`tuples`, in the same order (time ``t/S``,
+        work ``w/W``).
 
         Counts the query in ``frontier.tuples_served``/``_reused``.
         """
+        hz = as_q(horizon)
         self.extend_to(hz)
         above = (self._limit(hz) + 1,)
         if not self.prune:
@@ -535,15 +544,12 @@ class FrontierExplorer:
         self._new_kept_since_query = 0
         perf.record("frontier.tuples_served", hi)
         perf.record("frontier.tuples_reused", reused)
-        return keys, hi
+        return keys[:hi]
 
-    def _convert(self, keys) -> List[RequestTuple]:
-        """The request tuples of sort *keys*, as Fractions."""
-        S, W = self._S, self._W
-        return [
-            RequestTuple(Fraction(t, S), Fraction(-nw, W), v)
-            for t, nw, _, v in keys
-        ]
+    def request_tuple(self, key: Key) -> RequestTuple:
+        """The request tuple of one sort *key*, as Fractions."""
+        t, nw, _, v = key
+        return RequestTuple(Fraction(t, self._S), Fraction(-nw, self._W), v)
 
     def tuples(self, horizon: NumLike) -> List[RequestTuple]:
         """All non-dominated request tuples with ``time <= horizon``.
@@ -553,13 +559,15 @@ class FrontierExplorer:
         across vertices — the per-vertex structure is what downstream
         structural analysis needs.
         """
-        keys, hi = self._keys(as_q(horizon))
-        if not self.prune:
-            return self._convert(keys)
-        done = self._sorted_tuples
-        if len(done) < hi:
-            done.extend(self._convert(islice(keys, len(done), hi)))
-        return done[:hi]
+        return [self.request_tuple(key) for key in self.keys(horizon)]
+
+    def lowered(self, beta: Curve) -> IntService:
+        """*beta* lowered to this explorer's time and work units (built
+        once per curve)."""
+        low = self._services.get(beta)
+        if low is None:
+            low = self._services[beta] = IntService(beta, self._S, self._W)
+        return low
 
     def stats_at(self, horizon: NumLike) -> FrontierStats:
         """Exploration statistics truncated at *horizon*.
@@ -585,6 +593,25 @@ class FrontierExplorer:
             pruned=popdom + evicted + pushpruned,
         )
 
+    def staircase(self, horizon: NumLike) -> List[Tuple[int, int]]:
+        """The steps ``(t, w)`` of the request bound function strictly
+        before *horizon*, in scaled ints: the cumulative maximum of work
+        by time over :meth:`keys` (which put the heaviest tuple of each
+        time first, so every time gets at most one step)."""
+        hz = as_q(horizon)
+        steps: List[Tuple[int, int]] = []
+        best = 0
+        for t, nw, _, _ in self.keys(hz):
+            if -nw > best:
+                steps.append((t, -nw))
+                best = -nw
+        if not steps or steps[0][0] != 0:
+            raise ModelError("request frontier must contain a tuple at time 0")
+        # Only a step at exactly t / S == hz lies at but not before hz.
+        if steps[-1][0] * hz.denominator == hz.numerator * self._S:
+            steps.pop()
+        return steps
+
     def rbf_curve(self, horizon: NumLike) -> Curve:
         """The request bound function as a finitary staircase curve.
 
@@ -593,35 +620,20 @@ class FrontierExplorer:
         :func:`rbf_curve` (module level) for the full contract.
         """
         hz = as_q(horizon)
-        keys, hi = self._keys(hz)
-        # Merge per-vertex frontiers into the global staircase: cumulative
-        # max of work by time, on the scaled ints (keys put the heaviest
-        # tuple of each time first, so every time gets at most one step).
-        steps: List[Tuple[int, int]] = []
-        best = 0
-        for t, nw, _, _ in islice(keys, hi):
-            if -nw > best:
-                steps.append((t, -nw))
-                best = -nw
-        if not steps or steps[0][0] != 0:
-            raise ModelError("request frontier must contain a tuple at time 0")
+        S, W = self._S, self._W
+        segs = [
+            Segment(Fraction(t, S), Fraction(w, W), Q(0))
+            for t, w in self.staircase(hz)
+        ]
         # Tight affine tail from the exact linear bound rbf(D) <= B + rho*D
         # (see repro.drt.utilization.linear_request_bound): sound for every
         # window length and exact in rate, which guarantees that busy-window
         # horizon iteration terminates whenever the service rate exceeds rho.
+        # B + rho*hz >= rbf(hz) >= every exact step value, so the curve
+        # stays nondecreasing across the tail joint.
         from repro.drt.utilization import linear_request_bound
 
         burst, rho = linear_request_bound(self.task)
-        S, W = self._S, self._W
-        # Steps strictly before hz: t / S < hz.
-        end = hz.numerator * S
-        segs = [
-            Segment(Fraction(t, S), Fraction(w, W), Q(0))
-            for t, w in steps
-            if t * hz.denominator < end
-        ]
-        # B + rho*hz >= rbf(hz) >= every exact step value, so the curve
-        # stays nondecreasing across the tail joint.
         segs.append(Segment(hz, burst + rho * hz, rho))
         return Curve(segs)
 

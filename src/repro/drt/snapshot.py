@@ -82,7 +82,7 @@ def checkpoint_key(task) -> str:
 #: Explorer fields a snapshot carries verbatim: every piece of
 #: exploration state except the task, the successor lists (rebuilt from
 #: the task and the scales), the frontiers (copied per vertex) and the
-#: converted ``RequestTuple`` prefix (rebuilt lazily on the next query).
+#: lowered service curves (rebuilt on first use).
 _FIELDS = (
     "prune", "_S", "_W", "_heap", "_deferred", "_tiebreak", "_explored",
     "_all", "_pop_times", "_popdom_times", "_evict_times", "_evict_counts",

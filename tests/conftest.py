@@ -8,6 +8,7 @@ import signal
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.drt.model import DRTTask, Edge, Job
@@ -83,6 +84,32 @@ def chain_task() -> DRTTask:
 
 
 # ---------------------------------------------------------------------------
+# Hypothesis profiles
+# ---------------------------------------------------------------------------
+#
+# ``--hypothesis-profile=ci`` (a CI step of its own) runs the properties
+# that check the integer reductions against their ``Fraction`` oracles
+# with many more examples.  Those properties take their example count
+# from :func:`oracle_settings`; every other property pins its own.
+
+settings.register_profile("ci", max_examples=500)
+
+#: Examples of an oracle property in the tier-1 suite.
+ORACLE_EXAMPLES = 30
+
+
+def oracle_settings() -> settings:
+    """Settings of the int-vs-``Fraction`` oracle properties: a few
+    examples in tier-1, the active profile's count when it asks for more
+    than Hypothesis' default (the ``ci`` profile)."""
+    profile = settings.default.max_examples
+    return settings(
+        deadline=None,
+        max_examples=profile if profile > 100 else ORACLE_EXAMPLES,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Hypothesis strategies
 # ---------------------------------------------------------------------------
 
@@ -115,6 +142,30 @@ def service_curves(draw) -> Curve:
     rate = draw(st.fractions(min_value=F(1, 4), max_value=F(4), max_denominator=4))
     latency = draw(st.fractions(min_value=F(0), max_value=F(10), max_denominator=4))
     return rate_latency(rate, latency)
+
+
+@st.composite
+def oracle_services(draw) -> Curve:
+    """Service curves for the int-vs-``Fraction`` oracles: rate-latency
+    with rational parameters, bursty curves (a jump at the latency, then
+    a rate; at latency 0 the curve starts above 0), and TDMA-like
+    staircases (a jump of one slot's work per cycle, lower affine tail)."""
+
+    def q(lo, hi, den):
+        return draw(st.fractions(min_value=lo, max_value=hi, max_denominator=den))
+
+    kind = draw(st.sampled_from(("rate-latency", "bursty", "tdma")))
+    if kind == "rate-latency":
+        return draw(service_curves())
+    if kind == "bursty":
+        latency, burst = q(0, 10, 4), q(F(1, 3), 12, 6)
+        segs = [Segment(F(0), F(0), F(0))] if latency > 0 else []
+        return Curve(segs + [Segment(latency, burst, q(F(1, 4), 4, 4))])
+    period = q(F(1, 2), 12, 4)
+    return staircase(
+        q(F(1, 3), 10, 6) * period / 4, period, q(0, 40, 2),
+        offset=q(0, 8, 3), side="lower",
+    )
 
 
 def _drt_task(draw, number) -> DRTTask:

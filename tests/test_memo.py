@@ -111,16 +111,13 @@ class TestRegistry:
 
     def test_engine_memos_are_registered_under_their_counter_names(self):
         from repro.cluster import routing
-        from repro.core import busy_window
         from repro.minplus import kernels
 
         names = {m.name for m in _memo._registry}
         assert {
             "kernel.memo",
             "kernel.lowered",
-            "busy_window.fixpoint_memo",
             "cluster.route_memo",
         } <= names
         assert kernels.OP_MEMO.name == "kernel.memo"
-        assert busy_window._FIXPOINT_MEMO.cap == 512
         assert routing._MEMO.name == "cluster.route_memo"

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.delay import structural_delay
@@ -30,6 +30,8 @@ from repro._numeric import is_inf
 
 from .conftest import (
     monotone_curves,
+    oracle_services,
+    oracle_settings,
     rational_drt_tasks,
     sample_grid,
     service_curves,
@@ -388,3 +390,168 @@ class TestBatchedPseudoInverseProperties:
                 assert is_inf(got), w
             else:
                 assert got == expected, w
+
+
+def _scaled_task(task):
+    """*task* when both its time and work scales exceed 1."""
+    S, W = task.scales()
+    assume(S > 1 and W > 1)
+    return task
+
+
+def _bounded_busy_window(task, beta):
+    from repro.core.busy_window import busy_window_bound
+
+    assume(utilization(task) < beta.tail_rate)
+    try:
+        return busy_window_bound(task, beta)
+    except UnboundedBusyWindowError:
+        assume(False)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or ``("raised", type, message)`` of its error."""
+    from repro.errors import ReproError
+
+    try:
+        return fn(*args)
+    except ReproError as exc:
+        return "raised", type(exc), str(exc)
+
+
+def _raised(outcome) -> bool:
+    return isinstance(outcome, tuple) and outcome[0] == "raised"
+
+
+def _oracle_delay(beta, tuples):
+    """The ``Fraction`` reduction: critical tuple, bound and per-vertex
+    bounds from scalar pseudo-inverses, in tuple order."""
+    from repro.errors import AnalysisError
+
+    best, critical, per_vertex = F(0), None, {}
+    for tup in tuples:
+        inv = lower_pseudo_inverse(beta, tup.work)
+        if is_inf(inv):
+            raise AnalysisError(
+                f"service curve never provides {tup.work} units of work"
+            )
+        d = inv - tup.time
+        if d > best:
+            best, critical = d, tup
+        if d > per_vertex.get(tup.vertex, F(0)):
+            per_vertex[tup.vertex] = d
+    return best, critical, per_vertex
+
+
+def _oracle_backlog(beta, tuples):
+    best, critical = F(0), None
+    for tup in tuples:
+        b = tup.work - beta.at(tup.time)
+        if b > best:
+            best, critical = b, tup
+    return best, critical
+
+
+class TestIntReductionProperties:
+    """The integer reductions equal the ``Fraction`` curve code they
+    replaced, which stays in the library for general curves: every value,
+    critical tuple and error message compares exactly.  Tasks have time
+    and work scales above 1; services are rate-latency, bursty and
+    TDMA-like (:func:`~tests.conftest.oracle_services`)."""
+
+    @oracle_settings()
+    @given(
+        task=rational_drt_tasks(),
+        beta=oracle_services(),
+        horizon=st.fractions(min_value=0, max_value=120, max_denominator=12),
+    )
+    def test_last_positive_equals_curve_oracle(self, task, beta, horizon):
+        from repro.core import busy_window as bw_mod
+        from repro.drt.request import frontier_explorer, rbf_curve
+
+        task = _scaled_task(task)
+        rho = utilization(task)
+        assume(rho < beta.tail_rate)
+        expected = _outcome(
+            bw_mod.last_positive_time, rbf_curve(task, horizon) - beta
+        )
+        tail = _outcome(bw_mod._tail_last_positive, task, beta, rho)
+        if _raised(tail):
+            assert _raised(expected) and tail[1] is expected[1]
+            return
+        tail_decides = tail is not None and tail > horizon
+        event("tail decides" if tail_decides else "steps decide")
+        ex = frontier_explorer(task)
+        got = bw_mod._last_positive(ex, ex.lowered(beta), tail, horizon)
+        assert got == expected
+
+    @oracle_settings()
+    @given(task=rational_drt_tasks(), beta=oracle_services())
+    def test_busy_window_equals_curve_iteration(self, task, beta):
+        from repro.core import busy_window as bw_mod
+        from repro.drt.request import rbf_curve
+
+        task = _scaled_task(task)
+        bw = _bounded_busy_window(task, beta)
+        horizon = bw_mod._initial_estimate(task, beta, utilization(task))
+        for iteration in range(1, 41):
+            last = bw_mod.last_positive_time(rbf_curve(task, horizon) - beta)
+            if last is None or last < horizon:
+                break
+            horizon *= 2
+        event(f"{iteration} horizon(s)")
+        expected = (F(0) if last is None else last, horizon, iteration)
+        assert (bw.length, bw.horizon, bw.iterations) == expected
+
+    @oracle_settings()
+    @given(
+        task=rational_drt_tasks(),
+        beta=oracle_services(),
+        cap=st.fractions(min_value=1, max_value=60, max_denominator=6),
+    )
+    def test_tuple_reductions_equal_scalar_oracle(self, task, beta, cap):
+        """Delay, per-job and backlog on the service itself and on the
+        service flattened at *cap* (a flat tail: works beyond *cap* are
+        never served, and both sides raise the same error)."""
+        from repro.core.backlog import critical_backlog
+        from repro.core.delay import critical_delay, per_job_delays
+        from repro.drt.request import frontier_explorer, request_frontier
+        from repro.minplus.builders import constant
+
+        task = _scaled_task(task)
+        bw = _bounded_busy_window(task, beta)
+        ex = frontier_explorer(task)
+        keys = ex.keys(bw.length)
+        tuples = request_frontier(task, bw.length)
+        stats = ex.stats_at(bw.length)
+        for service in (beta, beta.minimum(constant(cap))):
+            expected = _outcome(_oracle_delay, service, tuples)
+            got = _outcome(critical_delay, ex, bw, keys, service, stats)
+            if _raised(expected):
+                event("service never provides some work")
+                assert got == expected
+                assert _outcome(per_job_delays, ex, keys, service) == expected
+            else:
+                best, critical, per_vertex = expected
+                assert (got.delay, got.critical_tuple) == (best, critical)
+                assert got.tuple_count == len(tuples)
+                per_job = per_job_delays(ex, keys, service)
+                assert per_job == {
+                    v: per_vertex.get(v, F(0)) for v in task.job_names
+                }
+            got_b = critical_backlog(ex, bw, keys, service)
+            assert (got_b.backlog, got_b.critical_tuple) == _oracle_backlog(
+                service, tuples
+            )
+
+    @oracle_settings()
+    @given(task=rational_drt_tasks(), beta=oracle_services())
+    def test_rtc_bounds_equal_curve_deviations(self, task, beta):
+        from repro.core.baselines import rtc_backlog, rtc_delay
+        from repro.minplus.deviation import vertical_deviation
+
+        task = _scaled_task(task)
+        bw = _bounded_busy_window(task, beta)
+        event("L == 0" if bw.length == 0 else "L > 0")
+        assert rtc_delay(task, beta) == horizontal_deviation(bw.rbf, beta)
+        assert rtc_backlog(task, beta) == vertical_deviation(bw.rbf, beta)

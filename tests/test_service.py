@@ -403,17 +403,18 @@ class TestServiceEndToEnd:
     def test_infeasible_deadline_ms_degrades_not_5xx(self, client):
         """A millisecond wall-clock deadline forces sound degradation.
 
-        The heavy task's exact analysis takes tens of milliseconds, so
-        ``deadline_ms=1`` cannot be met; the worker computes under the
-        task/beta pair cold (it deserializes a fresh task object), so
-        the budget must bite and the envelope must come back ok:true
-        with a degraded-but-sound bound — never a 5xx.
+        The heavy task's exact analysis takes several milliseconds
+        (about 6 ms on a 2-vCPU VM), so ``deadline_ms=1`` cannot be met;
+        the worker computes under the task/beta pair cold (it
+        deserializes a fresh task object), so the budget must bite and
+        the envelope must come back ok:true with a degraded-but-sound
+        bound — never a 5xx.
         """
         heavy = DRTTask.build(
             "heavy",
-            jobs={f"v{i}": (2, 60 + i) for i in range(6)},
-            edges=[(f"v{i}", f"v{(i + 1) % 6}", 5) for i in range(6)]
-            + [(f"v{i}", f"v{i}", 7) for i in range(6)],
+            jobs={f"v{i}": (F(9, 4), 60 + i) for i in range(12)},
+            edges=[(f"v{i}", f"v{(i + 1) % 12}", 5) for i in range(12)]
+            + [(f"v{i}", f"v{i}", 7) for i in range(12)],
         )
         beta = rate_latency_service(F(1, 2), F(20))
         exact = bounded_delay(heavy, beta)

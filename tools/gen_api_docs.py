@@ -64,9 +64,12 @@ instead of recomputing its inputs privately:
   copy of the task after `repro.parallel.reset_process_caches()`, and
   results are bit-identical to it because all caches are keyed by
   immutable inputs and hold value-type results.
-- **Batched pseudo-inverse** — `lower_pseudo_inverse_batch` answers all
-  service-curve queries of an analysis in one sorted sweep over the
-  curve's segments instead of one scan per query.
+- **Integer reductions** — every staircase-vs-β and tuple-vs-β
+  reduction (busy window, delay, per-job, backlog, `rtc_delay`,
+  `rtc_backlog`) sweeps the explorer's scaled ints against β lowered to
+  the same units (`repro.minplus.lowering.IntService`, a bisect per
+  query) and converts only the winner to `Fraction`;
+  `lower_pseudo_inverse_batch` stays for general curves.
 - **Instrumentation** — `repro.perf` counts cache hits/misses, tuples
   expanded/pruned and pseudo-inverse evaluations, and times the
   busy-window/frontier/delay phases; `perf.report()` renders a summary.
