@@ -7,10 +7,12 @@ Two enforced properties of :mod:`repro.resilience`:
    active scope that is one global read and an ``is None`` test.  A
    direct A/B timing of a full sweep cannot resolve sub-2% effects above
    scheduler noise, so the gate is computed from first principles: the
-   per-call disabled cost (tight-loop microbenchmark) times a *charged
-   work units* upper bound on the number of calls the sweep makes
-   (every call charges >= 1 unit), compared against the sweep's
-   measured runtime.
+   per-call disabled cost (tight-loop microbenchmark) times the number
+   of ``checkpoint()`` calls the sweep makes, counted by a meter that
+   tallies its ``charge`` calls (under one scope each call is exactly
+   one charge), compared against the sweep's measured runtime.  Charged
+   work units are reported beside the calls; they overstate the calls,
+   because a sweep charges many units per call.
 
 2. **Budget-capped sweeps terminate in time with sound bounds.**  The
    E7 ablation instances — the exploration-heaviest sweep in the
@@ -27,7 +29,7 @@ from fractions import Fraction as F
 from repro.core.delay import structural_delay
 from repro.minplus.builders import rate_latency
 from repro.resilience import Budget, bounded_delay, budget_scope
-from repro.resilience.budget import checkpoint
+from repro.resilience.budget import BudgetMeter, checkpoint
 from repro.workloads.random_drt import RandomDrtConfig, random_drt_task
 
 from _harness import report, write_json
@@ -63,6 +65,20 @@ def _disabled_checkpoint_cost(calls: int = 200_000) -> float:
     return best / calls
 
 
+class _CountingMeter(BudgetMeter):
+    """A meter with a huge allowance that counts its ``charge`` calls."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self) -> None:
+        super().__init__(Budget(max_expansions=10**12))
+        self.calls = 0
+
+    def charge(self, n: int = 1) -> None:
+        self.calls += 1
+        super().charge(n)
+
+
 def _sweep(beta):
     """One full E7-style sweep on fresh tasks; returns (seconds, delays)."""
     tasks = [_task(u) for u in UTILS]
@@ -75,30 +91,32 @@ def test_bench_disabled_budget_overhead():
     beta = rate_latency(1, 8)
     per_call = _disabled_checkpoint_cost()
 
-    # Upper-bound the number of checkpoint calls in the sweep by its
-    # charged work units: every call charges at least one unit.
-    units = 0
+    # Count the checkpoint calls of the sweep: under one scope every
+    # call is exactly one charge of the active meter.
+    calls = units = 0
     runtime = None
     for attempt in range(3):
-        meter = Budget(max_expansions=10**12).start()
+        meter = _CountingMeter()
         tasks = [_task(u) for u in UTILS]
         t0 = time.perf_counter()
         with budget_scope(meter):
             for t in tasks:
                 structural_delay(t, beta)
         dt = time.perf_counter() - t0
+        calls = meter.calls
         units = 10**12 - meter.remaining_expansions()
         runtime = dt if runtime is None else min(runtime, dt)
     # The metered run also bounds the unmetered runtime from above, so
-    # the ratio below is conservative twice over.
-    overhead = units * per_call
+    # the ratio below is conservative.
+    overhead = calls * per_call
     ratio = overhead / runtime
 
     report(
         "resilience_overhead",
         "disabled-budget checkpoint overhead (E7 sweep, R=1, T=8)",
-        ["per-call ns", "charged units", "overhead ms", "sweep ms", "ratio"],
-        [[per_call * 1e9, units, overhead * 1e3, runtime * 1e3,
+        ["per-call ns", "calls", "charged units", "overhead ms",
+         "sweep ms", "ratio"],
+        [[per_call * 1e9, calls, units, overhead * 1e3, runtime * 1e3,
           f"{100 * ratio:.3f}%"]],
     )
     write_json(
@@ -106,6 +124,7 @@ def test_bench_disabled_budget_overhead():
         {
             "experiment": "resilience",
             "per_call_s": per_call,
+            "checkpoint_calls": calls,
             "charged_units": units,
             "sweep_s": runtime,
             "overhead_ratio": ratio,

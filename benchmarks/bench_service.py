@@ -5,20 +5,27 @@ a daemon thread) over an on-disk result cache and measures the same
 mixed ``delay`` workload through its two dispatch shapes:
 
 * **naive per-request**: one ``POST /v1/analyze`` round-trip per
-  request, sequentially — every request pays its own HTTP exchange,
-  its own coalescing window, and its own micro-batch dispatch onto the
-  parallel plane;
+  request, sequentially, on one kept-alive connection — every request
+  pays its own HTTP exchange and its own micro-batch dispatch onto the
+  parallel plane (a lone request is dispatched at once, with no
+  coalescing window);
 * **batched**: one ``POST /v1/batch`` carrying the whole workload —
   one HTTP exchange, one micro-batch, one plane fan-out sharing the
   warm cache.
 
 Both modes run against a **warm** cache (a cold priming pass populates
-it first), so the measured gap is pure dispatch overhead — exactly the
-overhead the batching front end exists to amortise.  Both modes must
+it first), so the measured gap is dispatch overhead.  Both modes must
 return bit-identical decoded bounds.
 
-Gate (both modes, smoke and full): warm-cache batched throughput is
->= 5x the naive per-request dispatch.
+Gates (smoke and full), on what batching must deliver:
+
+* each warm ``/v1/batch`` pass of N items dispatches at most
+  ceil(N / ``max_batch``) micro-batches (the ``batches.dispatched``
+  delta of ``/metrics``);
+* warm batched throughput is at least warm per-request throughput.
+
+The ratio of the two throughputs is recorded, not gated: it used to
+measure mostly the window and the connect each lone request paid.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, the CI job) runs a reduced request
 count and does not rewrite the committed JSON.
@@ -41,7 +48,7 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 N_REQUESTS = 48 if SMOKE else 96
 N_TASKS = 8
 REPEATS = 2
-MIN_BATCH_SPEEDUP = 5.0
+MAX_BATCH = 128
 JOBS = 2
 
 
@@ -84,26 +91,28 @@ def _naive(client, specs):
 
 
 def _batched(client, specs):
+    """One timed batch pass; also returns the micro-batches it made."""
+    before = client.metrics()["batches"]["dispatched"]
     t0 = time.perf_counter()
     envelopes = client.batch(specs)
-    return time.perf_counter() - t0, _decoded(envelopes)
+    elapsed = time.perf_counter() - t0
+    dispatched = client.metrics()["batches"]["dispatched"] - before
+    return elapsed, _decoded(envelopes), dispatched
 
 
 def test_bench_service_batching():
-    """Warm-cache batched throughput >= 5x naive per-request dispatch."""
+    """A warm batch coalesces into ceil(N / max_batch) micro-batches and
+    is at least as fast per request as N single requests."""
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-service-")
     saved = result_cache.current_config()
     assert result_cache.configure(cache_dir), "bench cache dir must be usable"
-    # Throughput-oriented server tuning: a 5 ms coalescing window and a
-    # max_batch that takes the whole workload in one micro-batch.  The
-    # naive mode pays the window (plus an HTTP exchange and a plane
-    # dispatch) once *per request*; the batched mode pays it once.
+    # A max_batch that takes the whole workload in one micro-batch.
     handle = ServerHandle.start(
         ServiceConfig(
             port=0,
             jobs=JOBS,
             batch_window_ms=5.0,
-            max_batch=128,
+            max_batch=MAX_BATCH,
             item_timeout_s=30.0,
         )
     )
@@ -119,13 +128,15 @@ def test_bench_service_batching():
         t_cold = time.perf_counter() - t0
 
         t_naive, t_batch = None, None
+        dispatched = []
         for _ in range(REPEATS):
             dt, results = _naive(client, specs)
             assert results == baseline, "naive mode changed a bound"
             t_naive = dt if t_naive is None else min(t_naive, dt)
-            dt, results = _batched(client, specs)
+            dt, results, made = _batched(client, specs)
             assert results == baseline, "batched mode changed a bound"
             t_batch = dt if t_batch is None else min(t_batch, dt)
+            dispatched.append(made)
 
         doc = client.metrics()
     finally:
@@ -134,6 +145,7 @@ def test_bench_service_batching():
         shutil.rmtree(cache_dir, ignore_errors=True)
 
     speedup = t_naive / t_batch
+    max_batches = -(-N_REQUESTS // MAX_BATCH)
     stats = {
         "requests": N_REQUESTS,
         "distinct_tasks": N_TASKS,
@@ -146,6 +158,7 @@ def test_bench_service_batching():
         "batched_speedup": speedup,
         "cache_hits": doc["cache"]["hits"],
         "batches_dispatched": doc["batches"]["dispatched"],
+        "warm_batch_pass_dispatched": dispatched,
         "mean_batch_size": doc["batches"]["mean_size"],
         "bit_identical": True,
     }
@@ -162,9 +175,13 @@ def test_bench_service_batching():
     )
 
     assert doc["cache"]["hits"] > 0, "warm modes must hit the result cache"
-    assert speedup >= MIN_BATCH_SPEEDUP, (
-        f"warm batched dispatch {speedup:.1f}x naive per-request "
-        f"< required {MIN_BATCH_SPEEDUP}x"
+    assert max(dispatched) <= max_batches, (
+        f"a warm batch of {N_REQUESTS} made {dispatched} micro-batches "
+        f"(at most {max_batches} allowed with max_batch={MAX_BATCH})"
+    )
+    assert stats["batched_rps"] >= stats["naive_rps"], (
+        f"warm batched {stats['batched_rps']:.0f} req/s < warm "
+        f"per-request {stats['naive_rps']:.0f} req/s"
     )
     if SMOKE:
         return
@@ -173,7 +190,10 @@ def test_bench_service_batching():
         {
             "experiment": "service_batching",
             "cpu_count": os.cpu_count(),
-            "gates": {"min_batched_speedup": MIN_BATCH_SPEEDUP},
+            "gates": {
+                "max_micro_batches_per_warm_batch": max_batches,
+                "batched_rps_at_least_naive_rps": True,
+            },
             "results": stats,
         },
     )

@@ -226,38 +226,6 @@ def _edit_error(edit: Any, message: str, code: str) -> Dict[str, Any]:
     }
 
 
-class _RecordingWriter:
-    """A StreamWriter proxy that tees every written byte into a buffer.
-
-    Lets the idempotency layer capture whatever a handler produced —
-    headers included — without the handlers knowing; the recorded bytes
-    replay verbatim on a deduplicated retry.
-    """
-
-    def __init__(self, inner: asyncio.StreamWriter) -> None:
-        self._inner = inner
-        self._chunks: List[bytes] = []
-
-    def write(self, data: bytes) -> None:
-        self._chunks.append(bytes(data))
-        self._inner.write(data)
-
-    async def drain(self) -> None:
-        await self._inner.drain()
-
-    def close(self) -> None:
-        self._inner.close()
-
-    async def wait_closed(self) -> None:
-        await self._inner.wait_closed()
-
-    def get_extra_info(self, *args, **kwargs):
-        return self._inner.get_extra_info(*args, **kwargs)
-
-    def raw(self) -> bytes:
-        return b"".join(self._chunks)
-
-
 class ClusterCoordinator(HttpEndpoint):
     """One coordinator instance: ring + proxy + admission + rollup."""
 
@@ -441,9 +409,12 @@ class ClusterCoordinator(HttpEndpoint):
             task.cancel()
         # Let the cancelled handlers run their finallys so in-flight
         # sockets actually close — clients must see the connection drop
-        # *now* (and fail over), not sit out their read timeout.
+        # *now* (and fail over), not sit out their read timeout.  Idle
+        # kept-alive connections close too.
         if to_cancel:
             await asyncio.gather(*to_cancel, return_exceptions=True)
+        await self._close_idle()
+        await http.close_connections()
         self._mark_stopped()
 
     # -- health probes ---------------------------------------------------
@@ -591,12 +562,14 @@ class ClusterCoordinator(HttpEndpoint):
         if recorded is not None:
             self.metrics.record("idempotent_replays")
             perf.record("cluster.idempotent_replays")
-            writer.write(recorded)
+            # The recorded Connection header belongs to the connection
+            # that first carried the request, not to this one.
+            writer.write(http.restamp_connection(recorded, writer.keep_alive))
             await writer.drain()
             return True
-        recording = _RecordingWriter(writer)
-        ok = await self.route(request, recording)
-        self._remember_idempotent(replay_key, recording.raw())
+        writer.record()
+        ok = await self.route(request, writer)
+        self._remember_idempotent(replay_key, writer.recorded())
         return ok
 
     def _remember_idempotent(self, key: tuple, raw: bytes) -> None:

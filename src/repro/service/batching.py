@@ -3,14 +3,18 @@
 Every analysis request the server accepts — whether it arrived alone on
 ``/v1/analyze`` or as one element of a ``/v1/batch`` — is enqueued
 individually on one shared :class:`Batcher`.  A dispatcher task drains
-the queue into **micro-batches**: it waits ``batch_window`` seconds
-after the first pending request (or not at all once ``max_batch`` are
-waiting), then ships the whole slice through
-:func:`repro.parallel.map_settled` in a dispatch thread.  Concurrent
-clients therefore share one pool fan-out and one warm result cache per
-micro-batch instead of paying per-request dispatch overhead — and a
-request that fails (validation, unbounded workload, exhausted budget)
-settles alone without poisoning its batch neighbours.
+the queue into **micro-batches** of at most ``max_batch`` and ships
+each through :func:`repro.parallel.map_settled` in a dispatch thread.
+When nothing is in flight the queue goes out at once: a lone request
+pays no linger, and a ``/v1/batch`` is still one micro-batch because
+it enqueues all its items before the dispatcher wakes.  While a batch
+runs, the dispatcher lingers ``batch_window`` seconds (or not at all
+once ``max_batch`` are waiting), so requests that arrive meanwhile
+coalesce.  Concurrent clients therefore share one pool fan-out and one
+warm result cache per micro-batch instead of paying per-request
+dispatch overhead — and a request that fails (validation, unbounded
+workload, exhausted budget) settles alone without poisoning its batch
+neighbours.
 
 Execution semantics per kind (:func:`execute_request`, dispatched
 through the :data:`_EXECUTORS` registry — one
@@ -258,8 +262,9 @@ class Batcher:
             (see :func:`repro.parallel.plane.resolve_jobs`).
         max_batch: Largest micro-batch; once this many requests wait,
             dispatch is immediate.
-        batch_window: Seconds the dispatcher lingers after the first
-            pending request to let concurrent arrivals coalesce.
+        batch_window: Seconds the dispatcher lingers, while a batch is
+            in flight, to let arrivals coalesce; with nothing in flight
+            the queue is dispatched at once.
         dispatch_threads: Parallel micro-batches in flight (each runs
             ``map_settled`` in its own executor thread).
         item_timeout: Per-item plane watchdog in seconds (see
@@ -366,7 +371,11 @@ class Batcher:
             while not self._queue:
                 self._wakeup.clear()
                 await self._wakeup.wait()
-            if len(self._queue) < self.max_batch and self.batch_window > 0:
+            if (
+                self._inflight
+                and len(self._queue) < self.max_batch
+                and self.batch_window > 0
+            ):
                 await asyncio.sleep(self.batch_window)
             batch = [
                 self._queue.popleft()

@@ -5,6 +5,11 @@
 :mod:`repro.service.http` — stdlib only, mirroring the server.  It adds the
 operational behaviour a caller should not have to reimplement:
 
+* **persistent connections** — every exchange but a batch stream runs
+  on a kept-alive connection from the process-wide pool of
+  :func:`repro.service.http.fetch`; a pooled connection the server
+  closed while idle is replaced inside that exchange, so it is not a
+  retry and does not count against ``max_retries``;
 * **retries with backoff** — connection-level failures and ``429``
   rejections are retried up to ``max_retries`` times; a ``429``'s
   ``Retry-After`` hint is honoured (capped by ``retry_after_cap_s``),

@@ -57,8 +57,8 @@ from repro.service.http import (
     HttpError,
     Request,
     end_ndjson,
-    head_bytes,
     http_error,
+    send_bytes,
     send_json,
     start_in_thread,
     start_ndjson,
@@ -80,8 +80,10 @@ class ServiceConfig:
         shed_fraction: Queue fraction above which load shedding starts.
         shed_deadline_ms: Budget deadline forced onto shed requests.
         max_batch: Micro-batch size cap.
-        batch_window_ms: Coalescing window after the first pending
-            request.
+        batch_window_ms: Coalescing window while a micro-batch is in
+            flight: a request that arrives when nothing runs is
+            dispatched at once, one that arrives during a batch waits
+            this long for company.
         dispatch_threads: Concurrent micro-batches in flight.
         item_timeout_s: Per-item plane watchdog: a worker hanging past
             this is killed and the item retried (None disables it).
@@ -208,15 +210,12 @@ class AnalysisServer(HttpEndpoint):
             raise http_error(404, "bad_request", "no such cache entry")
         headers = {
             "Content-Type": "application/octet-stream",
-            "Content-Length": str(len(blob)),
             "X-Repro-Blob-Sha256": result_cache.blob_digest(blob),
-            "Connection": "close",
         }
         placement = result_cache.placement_of(key)
         if placement:
             headers["X-Repro-Placement"] = placement
-        writer.write(head_bytes(200, headers) + blob)
-        await writer.drain()
+        await send_bytes(writer, 200, blob, headers)
         return True
 
     async def _handle_cache_pull(self, request: Request, writer) -> bool:
@@ -488,7 +487,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         "--batch-window-ms",
         type=float,
         default=2.0,
-        help="coalescing window after the first pending request",
+        help="coalescing window while a micro-batch is in flight",
     )
     parser.add_argument(
         "--dispatch-threads",

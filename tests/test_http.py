@@ -23,7 +23,13 @@ from repro.cluster.routing import routing_digest
 from repro.curves.service import rate_latency_service
 from repro.drt.model import DRTTask
 from repro.resilience import bounded_delay, chaos
-from repro.service import ServerHandle, ServiceClient, ServiceConfig, protocol
+from repro.service import (
+    ServerHandle,
+    ServiceClient,
+    ServiceConfig,
+    ServiceError,
+    protocol,
+)
 from repro.service import http
 
 
@@ -353,3 +359,303 @@ def test_saturated_worker_keeps_its_ring_seat():
         handle.shutdown(timeout=30)
         real.shutdown(timeout=30)
         fake.close()
+
+
+# ---------------------------------------------------------------------------
+# Persistent connections
+# ---------------------------------------------------------------------------
+
+
+def _accepted(client: ServiceClient) -> int:
+    """Connections the server (or the coordinator itself) accepted."""
+    doc = client.metrics()
+    return doc.get("coordinator", doc)["requests"]["connections_accepted"]
+
+
+class _KeepAliveFake:
+    """An asyncio keep-alive server on its own loop thread, by path:
+    ``/ok`` answers at once, ``/slow`` after half a second, and
+    ``/drop`` closes the connection without a reply when it already
+    served a request (a server that closed an idle connection).  Every
+    reply body names the path it answers."""
+
+    def __init__(self) -> None:
+        self.connections = 0
+        self.port = None
+        self._tasks = set()
+        ready = threading.Event()
+
+        async def _main():
+            self._server = await asyncio.start_server(
+                self._serve, "127.0.0.1", 0
+            )
+            self.port = self._server.sockets[0].getsockname()[1]
+            self._done = asyncio.Event()
+            ready.set()
+            await self._done.wait()
+            self._server.close()
+            for task in self._tasks:
+                task.cancel()
+            await asyncio.gather(*self._tasks, return_exceptions=True)
+
+        self._loop, self._thread = http.loop_thread(_main, "fake-keepalive")
+        ready.wait(10)
+
+    async def _serve(self, reader, writer):
+        self.connections += 1
+        self._tasks.add(asyncio.current_task())
+        served = 0
+        try:
+            while True:
+                line = await reader.readline()
+                if not line:
+                    return
+                request = await http.read_request(reader, line)
+                if request.path == "/drop" and served:
+                    return
+                if request.path == "/slow":
+                    await asyncio.sleep(0.5)
+                payload = json.dumps({"path": request.path}).encode()
+                writer.write(http.head_bytes(200, {
+                    "Content-Type": "application/json",
+                    "Content-Length": str(len(payload)),
+                    "Connection": "keep-alive",
+                }) + payload)
+                await writer.drain()
+                served += 1
+        except ConnectionError:
+            pass
+        finally:
+            writer.close()
+
+    def close(self) -> None:
+        self._loop.call_soon_threadsafe(self._done.set)
+        self._thread.join(10)
+
+
+class _Silent(http.HttpEndpoint):
+    """An endpoint whose one handler writes nothing."""
+
+    ROUTES = {"/nothing": ("GET", "_nothing")}
+
+    def __init__(self) -> None:
+        super().__init__()
+        from repro.service.metrics import ServiceMetrics
+
+        self.metrics = ServiceMetrics()
+
+    async def start(self) -> None:
+        await self._listen("127.0.0.1", 0)
+
+    async def _wind_down(self, drain: bool) -> bool:
+        return True
+
+    async def _nothing(self, request, writer) -> bool:
+        return False
+
+
+class TestPersistentConnections:
+    def test_sequential_requests_share_one_connection(self):
+        handle = ServerHandle.start(ServiceConfig(port=0))
+        try:
+            client = ServiceClient(port=handle.port, max_retries=0)
+            for _ in range(5):
+                assert client.healthz()["status"] == "ok"
+            doc = client.metrics()
+            assert doc["requests"]["connections_accepted"] == 1
+            assert doc["requests"]["requests_total"] == 5
+        finally:
+            handle.shutdown(timeout=30)
+
+    def test_connection_close_gets_one_response_and_eof(self, serve):
+        request = b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+        with socket.create_connection(("127.0.0.1", serve.port), 10) as s:
+            # A second request pipelined behind the closing one must
+            # go unanswered.
+            s.sendall(request + b"Connection: close\r\n\r\n" + request
+                      + b"\r\n")
+            data = b""
+            while True:
+                piece = s.recv(65536)
+                if not piece:
+                    break
+                data += piece
+        assert data.count(b"HTTP/1.1 ") == 1
+        head = data.partition(b"\r\n\r\n")[0]
+        assert b"Connection: close" in head
+
+    def test_idle_closed_connection_is_replaced_without_a_retry(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(http, "IDLE_TIMEOUT_S", 0.1)
+        handle = ServerHandle.start(ServiceConfig(port=0))
+        try:
+            client = ServiceClient(port=handle.port, max_retries=0)
+            assert client.healthz()["status"] == "ok"
+            time.sleep(0.4)  # the server closes the pooled connection
+            assert client.healthz()["status"] == "ok"
+            assert _accepted(client) == 2
+        finally:
+            handle.shutdown(timeout=30)
+
+    def test_reused_connection_dropped_before_reply_is_retried_once(self):
+        fake = _KeepAliveFake()
+        try:
+            _, _, body = http.fetch("127.0.0.1", fake.port, "GET", "/ok")
+            assert json.loads(body) == {"path": "/ok"}
+            _, _, body = http.fetch("127.0.0.1", fake.port, "GET", "/drop")
+            assert json.loads(body) == {"path": "/drop"}
+
+            async def _pair():
+                await http.exchange("127.0.0.1", fake.port, "GET", "/ok")
+                reply = await http.exchange(
+                    "127.0.0.1", fake.port, "GET", "/drop"
+                )
+                await http.close_connections()
+                return reply
+
+            _, _, body = asyncio.run(_pair())
+            assert json.loads(body) == {"path": "/drop"}
+            # One connection each that the server dropped, one fresh
+            # replacement each.
+            assert fake.connections == 4
+        finally:
+            fake.close()
+
+    def test_cancelled_exchange_never_returns_its_connection(self):
+        fake = _KeepAliveFake()
+
+        async def _run():
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(
+                    http.exchange("127.0.0.1", fake.port, "GET", "/slow"),
+                    0.1,
+                )
+            # Had the cancelled connection gone back to the pool, this
+            # exchange would read the late "/slow" reply.
+            _, _, body = await http.exchange(
+                "127.0.0.1", fake.port, "GET", "/ok"
+            )
+            await http.close_connections()
+            return body
+
+        try:
+            assert json.loads(asyncio.run(_run())) == {"path": "/ok"}
+            assert fake.connections == 2
+        finally:
+            fake.close()
+
+    def test_handler_that_writes_nothing_closes_the_connection(self):
+        endpoint = _Silent()
+        loop, thread = http.start_in_thread(endpoint, "silent")
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", endpoint.port), 10
+            ) as s:
+                s.sendall(b"GET /nothing HTTP/1.1\r\nHost: x\r\n\r\n")
+                t0 = time.monotonic()
+                assert s.recv(65536) == b""
+                assert time.monotonic() - t0 < 5.0
+        finally:
+            asyncio.run_coroutine_threadsafe(
+                endpoint.shutdown(), loop
+            ).result(30)
+            thread.join(30)
+
+    def test_forked_child_opens_its_own_connection(self, coordinator):
+        """A child forked while both pools hold connections opens its
+        own, and the parent's pools keep working after it exits."""
+        import os
+
+        client = ServiceClient(
+            port=coordinator.port, timeout=10.0, max_retries=0
+        )
+        # Leaves a pooled client connection and a pooled coordinator ->
+        # worker connection behind.
+        assert client.delay(_task(5), BETA).delay is not None
+        before = _accepted(client)
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - child
+            ok = b"0"
+            try:
+                if (
+                    http._BLOCKING_POOL.take(("127.0.0.1", coordinator.port))
+                    is None
+                    and client.healthz()["status"] == "ok"
+                ):
+                    ok = b"1"
+            finally:
+                os.write(write_end, ok)
+                os._exit(0)
+        os.close(write_end)
+        try:
+            assert os.read(read_end, 1) == b"1"
+        finally:
+            os.close(read_end)
+            os.waitpid(pid, 0)
+        assert client.delay(_task(6), BETA).delay is not None
+        # The child's request came on a connection of its own.
+        assert _accepted(client) == before + 1
+
+    def test_drain_closes_idle_keep_alive_connections(self):
+        handle = ServerHandle.start(
+            ServiceConfig(port=0, drain_grace_s=10.0)
+        )
+        client = ServiceClient(port=handle.port, max_retries=0)
+        assert client.healthz()["status"] == "ok"  # now idle in the pool
+        t0 = time.monotonic()
+        assert handle.shutdown(drain=True, timeout=30)
+        assert time.monotonic() - t0 < 2.0
+        with pytest.raises(ServiceError):
+            client.healthz()
+
+
+def _read_reply(sock: socket.socket):
+    """One ``Content-Length`` reply from *sock*: (head, JSON body)."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        piece = sock.recv(65536)
+        assert piece, "connection closed before a reply"
+        data += piece
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = int(
+        [line.split(b":", 1)[1] for line in head.split(b"\r\n")
+         if line.lower().startswith(b"content-length:")][0]
+    )
+    while len(body) < length:
+        piece = sock.recv(65536)
+        assert piece, "connection closed mid-body"
+        body += piece
+    return head, json.loads(body)
+
+
+def test_idempotent_replay_restamps_connection(coordinator):
+    """A replayed response carries this connection's ``Connection``
+    header, not the one recorded with the first answer."""
+    body = json.dumps(
+        ServiceClient.build_request("delay", _task(3), BETA)
+    ).encode()
+
+    def _post(connection: bytes) -> bytes:
+        return (
+            b"POST /v1/analyze HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\n"
+            b"X-Idempotency-Key: restamp-1\r\n" + connection
+            + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+        )
+
+    status, first = _raw(coordinator.port, _post(b"Connection: close\r\n"))
+    assert status.startswith("HTTP/1.1 200 ") and first["ok"]
+    with socket.create_connection(("127.0.0.1", coordinator.port), 10) as s:
+        s.sendall(_post(b""))  # HTTP/1.1 default: keep-alive
+        head, replayed = _read_reply(s)
+        assert b"Connection: keep-alive" in head
+        assert b"Connection: close" not in head
+        assert replayed == first
+        # The connection really stays open for the next request.
+        s.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        head, health = _read_reply(s)
+        assert head.startswith(b"HTTP/1.1 200 ")
+    doc = ServiceClient(port=coordinator.port).metrics()
+    assert doc["coordinator"]["requests"]["idempotent_replays"] >= 1

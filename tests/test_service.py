@@ -661,15 +661,101 @@ class TestStreamColdPool:
             handle.shutdown()
 
 
-class TestDrain:
-    def test_sigterm_style_drain_finishes_inflight(self, demo_task):
+class _Gate:
+    """Holds every ``delay`` execution until :meth:`open` (jobs=1 runs
+    the executor in the dispatch thread, so the batch stays in flight)."""
+
+    def __init__(self, monkeypatch) -> None:
+        import threading
+
+        from repro.service import batching
+
+        self.entered = threading.Event()
+        self._released = threading.Event()
+        inner = batching._EXECUTORS["delay"]
+
+        def _held(req):
+            self.entered.set()
+            assert self._released.wait(60), "gate never opened"
+            return inner(req)
+
+        monkeypatch.setitem(batching._EXECUTORS, "delay", _held)
+
+    def open(self) -> None:
+        self._released.set()
+
+
+class TestIdleDispatch:
+    def test_lone_request_pays_no_window(self, demo_task):
+        import time
+
         beta = _beta()
+        handle = ServerHandle.start(
+            ServiceConfig(port=0, jobs=1, batch_window_ms=200.0)
+        )
+        try:
+            client = ServiceClient(port=handle.port, timeout=60.0)
+            elapsed = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                assert client.delay(demo_task, beta).delay is not None
+                elapsed.append(time.perf_counter() - t0)
+            assert min(elapsed) < 0.1, elapsed
+            assert client.metrics()["batches"]["dispatched"] == 3
+        finally:
+            handle.shutdown()
+
+    def test_arrivals_during_a_batch_coalesce(self, demo_task, monkeypatch):
+        import threading
+        import time
+
+        beta = _beta()
+        gate = _Gate(monkeypatch)
+        handle = ServerHandle.start(
+            ServiceConfig(
+                port=0, jobs=1, batch_window_ms=500.0, item_timeout_s=10.0
+            )
+        )
+        try:
+            results = []
+
+            def _one():
+                client = ServiceClient(port=handle.port, timeout=60.0)
+                results.append(client.delay(demo_task, beta))
+
+            first = threading.Thread(target=_one)
+            first.start()
+            assert gate.entered.wait(30)  # the lone request is in flight
+            rest = [threading.Thread(target=_one) for _ in range(4)]
+            for t in rest:
+                t.start()
+            while handle.server.batcher.depth < 5:
+                time.sleep(0.005)
+            gate.open()
+            for t in [first, *rest]:
+                t.join(60)
+            expected = bounded_delay(demo_task, beta).delay
+            assert [r.delay for r in results] == [expected] * 5
+            batches = ServiceClient(port=handle.port).metrics()["batches"]
+            assert batches["dispatched"] < 5
+            assert batches["mean_size"] > 1.0
+        finally:
+            gate.open()
+            handle.shutdown()
+
+
+class TestDrain:
+    def test_sigterm_style_drain_finishes_inflight(
+        self, demo_task, monkeypatch
+    ):
+        import threading
+
+        beta = _beta()
+        gate = _Gate(monkeypatch)
         handle = ServerHandle.start(
             ServiceConfig(port=0, jobs=1, batch_window_ms=20.0, item_timeout_s=10.0)
         )
         client = ServiceClient(port=handle.port, timeout=300.0)
-        import threading
-
         results = []
 
         def _work():
@@ -677,11 +763,10 @@ class TestDrain:
 
         t = threading.Thread(target=_work)
         t.start()
-        # Give the request time to be accepted into the queue, then
-        # drain while it is still coalescing (20ms window).
-        import time as _time
-
-        _time.sleep(0.05)
+        # The request is dispatched at once and held in flight by the
+        # gate; the drain starts while it runs and must wait for it.
+        assert gate.entered.wait(30)
+        threading.Timer(0.2, gate.open).start()
         clean = handle.shutdown(drain=True)
         t.join(timeout=60)
         assert clean

@@ -7,8 +7,9 @@ on-disk caches), drives a mixed workload through
 :class:`repro.service.ServiceClient` — typed singles across kinds, a
 sharded batch, a what-if sweep split across owners, a malformed
 request — asserts digest-affinity (repeat requests land on the same
-worker), the ``/healthz`` fleet view and the ``/metrics`` rollup
-schema, then sends SIGTERM and verifies the whole fleet drains.
+worker), the ``/healthz`` fleet view, the ``/metrics`` rollup schema
+and connection reuse on both hops, then sends SIGTERM with a pooled
+client connection still open and verifies the whole fleet drains.
 
 Run from the repository root::
 
@@ -123,6 +124,16 @@ def _check_rollup(doc: dict) -> None:
     for key in ("count", "sum", "buckets"):
         assert key in analyze["latency_s"], analyze
     assert "hit_rate" in rollup["cache"], rollup["cache"]
+    # Persistent connections on both hops: the coordinator's requests to
+    # the workers and the client's to the coordinator shared fewer
+    # connections than there were requests.
+    for where, requests in (
+        ("workers", rollup["requests"]),
+        ("coordinator", doc["coordinator"]["requests"]),
+    ):
+        assert (
+            requests["requests_total"] > requests["connections_accepted"]
+        ), (where, requests)
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +453,16 @@ def main() -> int:
             assert sweep == whatif_sweep(_task(1), beta, edits)
             print("what-if sweep: ok (split/merge bit-identical)")
 
-            _check_rollup(client.metrics())
-            print("metrics rollup: ok")
+            status, headers, payload = client.request("GET", "/metrics")
+            assert status == 200, status
+            _check_rollup(json.loads(payload))
+            # The connection that carried /metrics stays in the client's
+            # pool, open across the drain below.
+            assert headers.get("connection") == "keep-alive", headers
+            print("metrics rollup: ok (connections reused on both hops)")
 
-            # SIGTERM drains the coordinator, then the spawned fleet.
+            # SIGTERM drains the coordinator, then the spawned fleet,
+            # with a pooled client connection open.
             proc.send_signal(signal.SIGTERM)
             proc.wait(timeout=DRAIN_TIMEOUT_S)
             out = proc.stdout.read()

@@ -306,12 +306,15 @@ take `initial_horizon` (a rational) and `max_iterations` (an integer
 `max_iterations`.  `edf_structural_delays` no longer takes `reuse`.
 
 **Micro-batching** (`repro.service.batching`).  Every accepted request
-— single or batch member — joins one shared `Batcher`.  The dispatcher
-lingers `batch_window_ms` after the first pending request (dispatching
-immediately once `max_batch` wait), then ships the slice through
-`repro.parallel.map_settled`: concurrent clients share one plane
-fan-out and one warm result cache per micro-batch, and a failing
-request settles alone instead of poisoning its neighbours.  `POST
+— single or batch member — joins one shared `Batcher`.  With nothing
+in flight the dispatcher ships the queue at once (a lone request pays
+no linger; a `/v1/batch` enqueues all its items first, so it stays one
+micro-batch).  While a batch runs it lingers `batch_window_ms`
+(dispatching immediately once `max_batch` wait), so arrivals coalesce;
+each slice goes through `repro.parallel.map_settled`: concurrent
+clients share one plane fan-out and one warm result cache per
+micro-batch, and a failing request settles alone instead of poisoning
+its neighbours.  `POST
 /v1/batch` carries many requests at once; with `"stream": true` the
 response is chunked NDJSON in *completion* order — one
 `{"index": i, ...}` envelope per line, terminated by a
@@ -340,28 +343,38 @@ envelopes verbatim.
 **Observability** (`repro.service.metrics`).  `GET /healthz` reports
 liveness and draining; `GET /metrics` returns one JSON document:
 uptime, request counters (`requests_total`, `requests_failed`,
-`degraded`, `shed`, `rejected`), per-endpoint latency histograms
-(log-bucketed, mergeable `repro.perf.Histogram`), queue
-depth/capacity, micro-batch size statistics, result-cache hit/miss
-counters, and the full `repro.perf` snapshot.
+`degraded`, `shed`, `rejected`, `connections_accepted`),
+per-endpoint latency histograms (log-bucketed, mergeable
+`repro.perf.Histogram`), queue depth/capacity, micro-batch size
+statistics, result-cache hit/miss counters, and the full `repro.perf`
+snapshot.
 
 **HTTP layer** (`repro.service.http`).  One module owns the wire for
 the server, the coordinator and every client: request/response
 framing, chunked NDJSON streams, the one error envelope
 (`http_error`), the connection handler with its route table
-(`HttpEndpoint`), and the worker exchanges (`exchange` asynchronous,
-`fetch` / `open_response` blocking).  One connection per request
-(`Connection: close`); a malformed or negative `Content-Length` is a
-`400 bad_request`; reason phrases come from `http.HTTPStatus`.
+(`HttpEndpoint`), and the exchanges (`exchange` asynchronous, `fetch`
+/ `open_response` blocking).  Connections persist on every hop: the
+server keeps a connection open while the client asks for keep-alive
+and closes it after a stream, an error, `Connection: close`, a handler
+that wrote nothing, or `IDLE_TIMEOUT_S` idle; `exchange` pools idle
+connections per event loop and `fetch` per process (dropped in a
+forked child), at most `MAX_IDLE_PER_PEER` per peer, and a reused
+connection that fails before its reply begins is retried once on a
+fresh one.  Batch streams (`open_response`) use one connection each.
+A malformed or negative `Content-Length` is a `400 bad_request`;
+reason phrases come from `http.HTTPStatus`.
 
 **Lifecycle.**  SIGTERM/SIGINT trigger a graceful drain: the listener
-closes, `/healthz` turns 503, in-flight work settles within
-`drain_grace_s`.  CI boots the real CLI end-to-end
+closes, idle keep-alive connections close, `/healthz` turns 503,
+in-flight work settles within `drain_grace_s` and is answered with
+`Connection: close`.  CI boots the real CLI end-to-end
 (`tools/service_smoke.py`), runs the service suites
 (`tests/test_service.py`, chaos-injected client/server round-trips in
-`tests/test_service_chaos.py`), and gates warm-cache batched
-throughput at >= 5x naive per-request dispatch
-(`benchmarks/bench_service.py`).
+`tests/test_service_chaos.py`), and gates batching in
+`benchmarks/bench_service.py`: each warm `/v1/batch` pass of N items
+dispatches at most ceil(N / `max_batch`) micro-batches, and warm
+batched throughput is at least warm per-request throughput.
 """
 
 

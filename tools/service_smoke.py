@@ -5,8 +5,9 @@ Boots the real ``repro serve`` CLI as a subprocess (ephemeral port,
 on-disk cache), drives a mixed workload through
 :class:`repro.service.ServiceClient` — typed single requests, a mixed
 batch, a forced-degraded request, a malformed request — asserts the
-``/healthz`` and ``/metrics`` schemas, then sends SIGTERM and verifies
-the graceful drain.
+``/healthz`` and ``/metrics`` schemas and that requests shared kept-alive
+connections, then sends SIGTERM with a pooled client connection still
+open and verifies the graceful drain.
 
 Run from the repository root::
 
@@ -15,6 +16,7 @@ Run from the repository root::
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import signal
@@ -99,6 +101,12 @@ def _check_metrics(doc: dict) -> None:
     assert doc["batches"]["dispatched"] >= 1, doc["batches"]
     assert doc["batches"]["items"] >= 1, doc["batches"]
     assert doc["requests"]["requests_total"] >= 1, doc["requests"]
+    # Persistent connections: the workload's requests shared fewer
+    # connections than there were requests.
+    assert (
+        doc["requests"]["requests_total"]
+        > doc["requests"]["connections_accepted"]
+    ), doc["requests"]
     assert doc["requests"]["degraded"] >= 1, doc["requests"]
     assert doc["queue"]["max"] >= 1, doc["queue"]
     assert any(
@@ -163,12 +171,17 @@ def main() -> int:
             print("mixed batch: ok (degraded request tagged, "
                   "malformed failed alone)")
 
-            _check_metrics(client.metrics())
-            print("metrics schema: ok")
+            status, headers, payload = client.request("GET", "/metrics")
+            assert status == 200, status
+            _check_metrics(json.loads(payload))
+            # The connection that carried /metrics stays in the client's
+            # pool, open across the drain below.
+            assert headers.get("connection") == "keep-alive", headers
+            print("metrics schema: ok (connections reused)")
 
-            # Graceful drain on SIGTERM.  Wait on the process, not the
-            # pipe: plane worker processes inherit stdout, so pipe EOF
-            # can lag their teardown.
+            # Graceful drain on SIGTERM, with a pooled connection open.
+            # Wait on the process, not the pipe: plane worker processes
+            # inherit stdout, so pipe EOF can lag their teardown.
             proc.send_signal(signal.SIGTERM)
             proc.wait(timeout=DRAIN_TIMEOUT_S)
             out = proc.stdout.read()
