@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict
 
 from repro import perf
 from repro._memo import process_memo
@@ -61,12 +61,11 @@ def _canonical(spec: Dict[str, Any]) -> str:
 
 
 def _content_digest(spec: Dict[str, Any]) -> str:
-    """The content digest of one decodable wire spec (raises if not).
+    """The :func:`repro.service.protocol.placement_key` of one decodable
+    wire spec (raises if not).
 
-    Mirrors :func:`repro.service.protocol.request_placement` part for
-    part: ``[kind, beta?, m?, task digests...]`` — single-resource
-    kinds contribute their curve digest, multiprocessor kinds their
-    processor count.
+    Tasks decode with ``validate=False``: the digest needs their
+    content, not a verdict on it, and the owning worker validates.
     """
     from repro.io.json_io import task_from_dict
     from repro.parallel.cache import task_digest
@@ -74,26 +73,22 @@ def _content_digest(spec: Dict[str, Any]) -> str:
 
     kind = str(spec.get("kind"))
     kspec = protocol.KIND_REGISTRY.get(kind)
-    parts: List[str] = [kind]
+    beta = m = None
     if kspec is None or kspec.needs_beta:
-        parts.append(protocol.decode_beta(spec.get("beta")).digest())
+        beta = protocol.decode_beta(spec.get("beta")).digest()
     if kspec is not None and kspec.needs_m:
-        parts.append(f"m={protocol.decode_m(spec.get('m'))}")
+        m = protocol.decode_m(spec.get("m"))
     loader = task_from_dict
     if kspec is not None and kspec.model == "dag":
         from repro.mp.io import dag_from_dict
 
         loader = dag_from_dict
-    if spec.get("task") is not None:
-        parts.append(task_digest(loader(spec["task"], validate=False)))
-    elif spec.get("tasks") is not None:
-        parts.extend(
-            task_digest(loader(t, validate=False)) for t in spec["tasks"]
-        )
-    else:
+    tasks = spec.get("tasks") if spec.get("task") is None else [spec["task"]]
+    if tasks is None:
         raise ValueError("spec names neither 'task' nor 'tasks'")
-    joined = "\x1f".join(parts)
-    return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+    return protocol.placement_key(
+        kind, beta, m, [task_digest(loader(t, validate=False)) for t in tasks]
+    )
 
 
 def routing_digest(spec: Any) -> str:

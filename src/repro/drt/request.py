@@ -46,7 +46,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import perf
 from repro._numeric import Q, NumLike, as_q, scaled_int
-from repro.drt import snapshot as _snapshot
 from repro.drt.model import DRTTask
 from repro.errors import ModelError
 from repro.resilience.budget import checkpoint
@@ -309,20 +308,10 @@ class FrontierExplorer:
         popdom0 = len(self._popdom_times)
         evicted0 = sum(self._evict_counts)
         pushprune0 = len(self._pushprune_times)
-        # Crash-safe checkpointing (off by default): every *stride* pops
-        # the full exploration state snapshots through the result cache,
-        # so a worker crash mid-analysis resumes instead of recomputing.
-        ckpt_stride = _snapshot.checkpoint_stride()
-        ckpt_countdown = ckpt_stride
         # Reactivate deferred successors that the new horizon admits.
         while deferred and deferred[0][0] <= limit:
             heapq.heappush(heap, heapq.heappop(deferred))
         while heap:
-            if ckpt_stride:
-                ckpt_countdown -= 1
-                if ckpt_countdown <= 0:
-                    ckpt_countdown = ckpt_stride
-                    _snapshot.save_checkpoint(self)
             time, _, work, vertex = heap[0]
             if prune and frontiers[vertex].dominated(time, work):
                 heapq.heappop(heap)
@@ -655,15 +644,7 @@ def frontier_explorer(task: DRTTask) -> FrontierExplorer:
     cache = guard_cache(task)
     ex = cache.get("frontier_explorer")
     if ex is None:
-        # With checkpointing enabled, a crashed process's snapshot in
-        # the shared result cache resumes here on the failover owner —
-        # deterministic exploration makes the resumed bounds
-        # bit-identical to an uninterrupted run.
-        if _snapshot.checkpoint_stride():
-            ex = _snapshot.load_checkpoint(task)
-        if ex is None:
-            ex = FrontierExplorer(task, prune=True)
-        cache["frontier_explorer"] = ex
+        ex = cache["frontier_explorer"] = FrontierExplorer(task, prune=True)
     return ex
 
 

@@ -53,7 +53,9 @@ out through:
   planes cannot be confused.
 
 The pool is created lazily, kept for the life of the process (pool
-startup would otherwise dominate small fan-outs) and torn down atexit.
+startup would otherwise dominate small fan-outs) and torn down atexit;
+a worker whose parent dies without that teardown exits on its own
+within :data:`PARENT_POLL_S`.
 Environments that cannot fork (restricted sandboxes) degrade to the
 serial path transparently — with a :class:`RuntimeWarning` and a
 ``parallel.pool_degraded`` perf counter, so a silent loss of parallelism
@@ -64,6 +66,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import threading
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -95,6 +98,9 @@ BACKOFF_BASE = 0.05
 #: Allowance for draining the remaining futures of a round once one
 #: item timed out (the pool is wedged and about to be killed anyway).
 POISONED_GRACE = 0.1
+
+#: Seconds between a pool worker's checks that its parent is alive.
+PARENT_POLL_S = 0.5
 
 JobsLike = Union[None, int, str]
 
@@ -161,10 +167,28 @@ def resolve_jobs(jobs: JobsLike = None, n_items: Optional[int] = None) -> int:
 # ----------------------------------------------------------------------
 
 
-def _mark_worker() -> None:
-    """Pool initializer: pin nested fan-outs in this process to serial."""
+def _mark_worker(parent: int) -> None:
+    """Pool initializer: pin nested fan-outs in this process to serial,
+    and exit once *parent*, the process that built the pool, is gone."""
     global _in_worker
     _in_worker = True
+    threading.Thread(
+        target=_exit_with_parent, args=(parent,), daemon=True
+    ).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Exit this worker once it is orphaned (its parent pid changes).
+
+    A parent that dies without shutting the pool down (SIGKILL, a crash)
+    would otherwise leave its idle workers blocked for ever on the call
+    queue.  Polling ``getppid`` needs no machine setting, and unlike
+    ``PR_SET_PDEATHSIG`` it does not fire when the thread that forked
+    the worker exits while the parent lives on.
+    """
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL_S)
+    os._exit(0)
 
 
 def reset_process_caches() -> None:
@@ -242,7 +266,9 @@ def _serial_map(fn: Callable, items: Sequence, fresh_caches: bool) -> List:
 def _get_pool(n: int) -> ProcessPoolExecutor:
     pool = _pools.get(n)
     if pool is None:
-        pool = ProcessPoolExecutor(max_workers=n, initializer=_mark_worker)
+        pool = ProcessPoolExecutor(
+            max_workers=n, initializer=_mark_worker, initargs=(os.getpid(),)
+        )
         _pools[n] = pool
     return pool
 

@@ -61,10 +61,11 @@ read the table instead of growing per-kind branches.
 
 from __future__ import annotations
 
+import hashlib
 import secrets
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.core.facade import TaskAnalysisSummary
 from repro.errors import (
@@ -99,6 +100,7 @@ __all__ = [
     "is_sheddable",
     "DecodedRequest",
     "new_trace_id",
+    "placement_key",
     "request_placement",
     "decode_request",
     "encode_result",
@@ -544,31 +546,40 @@ def new_trace_id() -> str:
     return secrets.token_hex(8)
 
 
-def request_placement(req: "DecodedRequest") -> str:
-    """The placement (routing) key of one decoded request.
+def placement_key(
+    kind: str,
+    beta_digest: Optional[str],
+    m: Optional[int],
+    task_digests: Iterable[str],
+) -> str:
+    """The placement (routing) key of one request's content: SHA-256 of
+    ``[kind, beta digest?, "m=<m>"?, task digests...]`` joined by ``\x1f``.
 
-    Identical, by construction, to the content digest
-    :func:`repro.cluster.routing.routing_digest` computes from the wire
-    spec — same parts, same order, same separator — so the cache entries
-    a worker writes while serving a request are tagged with exactly the
-    key the coordinator's consistent-hash ring placed the request by,
-    and a resize can re-home them with the true movement delta.
-
-    Single-resource kinds hash ``[kind, beta, task digests...]``;
-    multiprocessor kinds have no curve and hash ``[kind, m, DAG
-    digests...]``.
+    The worker (:func:`request_placement`) and the coordinator
+    (:func:`repro.cluster.routing.routing_digest`) both build it here, so
+    the cache entries a worker writes are tagged with exactly the key the
+    ring placed the request by, and a resize re-homes them with the true
+    movement delta.
     """
-    import hashlib
+    parts = [kind]
+    if beta_digest is not None:
+        parts.append(beta_digest)
+    if m is not None:
+        parts.append(f"m={m}")
+    parts.extend(task_digests)
+    return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
 
+
+def request_placement(req: "DecodedRequest") -> str:
+    """The :func:`placement_key` of one decoded request."""
     from repro.parallel.cache import task_digest
 
-    parts = [req.kind]
-    if req.beta is not None:
-        parts.append(req.beta.digest())
-    if "m" in req.params:
-        parts.append(f"m={req.params['m']}")
-    parts.extend(task_digest(t) for t in req.tasks)
-    return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
+    return placement_key(
+        req.kind,
+        None if req.beta is None else req.beta.digest(),
+        req.params.get("m"),
+        (task_digest(t) for t in req.tasks),
+    )
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """Self-healing cluster: durable membership, resize migration, warm
-standby failover, checkpoint resume, and the gray-failure chaos sites."""
+standby failover, and the gray-failure chaos sites."""
 
 from __future__ import annotations
 
@@ -26,9 +26,7 @@ from repro.cluster import (
     WorkerProcess,
 )
 from repro.cluster.routing import routing_digest
-from repro.drt import snapshot as drt_snapshot
 from repro.drt.model import DRTTask
-from repro.drt.request import FrontierExplorer
 from repro.io.json_io import task_to_dict
 from repro.parallel import cache as result_cache
 from repro.parallel import transport
@@ -51,10 +49,8 @@ def _no_ambient_chaos():
 def _isolated_cache():
     """Every test starts and ends with the result cache disabled."""
     result_cache.configure(None)
-    drt_snapshot.set_checkpoint_stride(0)
     yield
     result_cache.configure(None)
-    drt_snapshot.set_checkpoint_stride(None)
 
 
 def _beta():
@@ -265,103 +261,6 @@ class TestPlacementTagging:
         ):
             req = protocol.decode_request(dict(spec))
             assert protocol.request_placement(req) == routing_digest(spec)
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint snapshots: bit-identical resume
-# ---------------------------------------------------------------------------
-
-
-class TestCheckpointSnapshot:
-    def test_snapshot_restore_resumes_bit_identically(self):
-        task = _task(3, n=4)
-        full = FrontierExplorer(task, prune=True)
-        expected = full.tuples(40)
-
-        partial = FrontierExplorer(task, prune=True)
-        partial.extend_to(12)
-        state = drt_snapshot.snapshot_explorer(partial)
-        resumed = drt_snapshot.restore_explorer(task, state)
-        assert resumed.tuples(40) == expected
-
-    def test_rational_task_resumes_bit_identically_mid_extension(
-        self, monkeypatch
-    ):
-        """A v2 snapshot taken between pops of an ``extend_to`` on a task
-        with time and work scales above 1 resumes bit-identically."""
-        task = DRTTask.build(
-            "rational",
-            jobs={"a": (F(3, 2), 9), "b": (F(2, 3), 8), "c": (F(5, 4), 7)},
-            edges=[
-                ("a", "b", F(13, 3)),
-                ("b", "c", F(9, 2)),
-                ("c", "a", F(17, 4)),
-                ("a", "c", F(31, 6)),
-            ],
-        )
-        assert task.scales() == (12, 12)
-        full = FrontierExplorer(task, prune=True)
-        expected = (full.tuples(40), full.stats_at(40), full.rbf_curve(40))
-
-        snapshots = []
-        monkeypatch.setattr(
-            drt_snapshot,
-            "save_checkpoint",
-            lambda ex: snapshots.append(drt_snapshot.snapshot_explorer(ex)),
-        )
-        drt_snapshot.set_checkpoint_stride(7)
-        partial = FrontierExplorer(task, prune=True)
-        partial.tuples(F(35, 3))
-        partial.extend_to(40)
-        drt_snapshot.set_checkpoint_stride(0)
-        mid = [s for s in snapshots if s["_heap"] and s["_sorted"]]
-        assert mid, "no snapshot was taken mid-extension"
-        for state in (mid[0], mid[-1]):
-            assert state["version"] == drt_snapshot.SNAPSHOT_VERSION == 2
-            assert (state["_S"], state["_W"]) == (12, 12)
-            resumed = drt_snapshot.restore_explorer(task, state)
-            assert (
-                resumed.tuples(40),
-                resumed.stats_at(40),
-                resumed.rbf_curve(40),
-            ) == expected
-
-    def test_v1_checkpoint_is_ignored_and_analysis_starts_cold(self, tmp_path):
-        from repro.drt.request import frontier_explorer
-
-        result_cache.configure(str(tmp_path))
-        drt_snapshot.set_checkpoint_stride(1)
-        task = _task(5)
-        ex = FrontierExplorer(task, prune=True)
-        ex.extend_to(15)
-        state = drt_snapshot.snapshot_explorer(ex)
-        state["version"] = 1
-        result_cache.put(drt_snapshot.checkpoint_key(task), state)
-        assert drt_snapshot.load_checkpoint_payload(task) is not None
-        assert drt_snapshot.load_checkpoint(task) is None
-        cold = frontier_explorer(task)
-        assert cold.explored_horizon is None
-        assert cold.tuples(30) == FrontierExplorer(task, prune=True).tuples(30)
-
-    def test_checkpoint_rejects_foreign_task(self):
-        ex = FrontierExplorer(_task(1), prune=True)
-        ex.extend_to(10)
-        state = drt_snapshot.snapshot_explorer(ex)
-        with pytest.raises(ValueError):
-            drt_snapshot.restore_explorer(_task(2), state)
-
-    def test_save_and_load_through_cache(self, tmp_path):
-        result_cache.configure(str(tmp_path))
-        drt_snapshot.set_checkpoint_stride(1)
-        task = _task(4)
-        ex = FrontierExplorer(task, prune=True)
-        ex.extend_to(15)
-        drt_snapshot.save_checkpoint(ex)
-        loaded = drt_snapshot.load_checkpoint(task)
-        assert loaded is not None
-        assert loaded.tuples(30) == FrontierExplorer(
-            task, prune=True
-        ).tuples(30)
 
 
 # ---------------------------------------------------------------------------
@@ -790,53 +689,6 @@ class TestStandbyFailover:
         finally:
             standby.shutdown(timeout=30)
             handle.shutdown(timeout=30)
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint resume across worker loss (acceptance)
-# ---------------------------------------------------------------------------
-
-
-class TestCheckpointResumeAcrossWorkers:
-    def test_failover_owner_resumes_from_checkpoint(self, tmp_path):
-        """A worker that died mid-analysis left a checkpoint in the
-        shared cache; the owner that inherits the request resumes from
-        it — bit-identically — instead of recomputing from scratch."""
-        task = _task(6, n=4)
-        beta = _beta()
-        direct = bounded_delay(task, beta)  # pristine, no cache
-
-        cache_dir = str(tmp_path / "shared-cache")
-        result_cache.configure(cache_dir)
-        drt_snapshot.set_checkpoint_stride(4)
-        partial = FrontierExplorer(task, prune=True)
-        partial.extend_to(10)  # the "crashed" worker's progress
-        drt_snapshot.save_checkpoint(partial)
-        drt_snapshot.set_checkpoint_stride(0)
-        result_cache.configure(None)
-
-        worker = WorkerProcess.spawn(
-            cache_dir=cache_dir,
-            env={"REPRO_CHECKPOINT_STRIDE": "4"},
-        )
-        handle = None
-        try:
-            handle = ClusterHandle.start(
-                workers=[("127.0.0.1", worker.port)]
-            )
-            client = ServiceClient(port=handle.port, timeout=120)
-            spec = client.build_request("delay", task, beta, perf=True)
-            envelope = client.analyze_raw(spec)
-            assert envelope["ok"], envelope
-            served = protocol.decode_result("delay", envelope["result"])
-            assert served.delay == direct.delay
-            assert served.busy_window == direct.busy_window
-            counters = envelope.get("perf", {}).get("counters", {})
-            assert counters.get("frontier.checkpoints_restored", 0) >= 1
-        finally:
-            if handle is not None:
-                handle.shutdown(timeout=30)
-            worker.terminate()
 
 
 # ---------------------------------------------------------------------------

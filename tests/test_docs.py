@@ -1,6 +1,8 @@
-"""Documentation integrity: the README quickstart must actually run, and
-every experiment file referenced in the docs must exist."""
+"""Documentation integrity: the README quickstart must actually run,
+every experiment file referenced in the docs must exist, and every
+environment variable the package reads is a documented, known knob."""
 
+import ast
 import os
 import re
 import subprocess
@@ -92,3 +94,66 @@ class TestApiReference:
         for item in ["structural_delay", "rbf_curve", "min_plus_conv",
                      "StructuralAnalysis", "edf_structural_delays"]:
             assert item in api, item
+
+
+#: Every ``REPRO_*`` environment variable the package reads.  A new knob
+#: is a new way to change behaviour: add it here and document it in
+#: ``tools/gen_api_docs.py``.
+ENV_KNOBS = {
+    "REPRO_JOBS",
+    "REPRO_CACHE_DIR",
+    "REPRO_CACHE_MAX_BYTES",
+    "REPRO_CHAOS",
+    "REPRO_CHAOS_HANG_S",
+}
+
+
+def _is_environ(node):
+    return isinstance(node, ast.Attribute) and node.attr == "environ"
+
+
+def _env_reads(tree):
+    """Names of the ``REPRO_*`` variables read by ``os.environ.get``,
+    ``os.environ[...]`` or ``os.getenv`` in one module."""
+    for node in ast.walk(tree):
+        key = None
+        if isinstance(node, ast.Call) and node.args:
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and (
+                    (func.attr == "get" and _is_environ(func.value))
+                    or func.attr == "getenv"
+                )
+            ):
+                key = node.args[0]
+        elif isinstance(node, ast.Subscript) and _is_environ(node.value):
+            key = node.slice
+        if isinstance(key, ast.Constant) and str(key.value).startswith(
+            "REPRO_"
+        ):
+            yield key.value
+
+
+class TestEnvKnobs:
+    def test_env_reads_are_exactly_the_known_knobs(self):
+        found = {}
+        src = os.path.join(ROOT, "src")
+        for dirpath, _, files in os.walk(src):
+            for fname in files:
+                if fname.endswith(".py"):
+                    path = os.path.join(dirpath, fname)
+                    with open(path) as fh:
+                        tree = ast.parse(fh.read(), path)
+                    for name in _env_reads(tree):
+                        found.setdefault(name, os.path.relpath(path, ROOT))
+        # On failure: each unknown knob with the file reading it, and
+        # each known knob that nothing reads any more (None).
+        assert set(found) == ENV_KNOBS, {
+            name: found.get(name) for name in set(found) ^ ENV_KNOBS
+        }
+
+    def test_every_knob_is_documented(self):
+        api = _read(os.path.join("docs", "API.md"))
+        for name in sorted(ENV_KNOBS):
+            assert f"`{name}" in api, name

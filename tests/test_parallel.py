@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import os
+import signal
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +29,8 @@ from repro.sched.sp import sp_schedulable
 from repro.workloads.random_drt import RandomDrtConfig
 
 from tests.conftest import service_curves, small_drt_tasks
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(autouse=True)
@@ -177,6 +183,83 @@ class TestParallelMap:
         warning = caught[0].message
         assert "fork denied by sandbox" in str(warning)
         assert warning.__cause__ is cause
+
+
+def _proc_stat(pid):
+    """``(state, ppid, starttime)`` from ``/proc/<pid>/stat``, or None
+    once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+    return fields[0], int(fields[1]), fields[19]
+
+
+def _alive(pid, starttime):
+    """True while *pid* is still the process started at *starttime*
+    and has not exited (a zombie waiting to be reaped has)."""
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z" and stat[2] == starttime
+
+
+#: Fans out once on a two-worker pool, prints the workers' pids, and
+#: waits to be killed.
+_ORPHAN_PROBE = """
+import multiprocessing, time
+from repro.parallel import parallel_map
+assert parallel_map(abs, [-1, -2, -3, -4], jobs=2) == [1, 2, 3, 4]
+print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+time.sleep(120)
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/stat"), reason="needs /proc"
+)
+class TestWorkerLifetime:
+    def test_pool_workers_exit_when_parent_is_killed(self):
+        """A process that fanned out through the plane and was then
+        SIGKILLed leaves no pool worker behind."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(ROOT, "src")
+        # Ambient fault injection would crash or replace the very
+        # workers this test watches.
+        for name in ("REPRO_CHAOS", "REPRO_CHAOS_HANG_S"):
+            env.pop(name, None)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_PROBE],
+            stdout=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        workers = {}
+        try:
+            pids = [int(p) for p in proc.stdout.readline().split()]
+            assert len(pids) == 2, pids
+            for pid in pids:
+                stat = _proc_stat(pid)
+                assert stat is not None and stat[1] == proc.pid, stat
+                workers[pid] = stat[2]
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 3 + 2 * plane.PARENT_POLL_S
+            while time.monotonic() < deadline and any(
+                _alive(pid, start) for pid, start in workers.items()
+            ):
+                time.sleep(0.05)
+            survivors = [
+                pid for pid, start in workers.items() if _alive(pid, start)
+            ]
+            assert not survivors, f"orphaned pool workers: {survivors}"
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            proc.stdout.close()
+            for pid, start in workers.items():
+                if _alive(pid, start):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestMapSettled:

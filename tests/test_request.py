@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.drt.model import DRTTask
 from repro.drt.paths import enumerate_paths
@@ -15,7 +16,8 @@ from repro.drt.request import (
     rbf_value,
     request_frontier,
 )
-from repro.errors import ModelError
+from repro.errors import BudgetExhaustedError, ModelError
+from repro.resilience.budget import Budget, budget_scope
 
 from .conftest import rational_drt_tasks, small_drt_tasks
 
@@ -215,3 +217,35 @@ def test_linear_bound_dominates_rbf_random(task):
     burst, rho = linear_request_bound(task)
     for d in [0, 4, 9, 15, 22, 30]:
         assert brute_rbf(task, d) <= burst + rho * d
+
+
+#: Expansion allowances that cut an ``extend_to`` short.
+RESUME_ALLOWANCES = (0, 1, 2, 5, 17)
+
+
+@settings(max_examples=40, deadline=None)
+@given(task=st.one_of(small_drt_tasks(), rational_drt_tasks()))
+def test_extend_resumes_after_budget_exhaustion(task):
+    """Property: an ``extend_to`` cut short by an expansion budget and
+    then resumed with none leaves the explorer exactly as a fresh one,
+    for integer and rational tasks alike."""
+    hz = F(40)
+    fresh = FrontierExplorer(task)
+    expected = (fresh.tuples(hz), fresh.stats_at(hz), fresh.rbf_curve(hz))
+    grows = expected[0] != fresh.tuples(hz / 3)
+    for k in RESUME_ALLOWANCES:
+        ex = FrontierExplorer(task)
+        # A sorted prefix exists while the extension is in flight.
+        ex.tuples(hz / 3)
+        stopped = False
+        with budget_scope(Budget(max_expansions=k)):
+            try:
+                ex.extend_to(hz)
+            except BudgetExhaustedError:
+                stopped = True
+        if k == 0 and grows:
+            # A tuple past hz / 3 is kept only by an expansion, which a
+            # zero allowance refuses.
+            assert stopped
+        ex.extend_to(hz)
+        assert (ex.tuples(hz), ex.stats_at(hz), ex.rbf_curve(hz)) == expected

@@ -496,16 +496,6 @@ replays the recorded response instead of re-executing — zero lost,
 zero duplicated batch items (gated in
 `tests/test_cluster_selfheal.py::TestStandbyFailover`).
 
-**Checkpoint recovery.**  Set `REPRO_CHECKPOINT_STRIDE=N` (e.g. 512)
-on workers to snapshot long frontier explorations through the
-content-addressed result cache every N expansions.  After a worker
-crash, the ring successor that inherits the request loads the
-checkpoint (task-digest-verified, schema-versioned) and resumes the
-exploration bit-identically — `frontier.checkpoints_saved` /
-`frontier.checkpoints_restored` in the perf counters confirm it.
-Stale or foreign checkpoints are treated as absent, never resumed
-silently wrong.
-
 **Incident observability.**  During any of the above, `GET /metrics`
 on the coordinator is the one pane of glass: per-worker documents plus
 a fleet rollup (merged latency histograms, summed cache hit/miss).

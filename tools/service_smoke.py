@@ -45,6 +45,10 @@ def _tasks():
         edges=[("a", "b", 10), ("b", "c", 8), ("c", "a", 12), ("a", "a", 5)],
     )
     loop = DRTTask.build("loop", jobs={"x": (2, 10)}, edges=[("x", "x", 10)])
+    # Only the zero-allowance request analyses this task.  A task another
+    # request also analyses may already have its exact delay in the
+    # shared result cache, and a cache hit answers exact at any budget.
+    solo = DRTTask.build("solo", jobs={"y": (3, 12)}, edges=[("y", "y", 9)])
     # Heavy enough (tens of milliseconds exact) that a 1 ms wall-clock
     # deadline is infeasible and must force sound degradation.
     heavy = DRTTask.build(
@@ -53,7 +57,7 @@ def _tasks():
         edges=[(f"v{i}", f"v{(i + 1) % 6}", 5) for i in range(6)]
         + [(f"v{i}", f"v{i}", 7) for i in range(6)],
     )
-    return demo, loop, heavy
+    return demo, loop, solo, heavy
 
 
 def _boot(cache_dir: str) -> tuple:
@@ -116,7 +120,7 @@ def _check_metrics(doc: dict) -> None:
 
 
 def main() -> int:
-    demo, loop, heavy = _tasks()
+    demo, loop, solo, heavy = _tasks()
     beta = rate_latency_service(F(1, 2), F(2))
     beta_heavy = rate_latency_service(F(1, 2), F(20))
     exact = bounded_delay(demo, beta)
@@ -144,7 +148,7 @@ def main() -> int:
                 ServiceClient.build_request("delay", demo, beta),
                 ServiceClient.build_request("analyze_many", [demo, loop], beta),
                 ServiceClient.build_request(
-                    "delay", loop, beta, max_expansions=0
+                    "delay", solo, beta, max_expansions=0
                 ),
                 ServiceClient.build_request(
                     "delay", heavy, beta_heavy, deadline_ms=1
