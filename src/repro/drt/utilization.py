@@ -47,6 +47,17 @@ class _IntGraph:
         ]
 
 
+def _int_graph(task: DRTTask) -> _IntGraph:
+    """The task's :class:`_IntGraph`, built once and memoized on the task."""
+    from repro.drt.digest import guard_cache
+
+    cache = guard_cache(task)
+    graph = cache.get("int_graph")
+    if graph is None:
+        graph = cache["int_graph"] = _IntGraph(task)
+    return graph
+
+
 def _relax(
     dist: Dict[str, int], edges: List[Tuple[str, str, int]], rounds: int
 ) -> Tuple[Dict[str, str], Optional[str]]:
@@ -109,7 +120,7 @@ def _critical(task: DRTTask) -> Tuple[Fraction, Optional[Tuple[str, ...]]]:
         return cached  # type: ignore[return-value]
     lam, best = Q(0), None
     if task.has_cycle():
-        graph = _IntGraph(task)
+        graph = _int_graph(task)
         for _ in range(100000):  # far above any realistic cycle-ratio count
             cycle = _positive_cycle(graph, lam)
             if cycle is None:
@@ -168,7 +179,7 @@ def linear_request_bound(task: DRTTask) -> Tuple[Fraction, Fraction]:
     if cached is not None:
         return cached  # type: ignore[return-value]
     rho = max_cycle_ratio(task)
-    graph = _IntGraph(task)
+    graph = _int_graph(task)
     qS = rho.denominator * graph.S
     dist = {v: w * qS for v, w in graph.wcet.items()}
     if _relax(dist, graph.reduced(rho, False), len(dist) + 1)[1] is not None:

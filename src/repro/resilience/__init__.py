@@ -24,7 +24,6 @@ from repro.resilience.bounded import (
 from repro.resilience.budget import (
     Budget,
     BudgetMeter,
-    active_meter,
     budget_scope,
     checkpoint,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "BudgetExhaustedError",
     "BoundedDelayResult",
     "WorkerError",
-    "active_meter",
     "bounded_delay",
     "bounded_delay_many",
     "budget_scope",

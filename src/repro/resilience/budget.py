@@ -49,7 +49,6 @@ __all__ = [
     "Budget",
     "BudgetMeter",
     "budget_scope",
-    "active_meter",
     "checkpoint",
     "CLOCK_STRIDE",
 ]
@@ -234,11 +233,6 @@ class BudgetMeter:
 _active: Optional[BudgetMeter] = None
 #: Enclosing meters, outermost first (charges propagate to all of them).
 _stack: List[BudgetMeter] = []
-
-
-def active_meter() -> Optional[BudgetMeter]:
-    """The innermost active meter, or None when budgets are disabled."""
-    return _active
 
 
 @contextmanager

@@ -217,6 +217,50 @@ def rational_drt_tasks(draw) -> DRTTask:
     return _drt_task(draw, number)
 
 
+@st.composite
+def acyclic_drt_tasks(draw) -> DRTTask:
+    """Small acyclic DRT tasks (finite workload, ``rho = 0``) with
+    rational parameters: every edge runs from a lower to a higher
+    vertex index."""
+
+    def number(lo, hi):
+        d = draw(st.sampled_from(SMALL_DENOMINATORS))
+        return F(draw(st.integers(min_value=lo * d, max_value=hi * d)), d)
+
+    n = draw(st.integers(min_value=1, max_value=5))
+    names = [f"v{i}" for i in range(n)]
+    jobs = [Job(name, number(1, 4), number(2, 20)) for name in names]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [Edge(a, b, number(1, 20)) for a, b in chosen]
+    return DRTTask("a", jobs, edges)
+
+
+@st.composite
+def structural_services(draw) -> Curve:
+    """The library's resource-model service curves with rational
+    parameters: rate-latency, TDMA and periodic resource (the last two
+    have plateaus, exact up to a drawn horizon, then an affine tail)."""
+    from repro.curves.service import (
+        periodic_resource_service,
+        rate_latency_service,
+        tdma_service,
+    )
+
+    def q(lo, hi, den):
+        return draw(st.fractions(min_value=lo, max_value=hi, max_denominator=den))
+
+    kind = draw(st.sampled_from(("rate-latency", "tdma", "periodic")))
+    if kind == "rate-latency":
+        return rate_latency_service(q(F(1, 4), 4, 4), q(0, 20, 3))
+    horizon = q(0, 120, 2)
+    if kind == "tdma":
+        frame = q(1, 30, 3)
+        return tdma_service(q(F(1, 2), 4, 4), frame * q(F(1, 4), 1, 8), frame, horizon)
+    period = q(1, 30, 3)
+    return periodic_resource_service(period * q(F(1, 4), 1, 8), period, horizon)
+
+
 # Rational sample grids used to compare curves pointwise.
 def sample_grid(limit: F = F(40), step: F = F(1, 2)):
     """Deterministic rational sample points in [0, limit]."""

@@ -85,3 +85,45 @@ class TestBusyWindowBound:
             t = bw.length + F(k, 2)
             assert bw.rbf.at(t) <= beta.at(t) or t == bw.length
 
+
+
+class TestLazyExploration:
+    """The busy window certifies its tail instead of exploring to the
+    closing horizon; the curve at that horizon is still built on read."""
+
+    def test_delay_explores_below_the_horizon(self, demo_task):
+        from repro.core.delay import structural_delay
+        from repro.drt.request import frontier_explorer
+
+        beta = rate_latency(F(1, 2), 4)
+        result = structural_delay(demo_task, beta)
+        bw = busy_window_bound(demo_task, beta)
+        assert (bw.length, result.busy_window) == (14, 14)
+        assert bw.horizon >= 2 * bw.length
+        explored = frontier_explorer(demo_task).explored_horizon
+        assert bw.length <= explored < bw.horizon
+
+    def test_step_positive_through_the_probe_needs_a_longer_probe(self, loop_task):
+        """The burst at 0 stays above a flat beta until 3, past the
+        probe 20/9 (half the horizon 40/9), so that probe must not
+        close even though nothing after it is positive."""
+        from repro.minplus.curve import Curve
+        from repro.minplus.segment import Segment
+
+        steps = [(0, 0), (3, 4), (5, 8), (7, 12), (9, 16)]
+        beta = Curve(
+            [Segment(F(t), F(v), F(0)) for t, v in steps]
+            + [Segment(F(11), F(16), F(2))]
+        )
+        bw = busy_window_bound(loop_task, beta)
+        assert (bw.length, bw.horizon, bw.iterations) == (3, F(40, 9), 1)
+
+    def test_rbf_read_later_equals_a_fresh_task(self, demo_task):
+        from repro.core.delay import structural_delay
+        from repro.drt.request import rbf_curve
+
+        beta = rate_latency(F(1, 2), 4)
+        structural_delay(demo_task, beta)
+        bw = busy_window_bound(demo_task, beta)
+        fresh = DRTTask("demo", list(demo_task.jobs.values()), list(demo_task.edges))
+        assert bw.rbf == rbf_curve(fresh, bw.horizon)

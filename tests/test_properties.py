@@ -29,6 +29,7 @@ from repro.minplus.deviation import (
 from repro._numeric import is_inf
 
 from .conftest import (
+    acyclic_drt_tasks,
     monotone_curves,
     oracle_services,
     oracle_settings,
@@ -36,6 +37,7 @@ from .conftest import (
     sample_grid,
     service_curves,
     small_drt_tasks,
+    structural_services,
 )
 
 GRID = sample_grid(F(30), F(1))
@@ -457,7 +459,9 @@ class TestIntReductionProperties:
     replaced, which stays in the library for general curves: every value,
     critical tuple and error message compares exactly.  Tasks have time
     and work scales above 1; services are rate-latency, bursty and
-    TDMA-like (:func:`~tests.conftest.oracle_services`)."""
+    TDMA-like (:func:`~tests.conftest.oracle_services`), and the busy
+    window also meets the resource models of :mod:`repro.curves.service`
+    (:func:`~tests.conftest.structural_services`)."""
 
     @oracle_settings()
     @given(
@@ -486,13 +490,22 @@ class TestIntReductionProperties:
         assert got == expected
 
     @oracle_settings()
-    @given(task=rational_drt_tasks(), beta=oracle_services())
+    @given(
+        task=st.one_of(rational_drt_tasks(), acyclic_drt_tasks()),
+        beta=st.one_of(oracle_services(), structural_services()),
+    )
     def test_busy_window_equals_curve_iteration(self, task, beta):
+        """Cyclic and acyclic tasks, on services with plateaus too: the
+        busy window explores only as far as its tail certificate needs,
+        yet closes as the whole curve's iteration does."""
         from repro.core import busy_window as bw_mod
-        from repro.drt.request import rbf_curve
+        from repro.drt.request import frontier_explorer, rbf_curve
 
         task = _scaled_task(task)
         bw = _bounded_busy_window(task, beta)
+        explored = frontier_explorer(task).explored_horizon
+        if explored is not None and explored < bw.horizon:
+            event("explored below the closing horizon")
         horizon = bw_mod._initial_estimate(task, beta, utilization(task))
         for iteration in range(1, 41):
             last = bw_mod.last_positive_time(rbf_curve(task, horizon) - beta)
