@@ -22,6 +22,12 @@ max_iterations)`` for every later analysis.  The fixpoint does not depend
 on how much was explored before: the explorer's truncated view at a
 horizon equals a from-scratch exploration to that horizon.
 
+Past every horizon the request curve continues with the line ``B +
+rho*t`` (:func:`~repro.drt.utilization.linear_request_bound`).  Its
+last positive time against ``beta`` is solved once per fixpoint on
+``beta``'s segments (:func:`_tail_last_positive`); a round whose
+horizon it exceeds is decided by it.
+
 A round need not explore to its horizon ``H``.  The request bound is
 subadditive, ``rbf(a + b) <= rbf(a) + rbf(b)`` (split a path at its
 first release past ``a``), so the exact staircase on ``[0, X]`` bounds
@@ -46,11 +52,10 @@ from repro import perf
 from repro._numeric import Q, NumLike, as_q
 from repro.drt.model import DRTTask
 from repro.drt.request import FrontierExplorer, frontier_explorer, rbf_curve
-from repro.drt.utilization import linear_request_bound, utilization
+from repro.drt.utilization import _int_graph, linear_request_bound, utilization
 from repro.errors import (
     CurveError, HorizonExceededError, UnboundedBusyWindowError,
 )
-from repro.minplus.builders import affine
 from repro.minplus.curve import Curve
 from repro.minplus.lowering import IntService
 from repro.resilience.budget import checkpoint
@@ -204,16 +209,38 @@ def _iterate(
 
 def _tail_last_positive(task: DRTTask, beta: Curve, rho: Q) -> Optional[Q]:
     """``last_positive_time(line - beta)`` for the line ``B + rho*t`` that
-    continues the request curve beyond every horizon."""
-    try:
-        return last_positive_time(affine(*linear_request_bound(task)) - beta)
-    except UnboundedBusyWindowError:
-        # The tail carries the exact long-run rate, so a positive tail is
-        # no artefact of a short horizon: the service never catches up.
-        raise UnboundedBusyWindowError(
-            f"service (rate {beta.tail_rate}) never catches up "
-            f"with workload of {task.name!r} (rate {rho}, positive burst)"
-        ) from None
+    continues the request curve beyond every horizon.
+
+    Solved on ``beta``'s segments without building the difference
+    curve: on a segment from ``s`` the gap is ``d + m*(t - s)`` with
+    ``d = B + rho*s - beta(s)`` and ``m = rho - slope``.  A segment's
+    positive part ends at its end or at its zero crossing, so the last
+    segment, from the tail backwards, with a positive part decides.
+    """
+    burst, _ = linear_request_bound(task)
+    segs = beta.segments
+    ends = beta.breakpoints()[1:] + [None]
+    for seg, end in zip(reversed(segs), reversed(ends)):
+        d = burst + rho * seg.start - seg.value
+        m = rho - seg.slope
+        if end is None:
+            if m > 0 or (m == 0 and d > 0):
+                # The tail carries the exact long-run rate, so a positive
+                # tail is no artefact of a short horizon: the service
+                # never catches up.
+                raise UnboundedBusyWindowError(
+                    f"service (rate {beta.tail_rate}) never catches up "
+                    f"with workload of {task.name!r} (rate {rho}, positive burst)"
+                )
+            if d > 0:
+                return seg.start + d / -m
+            continue
+        d_end = d + m * (end - seg.start)
+        if d_end > 0:
+            return end
+        if d > 0:
+            return seg.start + d / -m
+    return None
 
 
 def _last_positive(
@@ -330,16 +357,18 @@ def _initial_estimate(task: DRTTask, beta: Curve, rho: Q) -> Q:
 
     Uses the tail line of *beta* (rate ``R`` from offset ``(t0, v0)``) and
     a crude burst bound (max WCET times vertex count, covering any acyclic
-    prefix): ``t = (burst + R*t0 - v0) / (R - rho)``.
+    prefix): ``t = (burst + R*t0 - v0) / (R - rho)``.  The burst comes
+    from the task's int WCETs (:func:`~repro.drt.utilization._int_graph`,
+    built once per task) and ``v0`` is the tail segment's start value.
     """
-    burst = task.max_wcet * len(task.job_names)
-    t0 = beta.last_breakpoint
-    v0 = beta.at(t0)
     rate = beta.tail_rate
     if rate <= rho:
         # Acyclic workload (rho == 0 == rate impossible here since the
         # unbounded check passed); fall back to a span-based horizon.
         total_sep = sum((e.separation for e in task.edges), Q(0))
         return max(Q(1), total_sep)
-    est = (burst + rate * t0 - v0) / (rate - rho)
+    graph = _int_graph(task)
+    burst = Fraction(max(graph.wcet.values()) * len(graph.wcet), graph.W)
+    tail = beta.tail
+    est = (burst + rate * tail.start - tail.value) / (rate - rho)
     return max(est, Q(1))

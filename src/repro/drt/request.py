@@ -41,10 +41,12 @@ import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from repro import perf
+from repro._memo import process_memo
 from repro._numeric import Q, NumLike, as_q, scaled_int
 from repro.drt.model import DRTTask
 from repro.errors import ModelError
@@ -67,6 +69,11 @@ __all__ = [
 #: vertex)`` in scaled ints: a total order equal to the stable sort by
 #: ``(time, -work)`` over the frontiers in task vertex order.
 Key = Tuple[int, int, int, str]
+
+#: Service curves lowered per ``(beta, S, W)``.  An :class:`IntService`
+#: is immutable and a ``Curve`` hashes and compares by content, so fresh
+#: tasks with equal scales share one lowering.
+_INT_SERVICES = process_memo("drt.int_service", 1024)
 
 
 @dataclass(frozen=True)
@@ -141,13 +148,11 @@ class _VertexFrontier:
         self.works.insert(idx, work)
         return evicted
 
-    def keys(self, pos: int, vertex: str, limit: int) -> List[Key]:
-        """Sort keys of the tuples with scaled time ``<= limit``."""
-        hi = bisect_right(self.times, limit)
-        return [
-            (t, -w, pos, vertex)
-            for t, w in zip(self.times[:hi], self.works[:hi])
-        ]
+    def keys(self, pos: int, vertex: str, lo: int, hi: int) -> List[Key]:
+        """Sort keys of the tuples with scaled time in ``(lo, hi]``."""
+        times, works = self.times, self.works
+        i, j = bisect_right(times, lo), bisect_right(times, hi)
+        return [(t, -w, pos, vertex) for t, w in zip(times[i:j], works[i:j])]
 
     def rescaled(self, ft: int, fw: int) -> "_VertexFrontier":
         """An independent copy with times times *ft*, works times *fw*
@@ -201,10 +206,11 @@ class FrontierExplorer:
         "_new_kept_since_query",
         "_sorted_hz",
         "_sorted",
+        "_steps",
+        "_stepped",
         "_fork_cone",
         "_fork_carried_hz",
         "_fork_carried",
-        "_services",
     )
 
     def __init__(self, task: DRTTask, prune: bool = True) -> None:
@@ -256,9 +262,13 @@ class FrontierExplorer:
         # Sorted-keys prefix cache: once explored past a horizon, every
         # tuple at or below it is final (pops are time-ordered and evict
         # only equal-time entries), so queries at smaller horizons slice
-        # an exact prefix instead of re-merging and re-sorting.
+        # an exact prefix, and larger ones sort only the keys they add.
         self._sorted_hz: Optional[Q] = None
         self._sorted: List[Key] = []
+        # The staircase (cumulative maximum) of the first ``_stepped``
+        # sorted keys, extended as the prefix grows.
+        self._steps: List[Tuple[int, int]] = []
+        self._stepped = 0
         # Fork-carried sorted prefix (set by :meth:`fork`): the source
         # explorer's sorted keys restricted to carried vertices.  The
         # cone is forward-closed, so below the carried horizon the
@@ -267,8 +277,6 @@ class FrontierExplorer:
         self._fork_cone: Optional[frozenset] = None
         self._fork_carried_hz: Optional[Q] = None
         self._fork_carried: List[Key] = []
-        # Service curves lowered to this explorer's units, per curve.
-        self._services: Dict[Curve, IntService] = {}
 
     def _limit(self, hz: Fraction) -> int:
         """``floor(hz * S)``: a scaled time ``t`` lies at or below *hz*
@@ -492,48 +500,59 @@ class FrontierExplorer:
         vertex)`` of :meth:`tuples`, in the same order (time ``t/S``,
         work ``w/W``).
 
-        Counts the query in ``frontier.tuples_served``/``_reused``.
+        The sorted keys are cached as a prefix that only grows: a query
+        at or below the cached horizon slices it, and a query past it
+        sorts just the keys in between and appends them (time is the
+        primary sort key, and tuples at or below the cached horizon are
+        final).  Counts the query in ``frontier.tuples_served``/``_reused``.
         """
-        hz = as_q(horizon)
+        hi = self._served(as_q(horizon))
+        return self._sorted[:hi]
+
+    def _served(self, hz: Fraction) -> int:
+        """Explore to *hz*, extend the sorted prefix to it, and return
+        how many of its keys lie at or below *hz*."""
         self.extend_to(hz)
-        above = (self._limit(hz) + 1,)
-        if not self.prune:
-            keys = sorted(self._all[: bisect_left(self._all, above)])
-            hi = len(keys)
-        elif self._sorted_hz is not None and hz <= self._sorted_hz:
-            # Exact prefix of the cached merge: tuples at or below the
-            # cached horizon are final (see the cache comment in
-            # ``_reset``), and time is the primary sort key.
-            keys = self._sorted
-            hi = bisect_left(keys, above)
+        keys = self._sorted
+        if self._sorted_hz is not None and hz <= self._sorted_hz:
+            hi = bisect_left(keys, (self._limit(hz) + 1,))
             perf.record("frontier.tuples_sliced")
         else:
-            # A forked explorer below the carried horizon sorts only the
-            # re-expanded cone's keys and merges in the carried prefix.
-            fork = (
-                self._fork_carried_hz is not None
-                and hz <= self._fork_carried_hz
-            )
-            keys = sorted(
-                k
-                for pos, (v, f) in enumerate(self._frontiers.items())
-                if not fork or v in self._fork_cone
-                for k in f.keys(pos, v, above[0] - 1)
-            )
-            if fork:
-                carried = self._fork_carried
-                keys = list(
-                    heapq.merge(carried[: bisect_left(carried, above)], keys)
-                )
-                perf.record("frontier.tuples_fork_merged")
+            lo = -1 if self._sorted_hz is None else self._limit(self._sorted_hz)
+            keys += self._sorted_between(lo, hz)
             self._sorted_hz = hz
-            self._sorted = keys
             hi = len(keys)
         reused = max(0, hi - self._new_kept_since_query)
         self._new_kept_since_query = 0
         perf.record("frontier.tuples_served", hi)
         perf.record("frontier.tuples_reused", reused)
-        return keys[:hi]
+        return hi
+
+    def _sorted_between(self, lo: int, hz: Fraction) -> List[Key]:
+        """The sort keys at scaled times above *lo* and at or below *hz*,
+        sorted.  A forked explorer below the carried horizon sorts only
+        the re-expanded cone's keys and merges in the carried ones."""
+        hi = self._limit(hz)
+        if not self.prune:
+            found = self._all
+            return sorted(
+                found[bisect_left(found, (lo + 1,)) : bisect_left(found, (hi + 1,))]
+            )
+        fork = self._fork_carried_hz is not None and hz <= self._fork_carried_hz
+        keys = sorted(
+            k
+            for pos, (v, f) in enumerate(self._frontiers.items())
+            if not fork or v in self._fork_cone
+            for k in f.keys(pos, v, lo, hi)
+        )
+        if fork:
+            carried = self._fork_carried
+            carried = carried[
+                bisect_left(carried, (lo + 1,)) : bisect_left(carried, (hi + 1,))
+            ]
+            keys = list(heapq.merge(carried, keys))
+            perf.record("frontier.tuples_fork_merged")
+        return keys
 
     def request_tuple(self, key: Key) -> RequestTuple:
         """The request tuple of one sort *key*, as Fractions."""
@@ -551,11 +570,13 @@ class FrontierExplorer:
         return [self.request_tuple(key) for key in self.keys(horizon)]
 
     def lowered(self, beta: Curve) -> IntService:
-        """*beta* lowered to this explorer's time and work units (built
-        once per curve)."""
-        low = self._services.get(beta)
+        """*beta* lowered to this explorer's time and work units, shared
+        through the ``drt.int_service`` memo."""
+        key = (beta, self._S, self._W)
+        low = _INT_SERVICES.get(key)
         if low is None:
-            low = self._services[beta] = IntService(beta, self._S, self._W)
+            low = IntService(beta, self._S, self._W)
+            _INT_SERVICES.put(key, low)
         return low
 
     def stats_at(self, horizon: NumLike) -> FrontierStats:
@@ -586,20 +607,24 @@ class FrontierExplorer:
         """The steps ``(t, w)`` of the request bound function strictly
         before *horizon*, in scaled ints: the cumulative maximum of work
         by time over :meth:`keys` (which put the heaviest tuple of each
-        time first, so every time gets at most one step)."""
+        time first, so every time gets at most one step).  The maximum
+        is cached with the sorted prefix and extended with it."""
         hz = as_q(horizon)
-        steps: List[Tuple[int, int]] = []
-        best = 0
-        for t, nw, _, _ in self.keys(hz):
+        self._served(hz)
+        steps = self._steps
+        best = steps[-1][1] if steps else 0
+        for t, nw, _, _ in islice(self._sorted, self._stepped, None):
             if -nw > best:
                 steps.append((t, -nw))
                 best = -nw
-        if not steps or steps[0][0] != 0:
+        self._stepped = len(self._sorted)
+        hi = bisect_left(steps, (self._limit(hz) + 1,))
+        if not hi or steps[0][0] != 0:
             raise ModelError("request frontier must contain a tuple at time 0")
         # Only a step at exactly t / S == hz lies at but not before hz.
-        if steps[-1][0] * hz.denominator == hz.numerator * self._S:
-            steps.pop()
-        return steps
+        if steps[hi - 1][0] * hz.denominator == hz.numerator * self._S:
+            hi -= 1
+        return steps[:hi]
 
     def rbf_curve(self, horizon: NumLike) -> Curve:
         """The request bound function as a finitary staircase curve.

@@ -7,7 +7,10 @@ repeatedly test a candidate ratio ``lambda`` by searching for a positive
 cycle in the graph re-weighted with ``wcet(u) - lambda * separation(u,v)``,
 and jump to the exact ratio of any positive cycle found.  Each jump
 strictly increases ``lambda`` to a realised cycle ratio, so the iteration
-terminates at the maximum.
+terminates at the maximum.  A search stops at the first Bellman round
+whose predecessor pointers close a cycle, which is then positive
+(Cherkassky & Goldberg, "Negative-cycle detection algorithms", 1999);
+only a search that finds none runs to its fixpoint.
 
 Everything runs on ints: with ``lambda = p/q`` every re-weighted edge
 times ``q * S * W`` is an integer (:meth:`~repro.drt.model.DRTTask.scales`),
@@ -27,23 +30,21 @@ __all__ = ["max_cycle_ratio", "utilization", "critical_cycle", "linear_request_b
 
 
 class _IntGraph:
-    """The task's WCETs times ``W`` and its edges as ``(src, dst,
-    separation * S)``, in edge order."""
+    """The task's WCETs times ``W`` and its edge separations times ``S``
+    by ``(src, dst)``, in edge order."""
 
     def __init__(self, task: DRTTask) -> None:
-        self.S, self.W = task.scales()
-        self.wcet = {v: scaled_int(task.wcet(v), self.W) for v in task.job_names}
-        self.edges = [
-            (e.src, e.dst, scaled_int(e.separation, self.S)) for e in task.edges
-        ]
+        self.S, self.W = S, W = task.scales()
+        self.wcet = {v: scaled_int(j.wcet, W) for v, j in task.jobs.items()}
+        self.sep = {(e.src, e.dst): scaled_int(e.separation, S) for e in task.edges}
 
     def reduced(self, lam: Fraction, at_src: bool) -> List[Tuple[str, str, int]]:
         """Edge weights ``wcet - lam * separation`` times ``q * S * W``
         (``lam = p/q``), charging the WCET of the source or destination."""
-        p, qS, W = lam.numerator, lam.denominator * self.S, self.W
+        pW, qS, wcet = lam.numerator * self.W, lam.denominator * self.S, self.wcet
         return [
-            (src, dst, self.wcet[src if at_src else dst] * qS - p * sep * W)
-            for src, dst, sep in self.edges
+            (src, dst, wcet[src if at_src else dst] * qS - pW * sep)
+            for (src, dst), sep in self.sep.items()
         ]
 
 
@@ -58,53 +59,72 @@ def _int_graph(task: DRTTask) -> _IntGraph:
     return graph
 
 
-def _relax(
-    dist: Dict[str, int], edges: List[Tuple[str, str, int]], rounds: int
-) -> Tuple[Dict[str, str], Optional[str]]:
-    """Up to *rounds* Bellman rounds maximising *dist* in place.
+def _round(
+    dist: Dict[str, int], edges: List[Tuple[str, str, int]], pred: Dict[str, str]
+) -> List[str]:
+    """One Bellman round maximising *dist* in place, recording in *pred*
+    the source of each improvement; the vertices it improved, in order."""
+    improved = []
+    for src, dst, w in edges:
+        cand = dist[src] + w
+        if cand > dist[dst]:
+            dist[dst] = cand
+            pred[dst] = src
+            improved.append(dst)
+    return improved
 
-    Returns the predecessor map and the vertex last improved in the
-    final round — None when some round improved nothing (a fixpoint).
-    """
-    pred: Dict[str, str] = {}
-    for _ in range(rounds):
-        updated = None
-        for src, dst, w in edges:
-            cand = dist[src] + w
-            if cand > dist[dst]:
-                dist[dst] = cand
-                pred[dst] = src
-                updated = dst
-        if updated is None:
-            return pred, None
-    return pred, updated
+
+def _closed_walk(pred: Dict[str, str], starts: List[str]) -> Optional[List[str]]:
+    """A cycle of the predecessor graph reached from *starts*, in edge
+    order, or None.  Each vertex is walked at most once."""
+    seen: Dict[str, int] = {}
+    for k, v in enumerate(starts):
+        walk = []
+        while v not in seen:
+            seen[v] = k
+            walk.append(v)
+            if v not in pred:
+                break
+            v = pred[v]
+        else:
+            if seen[v] == k:  # back on this walk: a closed cycle
+                cycle = walk[walk.index(v):]
+                cycle.reverse()
+                return cycle
+    return None
 
 
 def _positive_cycle(graph: _IntGraph, lam: Fraction) -> Optional[List[str]]:
     """A cycle with positive weight under ``wcet(u) - lam * sep(u, v)``,
-    or None. Bellman-Ford over all vertices simultaneously."""
+    or None. Bellman-Ford over all vertices simultaneously.
+
+    The search stops at the first round whose improved vertices walk
+    back into a cycle of predecessor pointers.  Such a cycle is
+    positive: along each pointer ``dist[v] <= dist[pred[v]] + w`` (a
+    source's distance only grows after it is used), and the improvement
+    that closed the cycle made one of these strict.  Without a positive
+    cycle no round past the ``n - 1``-th improves anything; and a vertex
+    improved in round ``n`` walks back ``n`` pointers (each step goes
+    back at most one round), so round ``n``'s walk always closes.
+    """
     n = len(graph.wcet)
-    pred, v = _relax(dict.fromkeys(graph.wcet, 0), graph.reduced(lam, True), n)
-    if v is None:
-        return None
-    # A relaxation in the n-th round implies a positive cycle reachable
-    # backwards from the updated vertex.
+    dist = dict.fromkeys(graph.wcet, 0)
+    edges = graph.reduced(lam, True)
+    pred: Dict[str, str] = {}
     for _ in range(n):
-        v = pred[v]
-    cycle = [v]
-    u = pred[v]
-    while u != v:
-        cycle.append(u)
-        u = pred[u]
-    cycle.reverse()
-    return cycle
+        improved = _round(dist, edges, pred)
+        if not improved:
+            return None
+        cycle = _closed_walk(pred, improved)
+        if cycle is not None:
+            return cycle
+    raise AssertionError("an improvement in round n closes no cycle")  # pragma: no cover
 
 
 def _cycle_ratio(graph: _IntGraph, cycle: List[str]) -> Fraction:
     """Work/separation ratio of a vertex cycle (closing edge implied)."""
-    sep_of = {(src, dst): sep for src, dst, sep in graph.edges}
     work = sum(graph.wcet[v] for v in cycle)
-    sep = sum(sep_of[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    sep = sum(graph.sep[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
     return Fraction(work * graph.S, sep * graph.W)
 
 
@@ -118,20 +138,20 @@ def _critical(task: DRTTask) -> Tuple[Fraction, Optional[Tuple[str, ...]]]:
     cached = cache.get("max_cycle_ratio")
     if cached is not None:
         return cached  # type: ignore[return-value]
+    # An acyclic graph has no positive cycle even at lam = 0.
     lam, best = Q(0), None
-    if task.has_cycle():
-        graph = _int_graph(task)
-        for _ in range(100000):  # far above any realistic cycle-ratio count
-            cycle = _positive_cycle(graph, lam)
-            if cycle is None:
-                break
-            ratio = _cycle_ratio(graph, cycle)
-            if ratio <= lam:
-                # The detected cycle no longer improves: lam is the maximum.
-                break
-            lam, best = ratio, tuple(cycle)
-        else:  # pragma: no cover
-            raise AssertionError("max_cycle_ratio did not converge")
+    graph = _int_graph(task)
+    for _ in range(100000):  # far above any realistic cycle-ratio count
+        cycle = _positive_cycle(graph, lam)
+        if cycle is None:
+            break
+        ratio = _cycle_ratio(graph, cycle)
+        if ratio <= lam:
+            # The detected cycle no longer improves: lam is the maximum.
+            break
+        lam, best = ratio, tuple(cycle)
+    else:  # pragma: no cover
+        raise AssertionError("max_cycle_ratio did not converge")
     cache["max_cycle_ratio"] = (lam, best)
     return lam, best
 
@@ -182,8 +202,11 @@ def linear_request_bound(task: DRTTask) -> Tuple[Fraction, Fraction]:
     graph = _int_graph(task)
     qS = rho.denominator * graph.S
     dist = {v: w * qS for v, w in graph.wcet.items()}
-    if _relax(dist, graph.reduced(rho, False), len(dist) + 1)[1] is not None:
-        # pragma: no cover - impossible without a positive reduced cycle
+    edges = graph.reduced(rho, False)
+    for _ in range(len(dist) + 1):
+        if not _round(dist, edges, {}):
+            break
+    else:  # pragma: no cover - impossible without a positive reduced cycle
         raise AssertionError("linear_request_bound did not stabilise")
     result = (Fraction(max(dist.values()), qS * graph.W), rho)
     cache["linear_request_bound"] = result

@@ -88,9 +88,10 @@ def chain_task() -> DRTTask:
 # ---------------------------------------------------------------------------
 #
 # ``--hypothesis-profile=ci`` (a CI step of its own) runs the properties
-# that check the integer reductions against their ``Fraction`` oracles
-# with many more examples.  Those properties take their example count
-# from :func:`oracle_settings`; every other property pins its own.
+# that check the integer reductions against their ``Fraction`` oracles,
+# and the incremental frontier against scratch runs, with many more
+# examples.  Those properties take their example count from
+# :func:`oracle_settings`; every other property pins its own.
 
 settings.register_profile("ci", max_examples=500)
 
@@ -98,14 +99,14 @@ settings.register_profile("ci", max_examples=500)
 ORACLE_EXAMPLES = 30
 
 
-def oracle_settings() -> settings:
-    """Settings of the int-vs-``Fraction`` oracle properties: a few
-    examples in tier-1, the active profile's count when it asks for more
-    than Hypothesis' default (the ``ci`` profile)."""
+def oracle_settings(examples: int = ORACLE_EXAMPLES) -> settings:
+    """Settings of the oracle properties: *examples* in tier-1, the
+    active profile's count when it asks for more than Hypothesis'
+    default (the ``ci`` profile)."""
     profile = settings.default.max_examples
     return settings(
         deadline=None,
-        max_examples=profile if profile > 100 else ORACLE_EXAMPLES,
+        max_examples=profile if profile > 100 else examples,
     )
 
 

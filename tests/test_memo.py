@@ -118,6 +118,7 @@ class TestRegistry:
             "kernel.memo",
             "kernel.lowered",
             "cluster.route_memo",
+            "drt.int_service",
         } <= names
         assert kernels.OP_MEMO.name == "kernel.memo"
         assert routing._MEMO.name == "cluster.route_memo"

@@ -156,6 +156,7 @@ class TestParallelMap:
         try:
             result_cache.put("0" * 64, 1)
             seeded = _process_memo_sizes(None)
+            assert "drt.int_service" in seeded
             assert all(seeded.values()), seeded
             (sizes,) = parallel_map(
                 _process_memo_sizes, [0], jobs=1, fresh_caches=True

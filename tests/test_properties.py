@@ -266,6 +266,26 @@ def _assert_extend_then_extend_equals_scratch(task, h1, h2):
     assert incremental.rbf_curve(h2) == scratch.rbf_curve(h2)
 
 
+def _assert_keys_and_staircase_equal(explorer, fresh, hz):
+    """*explorer*'s tuples and staircase at *hz* equal *fresh*'s, and
+    the staircase is the running maximum of the tuples.  Keys compare
+    as the tuples they stand for: a fork may count in finer units."""
+
+    def staircase(ex):
+        return [(F(t, ex._S), F(w, ex._W)) for t, w in ex.staircase(hz)]
+
+    tuples = [explorer.request_tuple(key) for key in explorer.keys(hz)]
+    assert tuples == explorer.tuples(hz) == fresh.tuples(hz), hz
+    steps, best = [], 0
+    for tup in tuples:
+        if tup.work > best:
+            steps.append((tup.time, tup.work))
+            best = tup.work
+    if steps and steps[-1][0] == hz:
+        steps.pop()
+    assert staircase(explorer) == steps == staircase(fresh), hz
+
+
 class TestIncrementalFrontierProperties:
     """The incremental engine must be indistinguishable from scratch runs.
 
@@ -275,7 +295,7 @@ class TestIncrementalFrontierProperties:
     ``Fraction`` equality, no tolerances.
     """
 
-    @settings(max_examples=60, deadline=None)
+    @oracle_settings(60)
     @given(
         task=small_drt_tasks(),
         h1=st.integers(min_value=0, max_value=40),
@@ -285,7 +305,7 @@ class TestIncrementalFrontierProperties:
         """extend_to(h1); extend_to(h2) == one-shot exploration at h2."""
         _assert_extend_then_extend_equals_scratch(task, h1, h2)
 
-    @settings(max_examples=60, deadline=None)
+    @oracle_settings(60)
     @given(
         task=rational_drt_tasks(),
         h1=st.fractions(min_value=0, max_value=40, max_denominator=12),
@@ -296,7 +316,7 @@ class TestIncrementalFrontierProperties:
         horizon comparison ``t > floor(h * S)`` is exact."""
         _assert_extend_then_extend_equals_scratch(task, h1, h2)
 
-    @settings(max_examples=40, deadline=None)
+    @oracle_settings(40)
     @given(
         task=small_drt_tasks(),
         horizons=st.lists(
@@ -313,7 +333,7 @@ class TestIncrementalFrontierProperties:
             fresh = FrontierExplorer(task)
             assert tuples_inc == fresh.tuples(hz), hz
 
-    @settings(max_examples=40, deadline=None)
+    @oracle_settings(40)
     @given(task=small_drt_tasks(), beta=service_curves())
     def test_reused_analyses_equal_scratch(self, task, beta):
         """Every cached analysis of a task whose shared explorer an
@@ -346,6 +366,74 @@ class TestIncrementalFrontierProperties:
         scratch_b = structural_backlog(fresh, beta)
         assert cached_b.backlog == scratch_b.backlog
         assert cached_b.critical_tuple == scratch_b.critical_tuple
+
+    @oracle_settings(40)
+    @given(
+        task=st.one_of(small_drt_tasks(), rational_drt_tasks()),
+        prune=st.booleans(),
+        horizons=st.lists(
+            st.fractions(min_value=0, max_value=40, max_denominator=6),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_keys_and_staircase_after_any_schedule_equal_scratch(
+        self, task, prune, horizons
+    ):
+        """The sorted keys and the staircase grow across queries, yet at
+        every horizon of any schedule equal a fresh explorer's."""
+        from repro.drt.request import FrontierExplorer
+
+        explorer = FrontierExplorer(task, prune=prune)
+        for hz in horizons:
+            _assert_keys_and_staircase_equal(
+                explorer, FrontierExplorer(task, prune=prune), hz
+            )
+
+    @oracle_settings(40)
+    @given(
+        task=st.one_of(rational_drt_tasks(), acyclic_drt_tasks()),
+        carried=st.fractions(min_value=0, max_value=30, max_denominator=6),
+        horizons=st.lists(
+            st.fractions(min_value=0, max_value=45, max_denominator=6),
+            min_size=1,
+            max_size=6,
+        ),
+        data=st.data(),
+    )
+    def test_forked_keys_and_staircase_equal_scratch(
+        self, task, carried, horizons, data
+    ):
+        """A fork carries its source's sorted keys up to *carried*; below
+        it the schedule merges them in, above it sorts every frontier,
+        and both equal a fresh explorer of the edited task.  The first
+        query stops halfway to *carried*, so a later one below it
+        extends a merged prefix.  Acyclic tasks keep the vertices before
+        the edit out of its cone (in a strongly connected one the cone
+        is every vertex), so their keys are carried."""
+        from repro.drt.digest import structural_diff
+        from repro.drt.request import FrontierExplorer
+        from repro.whatif import SetSeparation, SetWcet, apply_edit
+
+        if task.edges and data.draw(st.booleans(), label="edit a separation"):
+            src, dst = data.draw(
+                st.sampled_from([(e.src, e.dst) for e in task.edges])
+            )
+            sep = data.draw(st.fractions(min_value=4, max_value=20, max_denominator=5))
+            edit = SetSeparation(src, dst, sep)
+        else:
+            job = data.draw(st.sampled_from(task.job_names))
+            wcet = data.draw(st.fractions(min_value=1, max_value=4, max_denominator=5))
+            edit = SetWcet(job, wcet)
+        new_task, _ = apply_edit(task, rate_latency(1, 1), edit)
+        source = FrontierExplorer(task)
+        source.keys(carried)
+        forked = source.fork(new_task, structural_diff(task, new_task))
+        for hz in [carried / 2, *horizons]:
+            event("below the carried horizon" if hz <= carried else "past it")
+            _assert_keys_and_staircase_equal(
+                forked, FrontierExplorer(new_task), hz
+            )
 
 
 class TestBatchedPseudoInverseProperties:
@@ -423,6 +511,21 @@ def _outcome(fn, *args):
 
 def _raised(outcome) -> bool:
     return isinstance(outcome, tuple) and outcome[0] == "raised"
+
+
+def _simple_cycles(task):
+    """Every simple cycle of *task*'s graph (networkx), in edge order."""
+    import networkx as nx
+
+    graph = nx.DiGraph((e.src, e.dst) for e in task.edges)
+    return list(nx.simple_cycles(graph))
+
+
+def _cycle_ratio_of(task, cycle):
+    """Work over separation of a vertex *cycle* (closing edge implied)."""
+    sep = {(e.src, e.dst): e.separation for e in task.edges}
+    work = sum(task.wcet(v) for v in cycle)
+    return work / sum(sep[u, v] for u, v in zip(cycle, cycle[1:] + cycle[:1]))
 
 
 def _oracle_delay(beta, tuples):
@@ -556,6 +659,70 @@ class TestIntReductionProperties:
             assert (got_b.backlog, got_b.critical_tuple) == _oracle_backlog(
                 service, tuples
             )
+
+    @oracle_settings()
+    @given(
+        task=st.one_of(small_drt_tasks(), rational_drt_tasks(), acyclic_drt_tasks()),
+        beta=st.one_of(service_curves(), oracle_services(), structural_services()),
+    )
+    def test_tail_crossing_equals_curve_oracle(self, task, beta):
+        """The request line's last positive time against ``beta``, solved
+        on ``beta``'s segments, is the difference curve's, and both raise
+        on a tail that never catches up."""
+        from repro.core import busy_window as bw_mod
+        from repro.drt.utilization import linear_request_bound
+        from repro.minplus.builders import affine
+
+        rho = utilization(task)
+        expected = _outcome(
+            bw_mod.last_positive_time, affine(*linear_request_bound(task)) - beta
+        )
+        got = _outcome(bw_mod._tail_last_positive, task, beta, rho)
+        if _raised(expected):
+            event("unbounded")
+            assert _raised(got) and got[1] is expected[1]
+            assert "never catches up" in got[2]
+        else:
+            event("never positive" if expected is None else "crosses")
+            assert got == expected
+
+    @oracle_settings()
+    @given(task=st.one_of(small_drt_tasks(), rational_drt_tasks()))
+    def test_max_cycle_ratio_is_max_over_simple_cycles(self, task):
+        """Lawler's ratio, and the ratio of the cycle it reports, is the
+        maximum over every simple cycle of the graph."""
+        from repro.drt.utilization import critical_cycle, max_cycle_ratio
+
+        ratios = {
+            tuple(cycle): _cycle_ratio_of(task, cycle)
+            for cycle in _simple_cycles(task)
+        }
+        assert max_cycle_ratio(task) == max(ratios.values())
+        assert _cycle_ratio_of(task, critical_cycle(task)) == max(ratios.values())
+
+    @oracle_settings()
+    @given(
+        task=st.one_of(small_drt_tasks(), rational_drt_tasks(), acyclic_drt_tasks()),
+        lam=st.fractions(min_value=0, max_value=F(1, 2), max_denominator=12),
+    )
+    def test_positive_cycle_is_positive_under_lambda(self, task, lam):
+        """The early-exit search returns a graph cycle of positive
+        reduced weight under *lam*, and None only when no simple cycle
+        has a ratio above *lam*."""
+        from repro.drt.utilization import _IntGraph, _positive_cycle
+
+        cycle = _positive_cycle(_IntGraph(task), lam)
+        if cycle is None:
+            event("none")
+            assert all(
+                _cycle_ratio_of(task, c) <= lam for c in _simple_cycles(task)
+            )
+            return
+        event(f"cycle of {len(cycle)}")
+        sep = {(e.src, e.dst): e.separation for e in task.edges}
+        closing = list(zip(cycle, cycle[1:] + cycle[:1]))
+        assert all(edge in sep for edge in closing)
+        assert sum(task.wcet(u) - lam * sep[u, v] for u, v in closing) > 0
 
     @oracle_settings()
     @given(task=rational_drt_tasks(), beta=oracle_services())

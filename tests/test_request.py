@@ -208,6 +208,62 @@ def test_rbf_subadditive_random(task):
             )
 
 
+class TestIntServiceMemo:
+    """``FrontierExplorer.lowered`` shares one ``IntService`` per
+    ``(beta, S, W)`` through the ``drt.int_service`` process memo."""
+
+    @staticmethod
+    def _counter(name: str) -> int:
+        from repro import perf
+
+        return perf.counters().get(name, 0)
+
+    def test_fresh_tasks_with_equal_scales_share_one_lowering(self, demo_task):
+        from repro.minplus.builders import rate_latency
+
+        twin = DRTTask(demo_task.name, demo_task.jobs.values(), demo_task.edges)
+        low = FrontierExplorer(demo_task).lowered(rate_latency(F(1, 2), 4))
+        # A curve decoded afresh is an equal key.
+        assert FrontierExplorer(twin).lowered(rate_latency(F(1, 2), 4)) is low
+        assert FrontierExplorer(twin).lowered(rate_latency(F(1, 2), 5)) is not low
+        # Other units are another key: a WCET of 1/2 doubles W, so
+        # work 1 is k = 2 there.
+        halved = DRTTask.build(
+            "demo",
+            jobs={"a": (F(1, 2), 5), "b": (3, 8), "c": (2, 10)},
+            edges=[("a", "b", 10), ("b", "c", 8), ("c", "a", 12), ("a", "a", 5)],
+        )
+        other = FrontierExplorer(halved).lowered(rate_latency(F(1, 2), 4))
+        assert (other.D, other.inverse(2)) == (low.D, low.inverse(1))
+
+    def test_counters_count_hits_and_misses(self, demo_task):
+        from repro.minplus.builders import rate_latency
+        from repro.parallel import reset_process_caches
+
+        reset_process_caches()
+        beta = rate_latency(F(1, 3), 2)
+        hits = self._counter("drt.int_service_hits")
+        misses = self._counter("drt.int_service_misses")
+        ex = FrontierExplorer(demo_task)
+        ex.lowered(beta)
+        ex.lowered(beta)
+        FrontierExplorer(demo_task).lowered(beta)
+        assert self._counter("drt.int_service_misses") == misses + 1
+        assert self._counter("drt.int_service_hits") == hits + 2
+
+    def test_reset_process_caches_clears_the_memo(self, demo_task):
+        from repro.drt import request
+        from repro.minplus.builders import rate_latency
+        from repro.parallel import reset_process_caches
+
+        beta = rate_latency(F(1, 2), 4)
+        low = FrontierExplorer(demo_task).lowered(beta)
+        assert len(request._INT_SERVICES) > 0
+        reset_process_caches()
+        assert len(request._INT_SERVICES) == 0
+        assert FrontierExplorer(demo_task).lowered(beta) is not low
+
+
 @settings(max_examples=30, deadline=None)
 @given(task=small_drt_tasks())
 def test_linear_bound_dominates_rbf_random(task):

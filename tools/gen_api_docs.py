@@ -69,7 +69,9 @@ instead of recomputing its inputs privately:
   `rtc_backlog`) sweeps the explorer's scaled ints against β lowered to
   the same units (`repro.minplus.lowering.IntService`, a bisect per
   query) and converts only the winner to `Fraction`;
-  `lower_pseudo_inverse_batch` stays for general curves.
+  `lower_pseudo_inverse_batch` stays for general curves.  β is lowered
+  once per `(β, S, W)` and shared through the `drt.int_service` memo
+  (counters `drt.int_service_hits`/`_misses`/`_evictions`).
 - **Instrumentation** — `repro.perf` counts cache hits/misses, tuples
   expanded/pruned and pseudo-inverse evaluations, and times the
   busy-window/frontier/delay phases; `perf.report()` renders a summary.
@@ -176,7 +178,8 @@ count is always capped by the number of items.  The CLI exposes
 - nested fan-out is suppressed: inside a worker `resolve_jobs` pins to 1;
 - `fresh_caches=True` resets every process-wide memo (each
   `repro._memo.process_memo` LRU: kernel lowerings and op results,
-  busy-window fixpoints, cluster routing keys; and the in-memory result
+  β lowered to int units (`drt.int_service`), cluster routing keys;
+  and the in-memory result
   cache) before each item — the benchmark harness uses it to keep cost
   measurements honest.
 
