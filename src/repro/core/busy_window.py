@@ -51,8 +51,8 @@ from typing import List, Optional, Tuple
 from repro import perf
 from repro._numeric import Q, NumLike, as_q
 from repro.drt.model import DRTTask
-from repro.drt.request import FrontierExplorer, frontier_explorer, rbf_curve
-from repro.drt.utilization import _int_graph, linear_request_bound, utilization
+from repro.drt.request import FrontierExplorer, frontier_explorer, int_task, rbf_curve
+from repro.drt.utilization import linear_request_bound, utilization
 from repro.errors import (
     CurveError, HorizonExceededError, UnboundedBusyWindowError,
 )
@@ -358,7 +358,7 @@ def _initial_estimate(task: DRTTask, beta: Curve, rho: Q) -> Q:
     Uses the tail line of *beta* (rate ``R`` from offset ``(t0, v0)``) and
     a crude burst bound (max WCET times vertex count, covering any acyclic
     prefix): ``t = (burst + R*t0 - v0) / (R - rho)``.  The burst comes
-    from the task's int WCETs (:func:`~repro.drt.utilization._int_graph`,
+    from the task's int WCETs (:func:`~repro.drt.request.int_task`,
     built once per task) and ``v0`` is the tail segment's start value.
     """
     rate = beta.tail_rate
@@ -367,7 +367,7 @@ def _initial_estimate(task: DRTTask, beta: Curve, rho: Q) -> Q:
         # unbounded check passed); fall back to a span-based horizon.
         total_sep = sum((e.separation for e in task.edges), Q(0))
         return max(Q(1), total_sep)
-    graph = _int_graph(task)
+    graph = int_task(task)
     burst = Fraction(max(graph.wcet.values()) * len(graph.wcet), graph.W)
     tail = beta.tail
     est = (burst + rate * tail.start - tail.value) / (rate - rho)

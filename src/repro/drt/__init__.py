@@ -24,7 +24,7 @@ from repro.drt.digest import (
 )
 from repro.drt.paths import Path, iter_paths, enumerate_paths
 from repro.drt.request import RequestTuple, request_frontier, rbf_curve, rbf_value
-from repro.drt.demand import DemandTuple, demand_frontier, dbf_curve, dbf_value
+from repro.drt.demand import dbf_curve, dbf_value
 from repro.drt.utilization import max_cycle_ratio, utilization, linear_request_bound
 from repro.drt.validate import validate_task, is_constrained_deadline
 from repro.drt.transform import (
@@ -51,8 +51,6 @@ __all__ = [
     "request_frontier",
     "rbf_curve",
     "rbf_value",
-    "DemandTuple",
-    "demand_frontier",
     "dbf_curve",
     "dbf_value",
     "max_cycle_ratio",

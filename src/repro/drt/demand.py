@@ -6,184 +6,88 @@ length ``Delta``.  It is the basis of EDF schedulability on uniprocessors:
 a task set is EDF-schedulable on a unit-speed processor iff
 ``sum_i dbf_i(Delta) <= Delta`` for every window ``Delta``.
 
-For *constrained-deadline* tasks (deadline <= minimum outgoing separation)
-the demand of a path is simply its total work with the window ending at
-the last job's deadline, which yields the same Pareto-frontier exploration
-as the request bound.  For arbitrary deadlines this module computes a
-sound over-approximation by stretching the window to cover every counted
-job's deadline (``validate_task(..., require_constrained=True)`` gates the
-exact variant).
+It is read off the request tuples of the task's shared
+:class:`~repro.drt.request.FrontierExplorer`, each moved to the deadline
+of its last job:
+
+    dbf(Delta) = max { w : request tuple (t, w, v) with t + d(v) <= Delta }
+
+* *Exact for constrained deadlines* (``d(v) <= p(v, u)`` on every edge):
+  deadlines then grow along a path, so every job of a path prefix is due
+  by its last job's deadline, and moving each vertex's tuples by the same
+  ``d(v)`` leaves the per-vertex Pareto pruning unchanged.
+* *Sound for arbitrary deadlines*: cut any set of jobs due in
+  ``[0, Delta]`` at its first and last counted jobs.  The result is a
+  path whose request tuple at the last job ``v`` has ``t + d(v) <= Delta``
+  and at least the counted work.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from math import lcm
+from typing import List, Tuple
 
-from repro._numeric import Q, NumLike, as_q
+from repro._numeric import Q, NumLike, as_q, scaled_int
 from repro.drt.model import DRTTask
-from repro.drt.request import FrontierStats
-from repro.drt.validate import is_constrained_deadline
+from repro.drt.request import frontier_explorer
+from repro.drt.utilization import linear_request_bound
 from repro.errors import ModelError
 from repro.minplus.curve import Curve
 from repro.minplus.segment import Segment
 
-__all__ = ["DemandTuple", "demand_frontier", "dbf_curve", "dbf_value"]
+__all__ = ["dbf_curve", "dbf_value"]
 
 
-@dataclass(frozen=True)
-class DemandTuple:
-    """An abstract path prefix for demand accounting.
-
-    Attributes:
-        window: Smallest window length covering release 0 to the latest
-            deadline among counted jobs.
-        work: Total WCET of the counted jobs.
-        vertex: End vertex of the abstracted paths.
-    """
-
-    window: Fraction
-    work: Fraction
-    vertex: str
-
-
-def demand_frontier(
-    task: DRTTask,
-    horizon: NumLike,
-    stats: Optional[FrontierStats] = None,
-) -> List[DemandTuple]:
-    """Non-dominated demand tuples with ``window <= horizon``.
-
-    The exploration walks abstract path prefixes tracking
-    ``(release of last job, max deadline so far, total work)`` and prunes
-    per end vertex on the Pareto order (smaller window, larger work).
-
-    For constrained-deadline tasks the max deadline is always the last
-    job's, making the result exact; otherwise it is a sound upper bound.
-    """
-    hz = as_q(horizon)
+def _demand_steps(task: DRTTask, hz: Fraction) -> Tuple[List[Tuple[int, int]], int, int]:
+    """``(steps, D, W)``: the steps ``(window, work)`` of ``dbf`` on
+    ``[0, hz]``, works in units ``1/W`` and windows in units ``1/D``, the
+    lcm of the explorer's time unit and the deadline denominators."""
     if hz < 0:
         raise ModelError("horizon must be non-negative")
-    # State: (max absolute deadline = window, release time of last job,
-    # work, vertex).  Domination needs all three numeric components:
-    # a state is dominated only by one with a smaller-or-equal window,
-    # a smaller-or-equal last release (its extensions release no later)
-    # and at least as much work.  Pruning on (window, work) alone is
-    # unsound: a larger-window state with an *earlier* last release can
-    # extend to strictly more demand.
-    frontiers: Dict[str, _DemandStates] = {
-        v: _DemandStates() for v in task.job_names
-    }
-    heap: List[Tuple[Q, int, Q, Q, str]] = []
-    out: List[DemandTuple] = []
-    tiebreak = 0
-    for v in task.job_names:
-        job = task.job(v)
-        heapq.heappush(heap, (job.deadline, tiebreak, Q(0), job.wcet, v))
-        tiebreak += 1
-    while heap:
-        window, _, time, work, vertex = heapq.heappop(heap)
-        if stats is not None:
-            stats.expanded += 1
-        if window > hz:
-            continue
-        front = frontiers[vertex]
-        if front.dominated(window, time, work):
-            if stats is not None:
-                stats.pruned += 1
-            continue
-        front.insert(window, time, work)
-        if stats is not None:
-            stats.kept += 1
-        for edge in task.successors(vertex):
-            t2 = time + edge.separation
-            job2 = task.job(edge.dst)
-            dl2 = max(window, t2 + job2.deadline)
-            w2 = work + job2.wcet
-            if dl2 > hz:
-                continue
-            if frontiers[edge.dst].dominated(dl2, t2, w2):
-                if stats is not None:
-                    stats.pruned += 1
-                continue
-            heapq.heappush(heap, (dl2, tiebreak, t2, w2, edge.dst))
-            tiebreak += 1
-    for v, front in frontiers.items():
-        out.extend(DemandTuple(w_, wk, v) for w_, _, wk in front.states)
-    out.sort(key=lambda d: (d.window, -d.work))
-    return out
-
-
-class _DemandStates:
-    """Pareto store of (window, time, work) triples for one vertex.
-
-    A triple is dominated by one with window' <= window, time' <= time
-    and work' >= work.  Linear scan is sufficient: the store holds only
-    mutually non-dominated states.
-    """
-
-    __slots__ = ("states",)
-
-    def __init__(self) -> None:
-        self.states: List[Tuple[Q, Q, Q]] = []
-
-    def dominated(self, window: Q, time: Q, work: Q) -> bool:
-        return any(
-            w0 <= window and t0 <= time and k0 >= work
-            for w0, t0, k0 in self.states
-        )
-
-    def insert(self, window: Q, time: Q, work: Q) -> None:
-        self.states = [
-            (w0, t0, k0)
-            for w0, t0, k0 in self.states
-            if not (window <= w0 and time <= t0 and work >= k0)
-        ]
-        self.states.append((window, time, work))
+    ex = frontier_explorer(task)
+    S, W = ex.units
+    D = lcm(S, *(job.deadline.denominator for job in task.jobs.values()))
+    f = D // S
+    dl = {v: scaled_int(job.deadline, D) for v, job in task.jobs.items()}
+    limit = hz.numerator * D // hz.denominator
+    # Releases after hz - min deadline are due after hz.
+    reach = limit - min(dl.values())
+    keys = ex.keys(Fraction(reach, D)) if reach >= 0 else []
+    windows = sorted(
+        (t * f + dl[v], nw) for t, nw, _, v in keys if t * f + dl[v] <= limit
+    )
+    steps: List[Tuple[int, int]] = []
+    for window, nw in windows:
+        if not steps or -nw > steps[-1][1]:
+            steps.append((window, -nw))
+    return steps, D, W
 
 
 def dbf_value(task: DRTTask, delta: NumLike) -> Fraction:
     """``dbf(delta)``: maximum demand in a window of length *delta*
     (0 when no job fits its deadline inside the window)."""
-    d = as_q(delta)
-    tuples = demand_frontier(task, d)
-    if not tuples:
-        return Q(0)
-    return max(t.work for t in tuples)
+    steps, _, W = _demand_steps(task, as_q(delta))
+    return Fraction(steps[-1][1], W) if steps else Q(0)
 
 
 def dbf_curve(task: DRTTask, horizon: NumLike) -> Curve:
     """The demand bound function as a finitary staircase curve.
 
-    Exact on ``[0, horizon)`` for constrained-deadline tasks; sound upper
-    bound otherwise.  Beyond the horizon the curve continues with the
-    subadditive-style tail bound derived from the request bound (demand
-    never exceeds requests): value and slope are taken from
-    :func:`repro.drt.request.rbf_curve`'s tail.
+    On ``[0, horizon)`` the steps follow the module's formula: exact for
+    constrained deadlines, a sound upper bound otherwise.  Beyond the
+    horizon the curve continues with the exact linear request bound of
+    :func:`repro.drt.utilization.linear_request_bound`: demand never
+    exceeds requests, so it is sound there and exact in rate.
     """
     hz = as_q(horizon)
-    tuples = demand_frontier(task, hz)
-    segs: List[Segment] = [Segment(Q(0), Q(0), Q(0))]
-    best = Q(0)
-    for t in tuples:
-        if t.work > best:
-            if segs and segs[-1].start == t.window:
-                segs[-1] = Segment(t.window, t.work, Q(0))
-            else:
-                segs.append(Segment(t.window, t.work, Q(0)))
-            best = t.work
-    # dbf <= rbf pointwise, so the exact linear request bound is a sound
-    # tail for the demand curve as well (and exact in rate).
-    from repro.drt.utilization import linear_request_bound
-
+    steps, D, W = _demand_steps(task, hz)
     burst, rho = linear_request_bound(task)
-    segs = [s for s in segs if s.start < hz]
-    if not segs:
-        segs = [Segment(Q(0), Q(0), Q(0))] if hz > 0 else []
-    if hz > 0:
-        segs.append(Segment(hz, burst + rho * hz, rho))
-    else:
-        segs = [Segment(Q(0), burst, rho)]
+    segs = [Segment(Q(0), Q(0), Q(0))] if hz > 0 else []
+    segs += [
+        Segment(Fraction(t, D), Fraction(w, W), Q(0))
+        for t, w in steps
+        if t * hz.denominator < hz.numerator * D
+    ]
+    segs.append(Segment(hz, burst + rho * hz, rho))
     return Curve(segs)

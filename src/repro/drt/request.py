@@ -163,6 +163,31 @@ class _VertexFrontier:
         return out
 
 
+class IntTask:
+    """A task in the engine's ints: WCETs times ``W`` and edge
+    separations times ``S`` by ``(src, dst)``, in edge order."""
+
+    __slots__ = ("S", "W", "wcet", "sep")
+
+    def __init__(self, task: DRTTask, S: int, W: int) -> None:
+        self.S, self.W = S, W
+        self.wcet = {v: scaled_int(j.wcet, W) for v, j in task.jobs.items()}
+        self.sep = {(e.src, e.dst): scaled_int(e.separation, S) for e in task.edges}
+
+
+def int_task(task: DRTTask) -> IntTask:
+    """The task in its own scales (:meth:`~repro.drt.model.DRTTask.scales`),
+    memoized on it: its explorers and the cycle-ratio search of
+    :mod:`repro.drt.utilization` share one scaling to ints."""
+    from repro.drt.digest import guard_cache
+
+    cache = guard_cache(task)
+    ints = cache.get("int_task")
+    if ints is None:
+        ints = cache["int_task"] = IntTask(task, *task.scales())
+    return ints
+
+
 class FrontierExplorer:
     """Resumable best-first exploration of a task's request tuples.
 
@@ -214,28 +239,23 @@ class FrontierExplorer:
     )
 
     def __init__(self, task: DRTTask, prune: bool = True) -> None:
-        self._reset(task, prune, *task.scales())
+        self._reset(task, prune, int_task(task))
         for v, wcet in self._wcet.items():
             heapq.heappush(self._heap, (0, self._tiebreak, wcet, v))
             self._tiebreak += 1
 
-    def _reset(self, task: DRTTask, prune: bool, S: int, W: int) -> None:
-        """Empty exploration state for *task* in time units ``1/S`` and
-        work units ``1/W`` (multiples of the task's own scales)."""
+    def _reset(self, task: DRTTask, prune: bool, ints: IntTask) -> None:
+        """Empty exploration state for *task* in the units of *ints*
+        (multiples of the task's own scales)."""
         self.task = task
         self.prune = prune
-        self._S = S
-        self._W = W
-        # Scaled WCETs and, per vertex, ``(separation * S, wcet(dst) *
-        # W, dst)`` for every outgoing edge in the task's edge order.
-        self._wcet = {v: scaled_int(task.wcet(v), W) for v in task.job_names}
-        self._succ = {
-            v: [
-                (scaled_int(e.separation, S), self._wcet[e.dst], e.dst)
-                for e in task.successors(v)
-            ]
-            for v in task.job_names
-        }
+        self._S, self._W = ints.S, ints.W
+        self._wcet = wcet = ints.wcet
+        # Per vertex ``(separation * S, wcet(dst) * W, dst)`` for every
+        # outgoing edge in the task's edge order.
+        self._succ: Dict[str, List[Tuple[int, int, str]]] = {v: [] for v in wcet}
+        for (src, dst), sep in ints.sep.items():
+            self._succ[src].append((sep, wcet[dst], dst))
         self._frontiers: Dict[str, _VertexFrontier] = {
             v: _VertexFrontier() for v in task.job_names
         }
@@ -284,6 +304,12 @@ class FrontierExplorer:
         return hz.numerator * self._S // hz.denominator
 
     # -- exploration -----------------------------------------------------
+
+    @property
+    def units(self) -> Tuple[int, int]:
+        """``(S, W)``: :meth:`keys` count time in ``1/S`` and work in
+        ``1/W`` (a fork may count in multiples of its task's scales)."""
+        return self._S, self._W
 
     @property
     def explored_horizon(self) -> Optional[Fraction]:
@@ -421,11 +447,13 @@ class FrontierExplorer:
                 f"diff marks {missing} as carried but the source explorer "
                 "never had them (stale diff?)"
             )
-        S_new, W_new = new_task.scales()
-        S, W = lcm(self._S, S_new), lcm(self._W, W_new)
+        ints = int_task(new_task)
+        S, W = lcm(self._S, ints.S), lcm(self._W, ints.W)
+        if (S, W) != (ints.S, ints.W):
+            ints = IntTask(new_task, S, W)
         ft, fw = S // self._S, W // self._W
         new = FrontierExplorer.__new__(FrontierExplorer)
-        new._reset(new_task, True, S, W)
+        new._reset(new_task, True, ints)
         new._tiebreak = self._tiebreak
         # Frontiers in new_task.job_names order: queries number vertices
         # in this order, so query ordering (and critical-tuple

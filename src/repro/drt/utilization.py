@@ -13,7 +13,7 @@ whose predecessor pointers close a cycle, which is then positive
 only a search that finds none runs to its fixpoint.
 
 Everything runs on ints: with ``lambda = p/q`` every re-weighted edge
-times ``q * S * W`` is an integer (:meth:`~repro.drt.model.DRTTask.scales`),
+times ``q * S * W`` is an integer (:func:`~repro.drt.request.int_task`),
 and scaling by a positive constant preserves every comparison, so the
 relaxations — and the cycles found — are those of the rational weights.
 """
@@ -23,40 +23,22 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from repro._numeric import Q, scaled_int
+from repro._numeric import Q
 from repro.drt.model import DRTTask
+from repro.drt.request import IntTask, int_task
 
 __all__ = ["max_cycle_ratio", "utilization", "critical_cycle", "linear_request_bound"]
 
 
-class _IntGraph:
-    """The task's WCETs times ``W`` and its edge separations times ``S``
-    by ``(src, dst)``, in edge order."""
-
-    def __init__(self, task: DRTTask) -> None:
-        self.S, self.W = S, W = task.scales()
-        self.wcet = {v: scaled_int(j.wcet, W) for v, j in task.jobs.items()}
-        self.sep = {(e.src, e.dst): scaled_int(e.separation, S) for e in task.edges}
-
-    def reduced(self, lam: Fraction, at_src: bool) -> List[Tuple[str, str, int]]:
-        """Edge weights ``wcet - lam * separation`` times ``q * S * W``
-        (``lam = p/q``), charging the WCET of the source or destination."""
-        pW, qS, wcet = lam.numerator * self.W, lam.denominator * self.S, self.wcet
-        return [
-            (src, dst, wcet[src if at_src else dst] * qS - pW * sep)
-            for (src, dst), sep in self.sep.items()
-        ]
-
-
-def _int_graph(task: DRTTask) -> _IntGraph:
-    """The task's :class:`_IntGraph`, built once and memoized on the task."""
-    from repro.drt.digest import guard_cache
-
-    cache = guard_cache(task)
-    graph = cache.get("int_graph")
-    if graph is None:
-        graph = cache["int_graph"] = _IntGraph(task)
-    return graph
+def _reduced(graph: IntTask, lam: Fraction, at_src: bool) -> List[Tuple[str, str, int]]:
+    """Edge weights ``wcet - lam * separation`` times ``q * S * W``
+    (``lam = p/q``) in edge order, charging the WCET of the source or
+    destination."""
+    pW, qS, wcet = lam.numerator * graph.W, lam.denominator * graph.S, graph.wcet
+    return [
+        (src, dst, wcet[src if at_src else dst] * qS - pW * sep)
+        for (src, dst), sep in graph.sep.items()
+    ]
 
 
 def _round(
@@ -94,7 +76,7 @@ def _closed_walk(pred: Dict[str, str], starts: List[str]) -> Optional[List[str]]
     return None
 
 
-def _positive_cycle(graph: _IntGraph, lam: Fraction) -> Optional[List[str]]:
+def _positive_cycle(graph: IntTask, lam: Fraction) -> Optional[List[str]]:
     """A cycle with positive weight under ``wcet(u) - lam * sep(u, v)``,
     or None. Bellman-Ford over all vertices simultaneously.
 
@@ -109,7 +91,7 @@ def _positive_cycle(graph: _IntGraph, lam: Fraction) -> Optional[List[str]]:
     """
     n = len(graph.wcet)
     dist = dict.fromkeys(graph.wcet, 0)
-    edges = graph.reduced(lam, True)
+    edges = _reduced(graph, lam, True)
     pred: Dict[str, str] = {}
     for _ in range(n):
         improved = _round(dist, edges, pred)
@@ -121,7 +103,7 @@ def _positive_cycle(graph: _IntGraph, lam: Fraction) -> Optional[List[str]]:
     raise AssertionError("an improvement in round n closes no cycle")  # pragma: no cover
 
 
-def _cycle_ratio(graph: _IntGraph, cycle: List[str]) -> Fraction:
+def _cycle_ratio(graph: IntTask, cycle: List[str]) -> Fraction:
     """Work/separation ratio of a vertex cycle (closing edge implied)."""
     work = sum(graph.wcet[v] for v in cycle)
     sep = sum(graph.sep[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
@@ -140,7 +122,7 @@ def _critical(task: DRTTask) -> Tuple[Fraction, Optional[Tuple[str, ...]]]:
         return cached  # type: ignore[return-value]
     # An acyclic graph has no positive cycle even at lam = 0.
     lam, best = Q(0), None
-    graph = _int_graph(task)
+    graph = int_task(task)
     for _ in range(100000):  # far above any realistic cycle-ratio count
         cycle = _positive_cycle(graph, lam)
         if cycle is None:
@@ -199,10 +181,10 @@ def linear_request_bound(task: DRTTask) -> Tuple[Fraction, Fraction]:
     if cached is not None:
         return cached  # type: ignore[return-value]
     rho = max_cycle_ratio(task)
-    graph = _int_graph(task)
+    graph = int_task(task)
     qS = rho.denominator * graph.S
     dist = {v: w * qS for v, w in graph.wcet.items()}
-    edges = graph.reduced(rho, False)
+    edges = _reduced(graph, rho, False)
     for _ in range(len(dist) + 1):
         if not _round(dist, edges, {}):
             break

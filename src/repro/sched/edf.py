@@ -6,6 +6,11 @@ service: ``sum_i dbf_i(Delta) <= beta(Delta)`` for every window
 ``Delta >= 0``.  The check is finitary: beyond the busy-window-style
 bound where the affine demand tails drop below the service, the
 inequality holds permanently.
+
+Demand curves are read off each task's shared request explorer
+(:func:`repro.drt.demand.dbf_curve`), so the test is exact for
+constrained deadlines and sufficient otherwise, and a horizon doubling
+extends the explorers instead of exploring again.
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ def edf_schedulable(
 
     Args:
         tasks: The structural workloads (constrained deadlines give the
-            exact test; otherwise it is sufficient, not necessary).
+            exact test; otherwise it is sufficient, not necessary).  An
+            empty set is schedulable.
         beta: Lower service curve.
         initial_horizon: Optional starting horizon.
         max_iterations: Cap on horizon doublings.
@@ -65,6 +71,8 @@ def edf_schedulable(
             workloads report this instead of a violation window).
     """
     horizon = as_q(initial_horizon) if initial_horizon is not None else Q(64)
+    if not tasks:
+        return EdfResult(True, None, horizon)
     for _ in range(max_iterations):
         total = dbf_curve(tasks[0], horizon)
         for task in tasks[1:]:

@@ -4,24 +4,28 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.drt.demand import dbf_curve, dbf_value, demand_frontier
+from repro.drt.demand import dbf_curve, dbf_value
 from repro.drt.model import DRTTask
 from repro.drt.paths import enumerate_paths
 from repro.drt.request import rbf_value
 from repro.drt.validate import is_constrained_deadline
 from repro.errors import ModelError
 
-from .conftest import small_drt_tasks
+from .conftest import oracle_settings, rational_drt_tasks, small_drt_tasks
 
 
 def brute_dbf(task: DRTTask, delta) -> F:
-    """Max work of paths whose every job deadline falls within delta."""
+    """True demand in a window of length *delta*: per enumerated path,
+    the work of the jobs whose release plus deadline falls within it."""
     best = F(0)
     for p in enumerate_paths(task, delta):
-        deadlines = [t + task.deadline(v) for v, t in zip(p.vertices, p.releases)]
-        if max(deadlines) <= delta:
-            best = max(best, p.total_work)
+        best = max(best, sum(
+            (task.wcet(v) for v, t in zip(p.vertices, p.releases)
+             if t + task.deadline(v) <= delta),
+            F(0),
+        ))
     return best
 
 
@@ -34,26 +38,15 @@ def constrained_task() -> DRTTask:
     )
 
 
-class TestDemandFrontier:
-    def test_empty_below_min_deadline(self, constrained_task):
-        assert demand_frontier(constrained_task, 4) == []
-
-    def test_tuples_within_horizon(self, constrained_task):
-        for t in demand_frontier(constrained_task, 30):
-            assert t.window <= 30
-
-    def test_negative_horizon_rejected(self, constrained_task):
-        with pytest.raises(ModelError):
-            demand_frontier(constrained_task, -2)
-
-    def test_pareto_per_vertex(self, constrained_task):
-        by_vertex = {}
-        for t in demand_frontier(constrained_task, 60):
-            by_vertex.setdefault(t.vertex, []).append(t)
-        for ts in by_vertex.values():
-            ts.sort(key=lambda d: d.window)
-            for a, b in zip(ts, ts[1:]):
-                assert a.window < b.window and a.work < b.work
+@pytest.fixture
+def hidden_task() -> DRTTask:
+    """A long-deadline job between two short-deadline ones: the window
+    due by ``7/2`` holds ``a`` and ``c`` but not ``b``."""
+    return DRTTask.build(
+        "hidden",
+        jobs={"a": (1, 2), "b": (1, 100), "c": (1, 2)},
+        edges=[("a", "b", 1), ("b", "c", F(1, 2)), ("c", "a", 200)],
+    )
 
 
 class TestDbfValue:
@@ -71,6 +64,14 @@ class TestDbfValue:
             assert dbf_value(constrained_task, d) <= rbf_value(
                 constrained_task, d
             )
+
+    def test_negative_window_rejected(self, constrained_task):
+        with pytest.raises(ModelError):
+            dbf_value(constrained_task, -2)
+
+    def test_counts_job_after_a_long_deadline(self, hidden_task):
+        assert brute_dbf(hidden_task, F(7, 2)) == 2
+        assert dbf_value(hidden_task, F(7, 2)) >= 2
 
 
 class TestDbfCurve:
@@ -90,18 +91,38 @@ class TestDbfCurve:
     def test_starts_at_zero(self, constrained_task):
         assert dbf_curve(constrained_task, 30).at(0) == 0
 
+    def test_negative_horizon_rejected(self, constrained_task):
+        with pytest.raises(ModelError):
+            dbf_curve(constrained_task, -2)
 
-@settings(max_examples=30, deadline=None)
-@given(task=small_drt_tasks())
+
+@oracle_settings(60)
+@given(task=st.one_of(small_drt_tasks(), rational_drt_tasks()))
 def test_dbf_sound_random(task):
-    """Property: dbf_value upper-bounds the true demand (exact when
-    deadlines are constrained)."""
+    """Property: dbf_value upper-bounds the true demand for any
+    deadlines, and equals it when deadlines are constrained."""
     for delta in [0, 6, 13, 21]:
         v = dbf_value(task, delta)
         b = brute_dbf(task, delta)
         assert v >= b
         if is_constrained_deadline(task):
             assert v == b
+
+
+@oracle_settings()
+@given(
+    task=rational_drt_tasks(),
+    horizon=st.fractions(min_value=0, max_value=30, max_denominator=6),
+)
+def test_curve_agrees_with_value(task, horizon):
+    """Below its horizon the curve reads dbf_value; at and beyond it, at
+    least dbf_value."""
+    c = dbf_curve(task, horizon)
+    for d in sorted({F(0), horizon / 3, horizon / 2, horizon, horizon + 5}):
+        if d < horizon:
+            assert c.at(d) == dbf_value(task, d), d
+        else:
+            assert c.at(d) >= dbf_value(task, d), d
 
 
 @settings(max_examples=30, deadline=None)

@@ -709,9 +709,10 @@ class TestIntReductionProperties:
         """The early-exit search returns a graph cycle of positive
         reduced weight under *lam*, and None only when no simple cycle
         has a ratio above *lam*."""
-        from repro.drt.utilization import _IntGraph, _positive_cycle
+        from repro.drt.request import int_task
+        from repro.drt.utilization import _positive_cycle
 
-        cycle = _positive_cycle(_IntGraph(task), lam)
+        cycle = _positive_cycle(int_task(task), lam)
         if cycle is None:
             event("none")
             assert all(

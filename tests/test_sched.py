@@ -9,8 +9,11 @@ from repro.drt.model import DRTTask
 from repro.errors import UnboundedBusyWindowError
 from repro.minplus.builders import rate_latency
 from repro.sched.acceptance import acceptance_ratio
-from repro.sched.edf import edf_schedulable
+from repro.sched.edf import EdfResult, edf_schedulable
 from repro.sched.sp import sp_schedulable
+from repro.sim.engine import simulate
+from repro.sim.releases import Release
+from repro.sim.service import ConstantRate
 from repro.workloads.random_drt import RandomDrtConfig
 
 
@@ -56,6 +59,28 @@ class TestEdf:
         bad = edf_schedulable([tight_task], rate_latency(1, 1))
         assert ok.schedulable
         assert not bad.schedulable
+
+    def test_empty_set_schedulable(self):
+        r = edf_schedulable([], rate_latency(1, 0))
+        assert r == EdfResult(True, None, F(64))
+
+    def test_job_after_a_long_deadline_counts(self):
+        """Arbitrary deadlines: ``b``'s long deadline must not hide the
+        short-deadline ``c`` released after it.  On a rate-1/2 server EDF
+        finishes ``c`` at 4, after its deadline 7/2."""
+        task = DRTTask.build(
+            "hidden",
+            jobs={"a": (1, 2), "b": (1, 100), "c": (1, 2)},
+            edges=[("a", "b", 1), ("b", "c", F(1, 2)), ("c", "a", 200)],
+        )
+        rels = [
+            Release(t, task.wcet(v), v, task.name, deadline=t + task.deadline(v))
+            for v, t in [("a", F(0)), ("b", F(1)), ("c", F(3, 2))]
+        ]
+        sim = simulate(rels, ConstantRate(F(1, 2)), policy="edf")
+        finish = {job.release.job: job.finish for job in sim.jobs}
+        assert finish["c"] == 4 > rels[2].deadline
+        assert not edf_schedulable([task], rate_latency(F(1, 2), 0)).schedulable
 
 
 class TestSp:

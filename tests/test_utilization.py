@@ -71,11 +71,12 @@ class TestMaxCycleRatio:
     @settings(max_examples=40, deadline=None)
     @given(task=rational_drt_tasks())
     def test_critical_cycle_realises_rho_rational(self, task):
-        from repro.drt.utilization import _IntGraph, _cycle_ratio
+        from repro.drt.request import int_task
+        from repro.drt.utilization import _cycle_ratio
 
         cyc = critical_cycle(task)
         assert cyc is not None
-        assert _cycle_ratio(_IntGraph(task), cyc) == max_cycle_ratio(task)
+        assert _cycle_ratio(int_task(task), cyc) == max_cycle_ratio(task)
 
 
 class TestLinearRequestBound:
