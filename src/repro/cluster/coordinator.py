@@ -209,10 +209,15 @@ class _WorkerDown(Exception):
     """Internal: a proxy attempt could not reach the worker."""
 
 
-def _cache_counts(doc: Any) -> Tuple[int, int]:
-    """Result-cache ``(hits, misses)`` of one worker ``/metrics`` doc."""
+def _cache_counts(doc: Any) -> Tuple[int, int, int]:
+    """Result-cache ``(hits, misses, put_failures)`` of one worker
+    ``/metrics`` doc."""
     cache = (doc.get("cache") if isinstance(doc, dict) else None) or {}
-    return int(cache.get("hits") or 0), int(cache.get("misses") or 0)
+    hits, misses, failures = (
+        int(cache.get(name) or 0)
+        for name in ("hits", "misses", "put_failures")
+    )
+    return hits, misses, failures
 
 
 def _edit_error(edit: Any, message: str, code: str) -> Dict[str, Any]:
@@ -1073,7 +1078,7 @@ class ClusterCoordinator(HttpEndpoint):
         snap: Dict[str, Dict[str, int]] = {}
         for state in list(self.workers.values()):
             doc = await self._fetch_worker_metrics(state)
-            hits, misses = _cache_counts(doc)
+            hits, misses, _ = _cache_counts(doc)
             snap[state.worker_id] = {"hits": hits, "misses": misses}
         self._gen_baseline = {
             "generation": self.ring.generation,
@@ -1359,11 +1364,12 @@ class ClusterCoordinator(HttpEndpoint):
         # confirm the fleet stayed warm across a membership change.
         base_workers = self._gen_baseline.get("workers") or {}
         gen_per_worker: Dict[str, Any] = {}
-        cache_hits = cache_misses = fleet_dh = fleet_dm = 0
+        cache_hits = cache_misses = put_failures = fleet_dh = fleet_dm = 0
         for wid, doc in per_worker.items():
-            hits, misses = _cache_counts(doc)
+            hits, misses, failures = _cache_counts(doc)
             cache_hits += hits
             cache_misses += misses
+            put_failures += failures
             base = base_workers.get(wid) or {}
             dh = max(0, hits - int(base.get("hits") or 0))
             dm = max(0, misses - int(base.get("misses") or 0))
@@ -1434,6 +1440,7 @@ class ClusterCoordinator(HttpEndpoint):
                 "cache": {
                     "hits": cache_hits,
                     "misses": cache_misses,
+                    "put_failures": put_failures,
                     "hit_rate": (
                         cache_hits / lookups if lookups else None
                     ),

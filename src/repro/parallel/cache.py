@@ -27,7 +27,20 @@ directory is LRU-capped by total size, placement journal included
 (``REPRO_CACHE_MAX_BYTES``, default 256 MiB): stale entries are evicted
 oldest-access first and the journal is compacted with them.
 
-Layout: ``<dir>/<key[:2]>/<key>.pkl``, one pickled result per file.
+A put does not walk the directory to check the cap.  The directory's
+byte total lives in a counter file, ``<dir>/usage``, which every put
+raises by what it wrote (blob plus journal line) under an exclusive
+``flock``.  The counter may run high, never low: an overwrite adds its
+full size and a corrupt-entry eviction subtracts nothing, so an error
+in it costs an earlier walk, never a broken cap.  The directory is
+walked only when the counter passes the cap, or when it cannot be used
+(missing, as in a directory written before it existed, garbled,
+unlockable, or no ``fcntl``); the walk evicts as described above and
+writes the exact total back.
+
+Layout: ``<dir>/<key[:2]>/<key>.pkl``, one pickled result per file,
+plus ``<dir>/placements.jsonl`` (placement journal) and ``<dir>/usage``
+(byte counter).
 Invalidation is purely key-based — bumping the library version simply
 addresses different entries.  The min-plus kernel tier is not part of
 the key: both tiers return identical results.
@@ -50,6 +63,11 @@ from typing import Iterable, Optional, Sequence, Tuple
 from repro import perf
 from repro._memo import LRU
 from repro.resilience import chaos
+
+try:
+    import fcntl
+except ImportError:  # no flock: every put walks the directory
+    fcntl = None
 
 __all__ = [
     "configure",
@@ -105,6 +123,12 @@ _placement_var: "contextvars.ContextVar[Optional[str]]" = (
     contextvars.ContextVar("repro_cache_placement", default=None)
 )
 _placement_memory = LRU(_MEMORY_CAP)
+
+#: Byte counter of a disk cache: the total the cap counts (entries,
+#: placement journal and this file itself) as one fixed-width decimal
+#: line, so an update rewrites it in place.
+_USAGE_FILE = "usage"
+_USAGE_WIDTH = 20
 
 
 def _probe_dir(path: str) -> bool:
@@ -258,6 +282,7 @@ def stats() -> "dict[str, object]":
         "evictions": counters.get("rcache.evictions", 0),
         "corrupt_evictions": counters.get("rcache.corrupt_evictions", 0),
         "io_retries": counters.get("rcache.io_retries", 0),
+        "put_failures": counters.get("rcache.put_failures", 0),
         "hit_rate": (hits / looked) if looked else None,
         "entries": entries,
         "bytes": bytes_used,
@@ -485,8 +510,9 @@ def put(key: str, value: object) -> None:
     """Store *value* under *key* (atomic write, then LRU enforcement).
 
     Transient storage failures are retried with backoff
-    (``rcache.io_retries``); persistent ones degrade silently to a
-    no-op: the cache is an accelerator, never a correctness dependency.
+    (``rcache.io_retries``); persistent ones degrade to a no-op counted
+    as ``rcache.put_failures``: the cache is an accelerator, never a
+    correctness dependency.
     """
     _ensure_resolved()
     try:
@@ -501,16 +527,20 @@ def _store(key: str, blob: bytes, placement: Optional[str] = None) -> bool:
 
     The in-memory fallback evicts its least-recently-used entry (and
     that entry's placement) past :data:`_MEMORY_CAP`; the disk store
-    writes atomically and then enforces its byte cap.
+    writes atomically and then enforces its byte cap.  A disk write
+    that fails after its retries counts as ``rcache.put_failures``.
     """
     if _memory_only:
         for evicted in _memory.put(key, blob):
             _placement_memory.pop(evicted)
-    elif _dir is None or not _write_blob(_path_for(key), blob):
+    elif _dir is None:
         return False
-    _record_placement(key, placement)
+    elif not _write_blob(_path_for(key), blob):
+        perf.record("rcache.put_failures")
+        return False
+    added = len(blob) + _record_placement(key, placement)
     perf.record("rcache.puts")
-    _enforce_cap()
+    _enforce_cap(added)
     return True
 
 
@@ -547,15 +577,16 @@ def placement_scope(tag: Optional[str]):
         _placement_var.reset(token)
 
 
-def _record_placement(key: str, tag: Optional[str] = None) -> None:
+def _record_placement(key: str, tag: Optional[str] = None) -> int:
+    """Record *key*'s placement tag; the bytes appended to the journal."""
     tag = _placement_var.get() if tag is None else tag
     if tag is None:
-        return
+        return 0
     if _placement_memory.peek(key) == tag:
-        return
+        return 0
     _placement_memory.put(key, tag)
     if _dir is None:
-        return
+        return 0
     line = _journal_line(key, tag)
     try:
         with open(
@@ -563,7 +594,8 @@ def _record_placement(key: str, tag: Optional[str] = None) -> None:
         ) as fh:
             fh.write(line)
     except OSError:
-        pass  # the journal is an accelerator for resizes, never required
+        return 0  # the journal is an accelerator for resizes, never required
+    return len(line)  # json.dumps escapes to ASCII: one byte a character
 
 
 def _journal_line(key: str, tag: str) -> str:
@@ -669,22 +701,102 @@ def write_entry(
     return _store(key, blob, placement)
 
 
-def _enforce_cap() -> None:
-    """Evict least-recently-used entries until the directory fits the cap.
+def _enforce_cap(added: int) -> None:
+    """Keep the directory within the cap after a put of *added* bytes.
 
-    The placement journal counts toward the cap.  Past it, entries are
-    evicted oldest access first, each with its journal line and
-    mirrored tag, and the journal is rewritten atomically to the latest
-    tag of each resident entry.  A line another process appends between
-    the read and the replace is lost; that costs its entry a re-home on
-    the next resize, never a wrong answer.
+    The byte counter (``<dir>/usage``) is locked, raised by *added* and
+    rewritten while it stays within the cap: no directory walk.  The
+    counter only ever runs high (an overwrite adds its full size, a
+    corrupt-entry eviction in :func:`get` subtracts nothing), so a
+    total within the cap is a true bound.  Past the cap, or when the
+    counter cannot be used (missing, garbled, the lock fails, no
+    ``fcntl``), the directory is walked under the same lock, entries
+    are evicted oldest access first (:func:`_evict_to_cap`) and the
+    exact total is written back.  At the cap every put walks.
+
+    The lock lives on a descriptor opened for this call only and is
+    released explicitly: a child forked meanwhile inherits the
+    descriptor, and closing ours alone would leave the lock held.
     """
     if _dir is None or _max_bytes <= 0:
         return
+    fd = _lock_usage()
+    try:
+        total = _read_usage(fd)
+        if total is not None:
+            total += added
+            if total <= _max_bytes:
+                _write_usage(fd, total)
+                return
+        exact = _evict_to_cap()
+        _write_usage(fd, total if exact is None else exact)
+    finally:
+        if fd is not None:
+            with contextlib.suppress(OSError):
+                fcntl.flock(fd, fcntl.LOCK_UN)
+            os.close(fd)
+
+
+def _lock_usage() -> Optional[int]:
+    """A descriptor of the byte counter under an exclusive lock, or None."""
+    if fcntl is None:
+        return None
+    try:
+        fd = os.open(
+            os.path.join(_dir, _USAGE_FILE), os.O_RDWR | os.O_CREAT, 0o644
+        )
+    except OSError:
+        return None
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+    except OSError:
+        os.close(fd)
+        return None
+    return fd
+
+
+def _read_usage(fd: Optional[int]) -> Optional[int]:
+    """The locked counter's total, or None when it cannot be used."""
+    if fd is None:
+        return None
+    try:
+        raw = os.pread(fd, _USAGE_WIDTH + 1, 0)
+    except OSError:
+        return None
+    if len(raw) != _USAGE_WIDTH or not raw[:-1].isdigit():
+        return None
+    return int(raw)
+
+
+def _write_usage(fd: Optional[int], total: Optional[int]) -> None:
+    """Store *total* in the locked counter (fixed width, in place)."""
+    if fd is None or total is None:
+        return
+    line = b"%0*d\n" % (_USAGE_WIDTH - 1, total)
+    with contextlib.suppress(OSError):
+        os.pwrite(fd, line, 0)
+        os.ftruncate(fd, _USAGE_WIDTH)
+
+
+def _evict_to_cap() -> Optional[int]:
+    """Walk the directory and evict least-recently-used entries until
+    it fits the cap; the directory's exact total afterwards, or None
+    when it cannot be scanned.
+
+    The placement journal and the byte counter count toward the cap.
+    Past it, entries are evicted oldest access first, each with its
+    journal line and mirrored tag, and the journal is rewritten
+    atomically to the latest tag of each resident entry.  A line
+    another process appends between the read and the replace is lost;
+    that costs its entry a re-home on the next resize, never a wrong
+    answer.
+    """
     entries = []
     journal = os.path.join(_dir, _PLACEMENT_FILE)
     try:
-        total = os.path.getsize(journal) if os.path.exists(journal) else 0
+        journal_size = (
+            os.path.getsize(journal) if os.path.exists(journal) else 0
+        )
         for sub in os.scandir(_dir):
             if not sub.is_dir():
                 continue
@@ -693,17 +805,17 @@ def _enforce_cap() -> None:
                     st = ent.stat()
                     key = ent.name[: -len(".pkl")]
                     entries.append((st.st_mtime, st.st_size, key, ent.path))
-                    total += st.st_size
     except OSError:
-        return
-    if total <= _max_bytes:
-        return
+        return None
+    total = _USAGE_WIDTH + sum(e[1] for e in entries)  # all but the journal
+    if total + journal_size <= _max_bytes:
+        return total + journal_size
     tags = placements()
     lines = {k: _journal_line(k, tags[k]) for *_, k, _ in entries if k in tags}
-    total = sum(e[1] for e in entries) + sum(map(len, lines.values()))
+    compacted = sum(map(len, lines.values()))
     entries.sort()  # oldest access first
     for _, size, key, path in entries:
-        if total <= _max_bytes:
+        if total + compacted <= _max_bytes:
             break
         try:
             os.unlink(path)
@@ -711,6 +823,10 @@ def _enforce_cap() -> None:
             continue
         perf.record("rcache.evictions")
         _placement_memory.pop(key)
-        total -= size + len(lines.pop(key, ""))
-    with contextlib.suppress(OSError):
+        total -= size
+        compacted -= len(lines.pop(key, ""))
+    try:
         _replace(journal, "".join(lines.values()).encode("utf-8"))
+    except OSError:
+        compacted = journal_size  # the old journal stays
+    return total + compacted

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 import signal
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -51,6 +52,107 @@ def pytest_runtest_call(item):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+# ---------------------------------------------------------------------------
+# No orphaned servers
+# ---------------------------------------------------------------------------
+#
+# The cluster and service modules start ``repro serve`` processes (fleet
+# workers, a single node, and the plane pool workers each one forks).
+# ``no_orphaned_servers`` fails a test when one of them outlives it.  It
+# reads ``/proc`` only for this process's own descendants: the
+# ``children`` lists of their threads, and each one's ``stat`` and
+# ``cmdline``.  A server orphaned while the test body still runs (its
+# parent killed) is re-parented away before teardown and escapes the
+# check; the descendants are listed once more when teardown starts, so
+# one orphaned while the test's own fixtures tear down is caught.
+
+#: Seconds a server may take to exit after its test: a drain, plus a
+#: pool worker's two polls of its parent pid (``plane.PARENT_POLL_S``).
+ORPHAN_GRACE_S = 5.0
+
+
+def proc_stat(pid: int):
+    """``(state, ppid, starttime)`` from ``/proc/<pid>/stat``, or None
+    once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1]), fields[19]
+
+
+def alive(pid: int, starttime: str) -> bool:
+    """True while *pid* is still the process started at *starttime*
+    and has not exited (a zombie waiting to be reaped has)."""
+    stat = proc_stat(pid)
+    return stat is not None and stat[0] != "Z" and stat[2] == starttime
+
+
+def _serve_processes() -> "dict[int, str]":
+    """``{pid: starttime}`` of this process's ``repro serve`` descendants."""
+    found: "dict[int, str]" = {}
+    stack = [os.getpid()]
+    while stack:
+        pid = stack.pop()
+        try:
+            threads = os.listdir(f"/proc/{pid}/task")
+        except OSError:
+            continue
+        for tid in threads:
+            try:
+                with open(f"/proc/{pid}/task/{tid}/children") as fh:
+                    kids = [int(kid) for kid in fh.read().split()]
+            except OSError:
+                continue
+            for kid in kids:
+                stack.append(kid)
+                try:
+                    with open(f"/proc/{kid}/cmdline", "rb") as fh:
+                        argv = fh.read().decode(errors="replace").split("\0")
+                except OSError:
+                    continue
+                stat = proc_stat(kid)
+                if stat and "serve" in argv and any("repro" in a for a in argv):
+                    found[kid] = stat[2]
+    return found
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item):
+    if "no_orphaned_servers" in getattr(item, "fixturenames", ()):
+        item._serve_at_teardown = _serve_processes()
+    yield
+
+
+@pytest.fixture
+def no_orphaned_servers(request):
+    """Fail the test if a ``repro serve`` process it started is still
+    running :data:`ORPHAN_GRACE_S` after it; such a process is killed.
+    Servers that were running before the test (a wider-scoped fixture's)
+    are not its own."""
+    if not os.path.exists(f"/proc/{os.getpid()}/task"):
+        yield
+        return
+    before = _serve_processes()
+    yield
+    seen = dict(getattr(request.node, "_serve_at_teardown", {}))
+    seen.update(_serve_processes())
+    own = {pid: start for pid, start in seen.items() if before.get(pid) != start}
+    deadline = time.monotonic() + ORPHAN_GRACE_S
+    while time.monotonic() < deadline and any(
+        alive(pid, start) for pid, start in own.items()
+    ):
+        time.sleep(0.05)
+    left = sorted(pid for pid, start in own.items() if alive(pid, start))
+    for pid in left:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except OSError:
+            pass
+    assert not left, f"repro serve processes outlived the test: {left}"
+
 
 # ---------------------------------------------------------------------------
 # Example tasks

@@ -27,6 +27,8 @@ from repro.service.server import ServerHandle, ServiceConfig
 from repro.whatif import whatif_sweep
 from repro.whatif.edits import SetWcet
 
+pytestmark = pytest.mark.usefixtures("no_orphaned_servers")
+
 
 @pytest.fixture(autouse=True, scope="module")
 def _no_ambient_chaos():
@@ -358,6 +360,11 @@ class TestClusterEndToEnd:
             for w in doc["workers"].values()
         )
         assert analyze["count"] == per_worker
+        # Failed result-cache writes add up across workers like hits.
+        assert rollup["cache"]["put_failures"] == sum(
+            ((w or {}).get("cache") or {}).get("put_failures", 0)
+            for w in doc["workers"].values()
+        )
 
 
 class TestClusterAdmission:

@@ -35,6 +35,8 @@ from repro.service import ServiceClient, ServiceError, protocol
 from repro.service.server import ServerHandle, ServiceConfig
 from repro.whatif.edits import SetWcet, edit_to_dict
 
+pytestmark = pytest.mark.usefixtures("no_orphaned_servers")
+
 
 @pytest.fixture(autouse=True, scope="module")
 def _no_ambient_chaos():

@@ -37,6 +37,8 @@ from repro.service.protocol import KIND_REGISTRY, decode_result, encode_result
 from repro.whatif import whatif_sweep
 from repro.whatif.edits import ScaleWcet, SetWcet, TightenBeta
 
+pytestmark = pytest.mark.usefixtures("no_orphaned_servers")
+
 
 @pytest.fixture(autouse=True, scope="module")
 def _no_ambient_chaos():

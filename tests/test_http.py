@@ -32,6 +32,8 @@ from repro.service import (
 )
 from repro.service import http
 
+pytestmark = pytest.mark.usefixtures("no_orphaned_servers")
+
 
 @pytest.fixture(autouse=True, scope="module")
 def _no_ambient_chaos():

@@ -34,6 +34,8 @@ from repro.service.protocol import (
     request_placement,
 )
 
+pytestmark = pytest.mark.usefixtures("no_orphaned_servers")
+
 
 @pytest.fixture(autouse=True, scope="module")
 def _no_ambient_chaos():

@@ -28,7 +28,7 @@ from repro.sched.edf_delay import edf_structural_delays
 from repro.sched.sp import sp_schedulable
 from repro.workloads.random_drt import RandomDrtConfig
 
-from tests.conftest import service_curves, small_drt_tasks
+from tests.conftest import alive, proc_stat, service_curves, small_drt_tasks
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -186,24 +186,6 @@ class TestParallelMap:
         assert warning.__cause__ is cause
 
 
-def _proc_stat(pid):
-    """``(state, ppid, starttime)`` from ``/proc/<pid>/stat``, or None
-    once the process is gone."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            fields = fh.read().rsplit(")", 1)[1].split()
-    except (FileNotFoundError, ProcessLookupError):
-        return None
-    return fields[0], int(fields[1]), fields[19]
-
-
-def _alive(pid, starttime):
-    """True while *pid* is still the process started at *starttime*
-    and has not exited (a zombie waiting to be reaped has)."""
-    stat = _proc_stat(pid)
-    return stat is not None and stat[0] != "Z" and stat[2] == starttime
-
-
 #: Fans out once on a two-worker pool, prints the workers' pids, and
 #: waits to be killed.
 _ORPHAN_PROBE = """
@@ -239,18 +221,18 @@ class TestWorkerLifetime:
             pids = [int(p) for p in proc.stdout.readline().split()]
             assert len(pids) == 2, pids
             for pid in pids:
-                stat = _proc_stat(pid)
+                stat = proc_stat(pid)
                 assert stat is not None and stat[1] == proc.pid, stat
                 workers[pid] = stat[2]
             proc.kill()
             proc.wait(timeout=30)
             deadline = time.monotonic() + 3 + 2 * plane.PARENT_POLL_S
             while time.monotonic() < deadline and any(
-                _alive(pid, start) for pid, start in workers.items()
+                alive(pid, start) for pid, start in workers.items()
             ):
                 time.sleep(0.05)
             survivors = [
-                pid for pid, start in workers.items() if _alive(pid, start)
+                pid for pid, start in workers.items() if alive(pid, start)
             ]
             assert not survivors, f"orphaned pool workers: {survivors}"
         finally:
@@ -259,7 +241,7 @@ class TestWorkerLifetime:
                 proc.wait(timeout=30)
             proc.stdout.close()
             for pid, start in workers.items():
-                if _alive(pid, start):
+                if alive(pid, start):
                     os.kill(pid, signal.SIGKILL)
 
 

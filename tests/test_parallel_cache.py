@@ -2,20 +2,31 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pickle
+import sys
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import perf
 from repro.core.context import AnalysisContext
 from repro.drt.model import DRTTask
 from repro.minplus.builders import rate_latency
 from repro.parallel import cache as result_cache
+from repro.parallel import transport
+from repro.resilience import chaos
 from repro.sched.edf_delay import edf_structural_delays
 from repro.sched.sp import sp_schedulable
+from repro.service import http
+from repro.service.server import ServerHandle, ServiceConfig
+
+from .conftest import oracle_settings
 
 
 @pytest.fixture(autouse=True)
@@ -141,6 +152,241 @@ class TestStore:
         key = "ef" + "0" * 62
         result_cache.put(key, lambda: None)
         assert result_cache.get(key) is None
+
+
+def _dir_bytes(path) -> int:
+    """Summed size of every file under *path*."""
+    return sum(
+        os.path.getsize(os.path.join(root, f))
+        for root, _, files in os.walk(path)
+        for f in files
+    )
+
+
+def _usage(path) -> int:
+    """The byte counter of the cache directory *path*."""
+    with open(os.path.join(path, "usage"), "rb") as fh:
+        return int(fh.read())
+
+
+def _count_walks(monkeypatch, path) -> "list[int]":
+    """Count the directory walks of the cache at *path*: each starts
+    with one ``os.scandir`` of the directory itself, called from the
+    cache module."""
+    walks = [0]
+    scandir = os.scandir
+
+    def counting(target="."):
+        caller = sys._getframe(1).f_globals.get("__name__")
+        if caller == result_cache.__name__ and os.fspath(target) == os.fspath(
+            path
+        ):
+            walks[0] += 1
+        return scandir(target)
+
+    monkeypatch.setattr(result_cache.os, "scandir", counting)
+    return walks
+
+
+def _parent_layout(path, n: int, blob: bytes) -> None:
+    """Fill *path* the way a cache without a byte counter left it:
+    sharded entries plus a placement journal, no ``usage`` file."""
+    with open(os.path.join(path, "placements.jsonl"), "w") as journal:
+        for i in range(n):
+            key = _key(i)
+            os.makedirs(os.path.join(path, key[:2]), exist_ok=True)
+            with open(os.path.join(path, key[:2], key + ".pkl"), "wb") as fh:
+                fh.write(pickle.dumps(blob))
+            os.utime(os.path.join(path, key[:2], key + ".pkl"), (i, i))
+            journal.write(json.dumps({"k": key, "p": f"route-{i}"}) + "\n")
+
+
+@contextlib.contextmanager
+def _no_ambient_chaos():
+    """The counter tests pin exact byte totals and walk counts, which an
+    ambient ``REPRO_CHAOS`` run (a CI leg) perturbs on purpose by
+    failing and damaging writes; ``test_resilience_cache.py`` covers the
+    faults themselves."""
+    saved = chaos.current_config()
+    chaos.apply_config(None)
+    try:
+        yield
+    finally:
+        chaos.apply_config(saved)
+
+
+class TestUsageCounter:
+    @pytest.fixture(autouse=True)
+    def _clean_store(self):
+        with _no_ambient_chaos():
+            yield
+
+    def test_no_walk_below_cap(self, tmp_path, monkeypatch):
+        result_cache.configure(str(tmp_path))
+        walks = _count_walks(monkeypatch, tmp_path)
+        with result_cache.placement_scope("route"):
+            for i in range(300):
+                result_cache.put(_key(i), b"x" * 320)
+        assert walks[0] <= 1
+        assert _usage(tmp_path) == _dir_bytes(tmp_path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [None, b"garbage\n", b"12x4567890123456789\n", b"1" * 40 + b"\n"],
+        ids=["missing", "garbled", "non-digit", "too-long"],
+    )
+    def test_unknown_counter_adopted_by_one_walk(
+        self, tmp_path, monkeypatch, damage
+    ):
+        cap = 4000
+        result_cache.configure(str(tmp_path), max_bytes=cap)
+        for i in range(6):
+            result_cache.put(_key(i), b"x" * 500)
+        usage = tmp_path / "usage"
+        if damage is None:
+            usage.unlink()
+        else:
+            usage.write_bytes(damage)
+        walks = _count_walks(monkeypatch, tmp_path)
+        result_cache.put(_key(100), b"y" * 500)
+        assert walks[0] == 1
+        assert _usage(tmp_path) == _dir_bytes(tmp_path) <= cap
+        result_cache.put(_key(101), b"y" * 10)
+        assert walks[0] == 1  # adopted: the next put below the cap reads it
+
+    def test_parent_layout_adopted_and_capped(self, tmp_path, monkeypatch):
+        cap = 3000
+        _parent_layout(tmp_path, 12, b"x" * 400)
+        assert _dir_bytes(tmp_path) > cap
+        result_cache.configure(str(tmp_path), max_bytes=cap)
+        walks = _count_walks(monkeypatch, tmp_path)
+        with result_cache.placement_scope("route-new"):
+            result_cache.put(_key(99), b"y" * 400)
+        assert walks[0] == 1
+        assert _usage(tmp_path) == _dir_bytes(tmp_path) <= cap
+        resident = {key for key, _ in result_cache.list_keys()}
+        assert _key(99) in resident and _key(0) not in resident
+        assert set(result_cache.placements()) >= resident
+
+    def test_overwrite_adds_its_full_size(self, tmp_path):
+        result_cache.configure(str(tmp_path))
+        with result_cache.placement_scope("route"):
+            result_cache.put(_key(1), b"x" * 100)
+            before = _usage(tmp_path)
+            result_cache.put(_key(1), b"x" * 300)
+        blob = pickle.dumps(b"x" * 300, pickle.HIGHEST_PROTOCOL)
+        assert _usage(tmp_path) - before == len(blob)
+        assert _usage(tmp_path) >= _dir_bytes(tmp_path)
+
+    def test_cap_counts_the_counter(self, tmp_path):
+        # Two entries fit the cap, two entries and the counter do not.
+        blob = pickle.dumps(b"x" * 500, pickle.HIGHEST_PROTOCOL)
+        cap = 2 * len(blob) + 10
+        result_cache.configure(str(tmp_path), max_bytes=cap)
+        result_cache.put(_key(1), b"x" * 500)
+        os.utime(result_cache._path_for(_key(1)), (1000, 1000))
+        result_cache.put(_key(2), b"x" * 500)
+        assert _dir_bytes(tmp_path) <= cap
+        assert [key for key, _ in result_cache.list_keys()] == [_key(2)]
+
+    def test_corrupt_eviction_subtracts_nothing(self, tmp_path):
+        result_cache.configure(str(tmp_path))
+        result_cache.put(_key(1), [1, 2, 3])
+        result_cache.put(_key(2), [4, 5, 6])
+        with open(result_cache._path_for(_key(1)), "wb") as fh:
+            fh.write(b"\x80garbage")
+        before = _usage(tmp_path)
+        assert result_cache.get(_key(1)) is None
+        assert not os.path.exists(result_cache._path_for(_key(1)))
+        assert _usage(tmp_path) == before >= _dir_bytes(tmp_path)
+
+    def test_counter_is_invisible(self, tmp_path):
+        result_cache.configure(str(tmp_path))
+        keys = {_key(i) for i in range(5)}
+        with result_cache.placement_scope("route"):
+            for key in keys:
+                result_cache.put(key, key)
+        assert (tmp_path / "usage").exists()
+        assert {key for key, _ in result_cache.list_keys()} == keys
+        assert result_cache.stats()["entries"] == len(keys)
+        handle = ServerHandle.start(ServiceConfig(port=0, jobs=1))
+        try:
+            status, _, body = http.fetch(
+                "127.0.0.1", handle.port, "GET", "/v1/cache/keys"
+            )
+            assert status == 200
+            rows = transport.parse_key_listing(json.loads(body))
+            assert {key for key, _, _ in rows} == keys
+            # A migration pulls exactly the listed entries.
+            pulled = transport.pull_entries(
+                "127.0.0.1", handle.port, [key for key, _, _ in rows]
+            )
+            assert (pulled["pulled"], pulled["failed"]) == (len(keys), 0)
+        finally:
+            handle.shutdown()
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"),
+            st.integers(0, 7),
+            st.integers(0, 600),
+            st.booleans(),
+        ),
+        st.tuples(st.just("get"), st.integers(0, 7)),
+        st.tuples(
+            st.just("damage"), st.integers(0, 7), st.sampled_from(("cut", "flip"))
+        ),
+        st.tuples(st.just("garble")),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@oracle_settings()
+@given(cap=st.integers(1200, 5000), ops=_OPS)
+def test_cap_holds_over_random_ops(cap, ops):
+    """After every put, every file of the directory (entries, journal,
+    counter) sums to at most the cap, and the entry just put is
+    resident.  Damage only shrinks or flips files, as a crash mid-write
+    would; access times tick a logical clock so eviction order is
+    exact."""
+    with tempfile.TemporaryDirectory() as path, _no_ambient_chaos():
+        result_cache.configure(path, max_bytes=cap)
+        clock = 10**6
+        try:
+            for op in ops:
+                clock += 1
+                target = result_cache._path_for(_key(op[1])) if op[1:] else None
+                if op[0] == "put":
+                    _, i, size, tagged = op
+                    with result_cache.placement_scope(
+                        f"route-{clock}" if tagged else None
+                    ):
+                        result_cache.put(_key(i), b"x" * size)
+                    assert _dir_bytes(path) <= cap
+                    assert result_cache.read_entry(_key(i)) is not None
+                    os.utime(target, (clock, clock))
+                elif op[0] == "get":
+                    if result_cache.get(_key(op[1])) is not None:
+                        os.utime(target, (clock, clock))
+                elif op[0] == "damage" and os.path.exists(target):
+                    with open(target, "rb") as fh:
+                        blob = fh.read()
+                    cut = blob[: len(blob) // 2]
+                    flip = blob[:-1] + bytes([blob[-1] ^ 0xFF]) if blob else b""
+                    with open(target, "wb") as fh:
+                        fh.write(cut if op[2] == "cut" else flip)
+                    os.utime(target, (clock, clock))
+                elif op[0] == "garble" and os.path.exists(
+                    os.path.join(path, "usage")
+                ):
+                    with open(os.path.join(path, "usage"), "wb") as fh:
+                        fh.write(b"garbled")
+        finally:
+            result_cache.configure(None)
 
 
 def _memory_only():

@@ -70,6 +70,15 @@ def _hammer_cache(config, shard, rounds):
         assert got is None or got == blob
 
 
+def _put_many(config, shard, count):
+    """Distinct puts below the cap: each raises the shared byte counter.
+    Ambient fault injection is off: every put must land."""
+    chaos.apply_config(None)
+    result_cache.apply_config(config)
+    for i in range(count):
+        result_cache.put(format(shard, "02x") + format(i, "062x"), b"x" * 300)
+
+
 def _write_same_entry(config, value):
     """All processes store the same value under the same key."""
     result_cache.apply_config(config)
@@ -131,6 +140,32 @@ class TestConcurrentWriters:
         assert total <= 2 * 4200 + 4200
         result_cache.put("aa" + "0" * 62, [1, 2])
         assert result_cache.get("aa" + "0" * 62) == [1, 2]
+
+
+    def test_racing_puts_never_undercount(self, tmp_path):
+        # More writers than cores, all raising one counter: a lost
+        # update would leave it below the bytes on disk.
+        result_cache.configure(str(tmp_path))
+        config = result_cache.current_config()
+        ctx = multiprocessing.get_context("spawn")
+        procs = [
+            ctx.Process(target=_put_many, args=(config, shard, 150))
+            for shard in range(6)
+        ]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(timeout=60)
+            assert not p.is_alive() and p.exitcode == 0
+        with open(tmp_path / "usage", "rb") as fh:
+            usage = int(fh.read())
+        total = sum(
+            os.path.getsize(os.path.join(root, f))
+            for root, _, files in os.walk(tmp_path)
+            for f in files
+        )
+        assert len(result_cache.list_keys()) == 6 * 150
+        assert usage >= total
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +249,22 @@ class TestDiskFaults:
         perf.reset()
         assert structural_delay(_fresh_demo(), BETA) == cold
         assert perf.counters().get("rcache.hits", 0) >= 1
+
+    def test_failed_puts_counted(self, tmp_path):
+        result_cache.configure(str(tmp_path))
+        perf.reset()
+        with chaos.scoped(17, sites={"cache.enospc": 1.0}):
+            for i in range(5):
+                result_cache.put(format(i, "02x") + "b" * 62, i)
+        counters = perf.counters()
+        assert counters.get("rcache.put_failures", 0) == 5
+        assert counters.get("rcache.puts", 0) == 0
+        assert result_cache.stats()["put_failures"] == 5
+        # A write that lands is a put, not a failure.
+        with chaos.scoped(17, sites={}):
+            result_cache.put("ff" + "b" * 62, 5)
+        assert result_cache.stats()["puts"] == 1
+        assert result_cache.stats()["put_failures"] == 5
 
     def test_transient_enospc_retried_to_success(self, tmp_path):
         result_cache.configure(str(tmp_path))

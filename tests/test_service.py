@@ -30,6 +30,8 @@ from repro.service import (
 )
 from repro.service.protocol import decode_beta
 
+pytestmark = pytest.mark.usefixtures("no_orphaned_servers")
+
 
 @pytest.fixture(autouse=True, scope="module")
 def _no_ambient_chaos():
@@ -528,6 +530,7 @@ class TestWarmCacheService:
                 # mode is the directory path for a disk-backed cache
                 assert doc["cache"]["mode"].endswith("rcache")
                 assert doc["cache"]["hits"] > 0  # warm second round
+                assert doc["cache"]["put_failures"] == 0
             finally:
                 handle.shutdown()
         finally:

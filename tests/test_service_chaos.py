@@ -31,6 +31,8 @@ from repro.service import (
     decode_result,
 )
 
+pytestmark = pytest.mark.usefixtures("no_orphaned_servers")
+
 KNOWN_ERROR_CODES = {
     "worker",
     "validation",

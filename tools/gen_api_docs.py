@@ -200,11 +200,21 @@ the directory is LRU-capped by total size, placement journal included
 (`REPRO_CACHE_MAX_BYTES`, default 256 MiB; eviction compacts the
 journal to one line per resident entry), corrupt entries are evicted
 as misses, and an unwritable directory degrades to a bounded in-memory
-LRU store with a `RuntimeWarning` — never a traceback.  `AnalysisContext` consults it per
+LRU store with a `RuntimeWarning` — never a traceback.  A put does not
+walk the directory to check the cap: a byte counter file, `<dir>/usage`,
+holds the directory's total, and every put adds what it wrote under an
+exclusive `flock`.  The counter only ever runs high (an overwrite adds
+its full size, a corrupt-entry eviction subtracts nothing), so the
+directory is walked only when the counter passes the cap or cannot be
+used (missing, garbled, unlockable, no `fcntl`); the walk evicts and
+writes the exact total back.  The counter never appears among the
+entries (`list_keys`, `stats()`, `/v1/cache/keys`, migration).
+`AnalysisContext` consults the cache per
 result kind, and `sp_schedulable`/`edf_structural_delays` additionally
 cache whole-set verdicts, so a warm re-run of a sweep skips every
 analysis it has seen before (counters `rcache.hits`/`rcache.misses`/
-`rcache.puts`/`rcache.evictions`).
+`rcache.puts`/`rcache.evictions`, and `rcache.put_failures` for writes
+that failed after their retries).
 
 **Pickle transport.**  Curves pickle as their bare segment tuple (a
 copy is equal to, and shares lowered kernel arrays with, the original
@@ -263,7 +273,8 @@ the serial path with a `RuntimeWarning` and the
 `parallel.pool_degraded` counter.  Transient cache I/O is likewise
 retried with backoff (`rcache.io_retries`); only provably corrupt
 entries are evicted (`rcache.corrupt_evictions`) — an unreadable entry
-is a miss, never an eviction, and a failed write is a no-op.
+is a miss, never an eviction, and a failed write is a no-op counted as
+`rcache.put_failures`.
 
 **Deterministic fault injection** (`repro.resilience.chaos`).  Named
 fault sites at every failure surface — `worker.crash`, `worker.hang`,
@@ -433,7 +444,7 @@ a `Retry-After` from its own EWMA of request service times).  `GET
 /metrics` returns the coordinator's own counters plus every worker's
 document and a **rollup** that merges per-worker endpoint latency
 histograms with the `repro.perf` merge algebra and sums cache
-hit/miss totals.  Responses carry `X-Repro-Worker` (the serving
+hit/miss and failed-write totals.  Responses carry `X-Repro-Worker` (the serving
 worker), `X-Repro-Ring-Generation`, and the propagated `X-Trace-Id`;
 `ServiceClient` surfaces them as `client.last_route` /
 `result.route` (`RouteInfo`).  SIGTERM drains the coordinator, then
