@@ -220,6 +220,84 @@ def _cache_counts(doc: Any) -> Tuple[int, int, int]:
     return hits, misses, failures
 
 
+def _rollup(
+    per_worker: Dict[str, Any], baseline: Dict[str, Any]
+) -> Dict[str, Any]:
+    """The fleet rollup of the workers' ``/metrics`` docs: summed request
+    counters, merged endpoint histograms, and cache hit rates, absolute
+    and since the *baseline* ring-generation flip (resize/restore), per
+    worker and fleet-wide, so operators can confirm the fleet stayed
+    warm across a membership change."""
+    requests: Dict[str, float] = {}
+    endpoints: Dict[str, Dict[str, Any]] = {}
+    base_workers = baseline.get("workers") or {}
+    gen_per_worker: Dict[str, Any] = {}
+    cache_hits = cache_misses = put_failures = fleet_dh = fleet_dm = 0
+    for wid, doc in per_worker.items():
+        hits, misses, failures = _cache_counts(doc)
+        cache_hits += hits
+        cache_misses += misses
+        put_failures += failures
+        base = base_workers.get(wid) or {}
+        dh = max(0, hits - int(base.get("hits") or 0))
+        dm = max(0, misses - int(base.get("misses") or 0))
+        gen_per_worker[wid] = {
+            "hits_delta": dh,
+            "misses_delta": dm,
+            "hit_rate": dh / (dh + dm) if dh + dm else None,
+        }
+        fleet_dh += dh
+        fleet_dm += dm
+        if not isinstance(doc, dict):
+            continue
+        for name, value in (doc.get("requests") or {}).items():
+            if isinstance(value, (int, float)):
+                requests[name] = requests.get(name, 0) + value
+        for endpoint, stats in (doc.get("endpoints") or {}).items():
+            snap = (stats or {}).get("latency_s")
+            if not isinstance(snap, dict):
+                continue
+            agg = endpoints.setdefault(
+                endpoint, {"count": 0, "histogram": perf.Histogram()}
+            )
+            agg["count"] += int((stats or {}).get("count", 0))
+            # The merge algebra of repro.perf: bucket-by-bucket
+            # addition over identical log-spaced bounds.
+            agg["histogram"].merge(snap)
+    lookups = cache_hits + cache_misses
+    return {
+        "requests": requests,
+        "endpoints": {
+            endpoint: {
+                "count": agg["count"],
+                "p50_s": agg["histogram"].quantile(0.5),
+                "p95_s": agg["histogram"].quantile(0.95),
+                "latency_s": agg["histogram"].snapshot(),
+            }
+            for endpoint, agg in endpoints.items()
+        },
+        "cache": {
+            "hits": cache_hits,
+            "misses": cache_misses,
+            "put_failures": put_failures,
+            "hit_rate": cache_hits / lookups if lookups else None,
+        },
+        "cache_by_generation": {
+            "since_generation": baseline.get("generation", 0),
+            "per_worker": gen_per_worker,
+            "fleet": {
+                "hits_delta": fleet_dh,
+                "misses_delta": fleet_dm,
+                "hit_rate": (
+                    fleet_dh / (fleet_dh + fleet_dm)
+                    if fleet_dh + fleet_dm
+                    else None
+                ),
+            },
+        },
+    }
+
+
 def _edit_error(edit: Any, message: str, code: str) -> Dict[str, Any]:
     """One failed row of a merged what-if sweep."""
     return {
@@ -690,17 +768,20 @@ class ClusterCoordinator(HttpEndpoint):
         path: str,
         spec: Any,
         trace_id: str,
+        body: Optional[bytes] = None,
     ) -> Tuple[Dict[str, Any], Optional[str], int]:
         """Route one spec to its owner; returns (envelope, worker_id,
         the worker's HTTP status).
 
-        Transport failures eject the owner and walk the ring to the
-        next one (bounded); exhaustion yields a typed error envelope
-        with status 200.  The envelope always reflects the answering
-        worker verbatim.
+        *body* is the spec's wire form when the caller still holds it
+        unchanged (encoded from *spec* otherwise).  Transport failures
+        eject the owner and walk the ring to the next one (bounded);
+        exhaustion yields a typed error envelope with status 200.  The
+        envelope always reflects the answering worker verbatim.
         """
         digest = routing_digest(spec)
-        body = json.dumps(spec).encode("utf-8")
+        if body is None:
+            body = json.dumps(spec).encode("utf-8")
         tried: List[str] = []
         for _ in range(1 + self.config.retry_next_owner):
             chain = [
@@ -1092,16 +1173,25 @@ class ClusterCoordinator(HttpEndpoint):
     async def _handle_analyze(self, request: Request, writer) -> bool:
         self.refuse_if_draining()
         return await self._forward(
-            request.json(), request.trace_id or protocol.new_trace_id(), writer
+            request.json(),
+            request.trace_id or protocol.new_trace_id(),
+            writer,
+            request.body,
         )
 
-    async def _forward(self, data: Any, trace: str, writer) -> bool:
-        """Proxy one spec whole to its owner; answer with its envelope."""
+    async def _forward(
+        self, data: Any, trace: str, writer, body: Optional[bytes] = None
+    ) -> bool:
+        """Proxy one spec whole to its owner; answer with its envelope.
+
+        *body*, the spec as the client sent it, goes to the owner as is
+        unless admission shed the request (shedding rewrites
+        ``deadline_ms``)."""
         shed = self._admit([data] if isinstance(data, dict) else [{}])
         self._inflight += 1
         try:
             envelope, worker, status = await self._proxy_spec(
-                "/v1/analyze", data, trace
+                "/v1/analyze", data, trace, None if shed else body
             )
         finally:
             self._inflight -= 1
@@ -1356,59 +1446,22 @@ class ClusterCoordinator(HttpEndpoint):
             *(_fetch(state) for state in self.workers.values())
         )
         per_worker = {wid: doc for wid, doc in fetched}
-
-        rollup_requests: Dict[str, float] = {}
-        rollup_endpoints: Dict[str, Dict[str, Any]] = {}
-        # Hit-rate deltas since the last ring-generation flip
-        # (resize/restore), per worker and fleet-wide, so operators can
-        # confirm the fleet stayed warm across a membership change.
-        base_workers = self._gen_baseline.get("workers") or {}
-        gen_per_worker: Dict[str, Any] = {}
-        cache_hits = cache_misses = put_failures = fleet_dh = fleet_dm = 0
-        for wid, doc in per_worker.items():
-            hits, misses, failures = _cache_counts(doc)
-            cache_hits += hits
-            cache_misses += misses
-            put_failures += failures
-            base = base_workers.get(wid) or {}
-            dh = max(0, hits - int(base.get("hits") or 0))
-            dm = max(0, misses - int(base.get("misses") or 0))
-            gen_per_worker[wid] = {
-                "hits_delta": dh,
-                "misses_delta": dm,
-                "hit_rate": dh / (dh + dm) if dh + dm else None,
-            }
-            fleet_dh += dh
-            fleet_dm += dm
-            if not isinstance(doc, dict):
-                continue
-            for name, value in (doc.get("requests") or {}).items():
-                if isinstance(value, (int, float)):
-                    rollup_requests[name] = (
-                        rollup_requests.get(name, 0) + value
-                    )
-            for endpoint, stats in (doc.get("endpoints") or {}).items():
-                snap = (stats or {}).get("latency_s")
-                if not isinstance(snap, dict):
-                    continue
-                agg = rollup_endpoints.setdefault(
-                    endpoint,
-                    {"count": 0, "histogram": perf.Histogram()},
-                )
-                agg["count"] += int((stats or {}).get("count", 0))
-                # The merge algebra of repro.perf: bucket-by-bucket
-                # addition over identical log-spaced bounds.
-                agg["histogram"].merge(snap)
-        endpoints_out = {}
-        for endpoint, agg in rollup_endpoints.items():
-            hist: perf.Histogram = agg["histogram"]
-            endpoints_out[endpoint] = {
-                "count": agg["count"],
-                "p50_s": hist.quantile(0.5),
-                "p95_s": hist.quantile(0.95),
-                "latency_s": hist.snapshot(),
-            }
-        lookups = cache_hits + cache_misses
+        # Off the event loop, as a worker builds its own: the
+        # coordinator's cache section walks the result-cache directory
+        # (shared with in-process workers), and the merge grows with the
+        # fleet and its endpoints.
+        own, rollup = await asyncio.get_running_loop().run_in_executor(
+            None,
+            lambda: (
+                self.metrics.snapshot(
+                    queue_depth=self._inflight,
+                    queue_max=self.admission.max_queue,
+                    queue_high_water=self.admission.high_water,
+                    draining=self.draining,
+                ),
+                _rollup(per_worker, self._gen_baseline),
+            ),
+        )
         return {
             "cluster": {
                 "ring": {
@@ -1427,38 +1480,7 @@ class ClusterCoordinator(HttpEndpoint):
                 "in_flight": self._inflight,
                 "max_queue": self.admission.max_queue,
             },
-            "coordinator": self.metrics.snapshot(
-                queue_depth=self._inflight,
-                queue_max=self.admission.max_queue,
-                queue_high_water=self.admission.high_water,
-                draining=self.draining,
-            ),
+            "coordinator": own,
             "workers": per_worker,
-            "rollup": {
-                "requests": rollup_requests,
-                "endpoints": endpoints_out,
-                "cache": {
-                    "hits": cache_hits,
-                    "misses": cache_misses,
-                    "put_failures": put_failures,
-                    "hit_rate": (
-                        cache_hits / lookups if lookups else None
-                    ),
-                },
-                "cache_by_generation": {
-                    "since_generation": self._gen_baseline.get(
-                        "generation", 0
-                    ),
-                    "per_worker": gen_per_worker,
-                    "fleet": {
-                        "hits_delta": fleet_dh,
-                        "misses_delta": fleet_dm,
-                        "hit_rate": (
-                            fleet_dh / (fleet_dh + fleet_dm)
-                            if fleet_dh + fleet_dm
-                            else None
-                        ),
-                    },
-                },
-            },
+            "rollup": rollup,
         }

@@ -31,11 +31,28 @@ def _q_out(q: Fraction) -> str:
     return str(q)
 
 
-def _q_in(s: Any) -> Fraction:
+def _q_in(s: Any, what: str = "") -> Fraction:
+    """The exact rational of one wire number; the one parser of the wire
+    decoders (:mod:`repro.service.protocol`, :mod:`repro.mp.io`,
+    :mod:`repro.whatif.edits`).
+
+    ``"n"`` and ``"n/d"`` in ASCII digits — every encoder here writes
+    ``str(Fraction)`` — are built from ``int`` directly; anything else
+    goes through ``Fraction(str(s))``.  Both give the same value, and
+    both raise :class:`SerializationError` (naming *what*, when given)
+    on what ``Fraction`` rejects.
+    """
     try:
+        if type(s) is str and s.isascii():
+            if s.isdigit():
+                return Fraction(int(s))
+            n, slash, d = s.partition("/")
+            if slash and n.isdigit() and d.isdigit():
+                return Fraction(int(n), int(d))
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SerializationError(f"invalid rational {s!r}") from exc
+        where = f" for {what}" if what else ""
+        raise SerializationError(f"invalid rational {s!r}{where}") from exc
 
 
 def task_to_dict(task: DRTTask) -> Dict[str, Any]:

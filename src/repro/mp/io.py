@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Dict, Union
 
 from repro.errors import SerializationError
 from repro.io.dot import require_declared_endpoints
+from repro.io.json_io import _q_in
 from repro.mp.model import DAGTask, validate_dag
 
 __all__ = [
@@ -47,15 +47,6 @@ __all__ = [
     "save_dag_dot",
     "load_dag_dot",
 ]
-
-
-def _q_str(value: Any, what: str) -> Fraction:
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SerializationError(
-            f"invalid rational {value!r} for {what}"
-        ) from exc
 
 
 def dag_to_dict(dag: DAGTask) -> Dict[str, Any]:
@@ -99,7 +90,7 @@ def dag_from_dict(data: Any, validate: bool = True) -> DAGTask:
         vertices.append(
             (
                 str(spec["name"]),
-                _q_str(spec["wcet"], f"vertex {spec['name']!r} wcet"),
+                _q_in(spec["wcet"], f"vertex {spec['name']!r} wcet"),
             )
         )
     raw_edges = data.get("edges", [])
@@ -116,8 +107,8 @@ def dag_from_dict(data: Any, validate: bool = True) -> DAGTask:
         str(data["name"]),
         vertices,
         edges,
-        period=_q_str(data["period"], "period"),
-        deadline=_q_str(data["deadline"], "deadline"),
+        period=_q_in(data["period"], "period"),
+        deadline=_q_in(data["deadline"], "deadline"),
     )
     if validate:
         validate_dag(dag)
@@ -217,8 +208,8 @@ def dag_from_dot(source: str, validate: bool = True) -> DAGTask:
             continue
         m = _GRAPH_RE.match(line)
         if m is not None:
-            period = _q_str(m.group("period"), f"line {line_no}: period")
-            deadline = _q_str(
+            period = _q_in(m.group("period"), f"line {line_no}: period")
+            deadline = _q_in(
                 m.group("deadline"), f"line {line_no}: deadline"
             )
             continue
@@ -232,7 +223,7 @@ def dag_from_dot(source: str, validate: bool = True) -> DAGTask:
             vertices.append(
                 (
                     m.group("name"),
-                    _q_str(
+                    _q_in(
                         m.group("wcet"),
                         f"line {line_no}: vertex {m.group('name')!r} wcet",
                     ),

@@ -169,20 +169,14 @@ def execute_request(req: DecodedRequest) -> Dict[str, object]:
     t0 = time.perf_counter()
     degraded = False
     try:
-        # Tag every cache entry this request writes with its routing
-        # key, so a cluster resize can re-home the entries along with
-        # the requests that produced them (repro.parallel.cache).
-        placement = result_cache.placement_scope(
-            protocol.request_placement(req)
-        )
-        placement.__enter__()
-    except Exception:  # noqa: BLE001 - tagging must never fail a request
-        placement = None
-    try:
         executor = _EXECUTORS.get(req.kind)
         if executor is None:  # pragma: no cover - decode rejects unknowns
             raise ValueError(f"unknown kind {req.kind!r}")
-        result = executor(req)
+        # Tag every cache entry this request writes with its routing
+        # key, so a cluster resize can re-home the entries along with
+        # the requests that produced them (repro.parallel.cache).
+        with result_cache.placement_scope(protocol.request_placement(req)):
+            result = executor(req)
         degraded = bool(getattr(result, "degraded", False))
     except Exception as exc:  # noqa: BLE001 - outcomes travel as values
         envelope = protocol.error_envelope(exc, req.trace_id, req.kind)
@@ -190,8 +184,6 @@ def execute_request(req: DecodedRequest) -> Dict[str, object]:
         perf.record("service.exec_errors")
         return envelope
     finally:
-        if placement is not None:
-            placement.__exit__(None, None, None)
         elapsed = time.perf_counter() - t0
         perf.record("service.exec_requests")
         perf.observe("service.exec_s", elapsed)

@@ -16,7 +16,8 @@ nothing, or :data:`IDLE_TIMEOUT_S` of silence; a drain closes idle
 connections at once.  The clients keep up to :data:`MAX_IDLE_PER_PEER`
 idle connections per peer: :func:`exchange` in a pool per event loop
 (:func:`close_connections` empties it), :func:`fetch` in one
-process-wide pool that a forked child drops.  A connection goes back
+process-wide pool that a forked child drops and that
+:func:`close_blocking_connections` empties at exit.  A connection goes back
 only after its reply was read whole; one that was cancelled, timed out
 or framed badly is closed.  A *reused* connection that fails before
 its reply begins (the server closed it while idle) is retried once on
@@ -39,6 +40,7 @@ asynchronous client exchange (a JSON reply, or a live NDJSON stream);
 from __future__ import annotations
 
 import asyncio
+import atexit
 import contextlib
 import http.client
 import json
@@ -63,6 +65,7 @@ __all__ = [
     "Request",
     "ResponseWriter",
     "chunk",
+    "close_blocking_connections",
     "close_connections",
     "end_ndjson",
     "error_body",
@@ -762,6 +765,15 @@ def _forget_pools_in_child() -> None:
 
 if hasattr(os, "register_at_fork"):  # POSIX
     os.register_at_fork(after_in_child=_forget_pools_in_child)
+
+
+def close_blocking_connections() -> None:
+    """Close the idle pooled connections of :func:`fetch` (run at exit)."""
+    for conn in _BLOCKING_POOL.empty():
+        conn.close()
+
+
+atexit.register(close_blocking_connections)
 
 
 def _loop_pool() -> _Pool:

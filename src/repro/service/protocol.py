@@ -62,10 +62,11 @@ read the table instead of growing per-kind branches.
 from __future__ import annotations
 
 import hashlib
+import json
 import secrets
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.core.facade import TaskAnalysisSummary
 from repro.errors import (
@@ -75,6 +76,7 @@ from repro.errors import (
     UnboundedBusyWindowError,
     ValidationError,
 )
+from repro.io.json_io import _q_in as _rational
 from repro.io.json_io import curve_from_dict, task_from_dict
 from repro.minplus.curve import Curve
 from repro.mp.bounds import DagRtaResult
@@ -122,7 +124,7 @@ def _q_out(q) -> Optional[str]:
 
 
 def _q_in(s, default=None) -> Optional[Fraction]:
-    return default if s is None else Fraction(str(s))
+    return default if s is None else _rational(s)
 
 
 def _encode_job_delays(job_delays: Dict[str, Dict[str, Fraction]]):
@@ -546,40 +548,48 @@ def new_trace_id() -> str:
     return secrets.token_hex(8)
 
 
-def placement_key(
-    kind: str,
-    beta_digest: Optional[str],
-    m: Optional[int],
-    task_digests: Iterable[str],
-) -> str:
-    """The placement (routing) key of one request's content: SHA-256 of
-    ``[kind, beta digest?, "m=<m>"?, task digests...]`` joined by ``\x1f``.
+#: The fields of a wire request that say *what* is analysed.  Budgets,
+#: ``params``, ``perf`` and ``validate`` do not change which caches
+#: serve a request, and routing on them would scatter reruns of one
+#: analysis across the fleet.  ``m`` is content for the multiprocessor
+#: kinds: the same DAG on another processor count is another verdict.
+_CONTENT_FIELDS = ("kind", "task", "tasks", "beta", "m")
 
-    The worker (:func:`request_placement`) and the coordinator
-    (:func:`repro.cluster.routing.routing_digest`) both build it here, so
-    the cache entries a worker writes are tagged with exactly the key the
-    ring placed the request by, and a resize re-homes them with the true
+
+def placement_key(spec: Any) -> str:
+    """The placement (routing) key of one wire request.
+
+    SHA-256 of the canonical JSON (sorted keys, compact separators) of
+    its content fields ``kind``/``task``/``tasks``/``beta``/``m``.
+
+    The coordinator routes by it
+    (:func:`repro.cluster.routing.routing_digest`) without decoding the
+    request, and :func:`decode_request` stores it on
+    :attr:`DecodedRequest.placement` from the same dict, so the cache
+    entries a worker writes are tagged with exactly the key the ring
+    placed the request by, and a resize re-homes them with the true
     movement delta.
+
+    The key is canonical-JSON identity, not model identity: key order,
+    whitespace and the non-content fields do not matter, but two
+    spellings of one number (``"2/4"`` and ``"1/2"``) or of one curve
+    (a rate-latency shorthand and its segment list) route apart.  Each
+    is still answered correctly, and the result cache keys on content
+    digests.  Every encoder in the project writes ``str(Fraction)``, so
+    the traffic it generates routes by exact content.
     """
-    parts = [kind]
-    if beta_digest is not None:
-        parts.append(beta_digest)
-    if m is not None:
-        parts.append(f"m={m}")
-    parts.extend(task_digests)
-    return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
+    if isinstance(spec, dict):
+        spec = {key: spec.get(key) for key in _CONTENT_FIELDS}
+    blob = json.dumps(spec, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def request_placement(req: "DecodedRequest") -> str:
-    """The :func:`placement_key` of one decoded request."""
-    from repro.parallel.cache import task_digest
+def request_placement(req: "DecodedRequest") -> Optional[str]:
+    """The :func:`placement_key` a request was decoded with.
 
-    return placement_key(
-        req.kind,
-        None if req.beta is None else req.beta.digest(),
-        req.params.get("m"),
-        (task_digest(t) for t in req.tasks),
-    )
+    None for a request built in process: its cache entries go untagged.
+    """
+    return req.placement
 
 
 @dataclass
@@ -600,17 +610,13 @@ class DecodedRequest:
     #: Set by admission control when the request was accepted under load
     #: shedding (its budget was tightened to keep the queue moving).
     shed: bool = False
+    #: The :func:`placement_key` of the wire dict this request was
+    #: decoded from; None when it was built in process.
+    placement: Optional[str] = None
 
 
 def _bad(message: str) -> SerializationError:
     return SerializationError(message)
-
-
-def _decode_rational(value: Any, what: str) -> Fraction:
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _bad(f"invalid rational {value!r} for {what}") from exc
 
 
 def decode_beta(spec: Any) -> Curve:
@@ -626,8 +632,8 @@ def decode_beta(spec: Any) -> Curve:
     if "rate" in spec:
         from repro.curves.service import rate_latency_service
 
-        rate = _decode_rational(spec["rate"], "beta.rate")
-        latency = _decode_rational(spec.get("latency", "0"), "beta.latency")
+        rate = _rational(spec["rate"], "beta.rate")
+        latency = _rational(spec.get("latency", "0"), "beta.latency")
         if rate <= 0:
             raise _bad(f"beta.rate must be positive, got {rate}")
         if latency < 0:
@@ -710,7 +716,7 @@ def decode_request(data: Any, trace_id: Optional[str] = None) -> DecodedRequest:
     params = dict(raw_params)
     for name in spec.rational_params & set(params):
         if params[name] is not None:
-            params[name] = _decode_rational(params[name], f"params.{name}")
+            params[name] = _rational(params[name], f"params.{name}")
     for name, least in (("max_iterations", 1), ("max_paths", 0)):
         if name in params:
             _decode_count(params[name], f"params.{name}", least)
@@ -736,6 +742,7 @@ def decode_request(data: Any, trace_id: Optional[str] = None) -> DecodedRequest:
         params=params,
         want_perf=bool(data.get("perf", False)),
         trace_id=trace_id or new_trace_id(),
+        placement=placement_key(data),
     )
 
 

@@ -43,6 +43,7 @@ event loop in a daemon thread and tears it down symmetrically.
 from __future__ import annotations
 
 import asyncio
+import functools
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -167,16 +168,19 @@ class AnalysisServer(HttpEndpoint):
         return not self.draining
 
     async def _handle_metrics(self, request: Request, writer) -> bool:
-        await send_json(
-            writer,
-            200,
-            self.metrics.snapshot(
+        # Off the event loop: the document's cache section walks the
+        # result-cache directory, which grows with the cache.
+        doc = await asyncio.get_running_loop().run_in_executor(
+            None,
+            functools.partial(
+                self.metrics.snapshot,
                 queue_depth=self.batcher.depth,
                 queue_max=self.admission.max_queue,
                 queue_high_water=self.admission.high_water,
                 draining=self.draining,
             ),
         )
+        await send_json(writer, 200, doc)
         return True
 
     # -- cache transport (cluster resize migration) ----------------------

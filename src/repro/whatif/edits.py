@@ -23,6 +23,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 from repro._numeric import as_q
 from repro.drt.model import DRTTask, Edge, Job
 from repro.errors import ModelError, SerializationError
+from repro.io.json_io import _q_in
 from repro.minplus.curve import Curve
 
 __all__ = [
@@ -272,12 +273,7 @@ def edit_from_dict(data: Any) -> Edit:
             continue  # dataclass defaults cover optional fields
         value = data[name]
         if name in _RATIONAL_FIELDS:
-            try:
-                value = as_q(Fraction(str(value)))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise SerializationError(
-                    f"invalid rational {value!r} for edit field {name!r}"
-                ) from exc
+            value = as_q(_q_in(value, f"edit field {name!r}"))
         kwargs[name] = value
     try:
         return cls(**kwargs)

@@ -159,6 +159,42 @@ def no_orphaned_servers(request):
 # ---------------------------------------------------------------------------
 
 
+def healthz_during_slow_metrics_s(port: int, monkeypatch) -> float:
+    """Seconds the slowest ``/healthz`` takes while a ``/metrics``
+    scrape of the same endpoint runs, with every result-cache
+    ``stats()`` call slowed to 0.3 s."""
+    import threading
+
+    from repro.parallel import cache as result_cache
+    from repro.service import ServiceClient
+
+    entered = threading.Event()
+    stats = result_cache.stats
+
+    def slow_stats():
+        entered.set()
+        time.sleep(0.3)
+        return stats()
+
+    client = ServiceClient(port=port, timeout=30.0)
+    client.healthz()  # a warm connection: time the answer, not a connect
+    monkeypatch.setattr(result_cache, "stats", slow_stats)
+    scrape = threading.Thread(
+        target=ServiceClient(port=port, timeout=30.0).metrics
+    )
+    scrape.start()
+    try:
+        assert entered.wait(10)
+        worst = 0.0
+        while scrape.is_alive():
+            t0 = time.perf_counter()
+            client.healthz()
+            worst = max(worst, time.perf_counter() - t0)
+        return worst
+    finally:
+        scrape.join(30)
+
+
 @pytest.fixture
 def demo_task() -> DRTTask:
     """The running example: a branch between a light loop and a heavy path."""

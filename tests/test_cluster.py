@@ -21,11 +21,13 @@ from repro.drt.model import DRTTask
 from repro.io.json_io import task_to_dict
 from repro.resilience import bounded_delay, chaos
 from repro.sched.sp import sp_schedulable
-from repro.service import ServiceClient, ServiceError
+from repro.service import ServiceClient, ServiceError, protocol
 from repro.service.client import RouteInfo
 from repro.service.server import ServerHandle, ServiceConfig
 from repro.whatif import whatif_sweep
 from repro.whatif.edits import SetWcet
+
+from .conftest import healthz_during_slow_metrics_s
 
 pytestmark = pytest.mark.usefixtures("no_orphaned_servers")
 
@@ -151,6 +153,36 @@ class TestHashRing:
 # ---------------------------------------------------------------------------
 
 
+def _spec_per_kind() -> dict:
+    """One wire request per registered kind, as the client builds it."""
+    from repro.mp import DAGTask
+
+    dags = [
+        DAGTask.build(
+            f"d{i}",
+            vertices={"s": 1 + i, "a": F(7, 2), "t": 1},
+            edges=[("s", "a"), ("a", "t")],
+            period=60 + 10 * i,
+        )
+        for i in range(2)
+    ]
+    task, tasks, beta = _task(1), [_task(s) for s in range(2)], _beta()
+    build = ServiceClient.build_request
+    return {
+        "delay": build("delay", task, beta),
+        "bounded_delay": build("bounded_delay", task, beta),
+        "sp_schedulable": build("sp_schedulable", tasks, beta),
+        "edf_structural_delays": build("edf_structural_delays", tasks, beta),
+        "analyze_many": build("analyze_many", tasks, beta),
+        "whatif_sweep": build(
+            "whatif_sweep", task, beta, edits=[SetWcet("v0", F(2))]
+        ),
+        "dag_rta": build("dag_rta", dags[0], m=2),
+        "global_fp_schedulable": build("global_fp_schedulable", dags, m=2),
+        "global_rm_schedulable": build("global_rm_schedulable", dags, m=2),
+    }
+
+
 class TestRoutingDigest:
     def setup_method(self):
         cluster_routing.memo_clear()
@@ -189,6 +221,90 @@ class TestRoutingDigest:
     def test_undecodable_spec_is_deterministic(self):
         broken = {"kind": "delay", "task": {"nope": 1}, "beta": {}}
         assert routing_digest(broken) == routing_digest(dict(broken))
+
+    def test_worker_tag_equals_routing_key_for_every_kind(self):
+        """The tag a worker writes cache entries under is the key the
+        coordinator routed by, whichever kind the request is."""
+        specs = _spec_per_kind()
+        assert set(specs) == set(protocol.KIND_REGISTRY)
+        for kind, spec in specs.items():
+            wire = json.loads(json.dumps(spec))
+            req = protocol.decode_request(wire)
+            assert protocol.request_placement(req) == routing_digest(spec), kind
+
+    def test_key_ignores_layout_and_non_content_fields(self):
+        for kind, spec in _spec_per_kind().items():
+            text = json.dumps(dict(reversed(list(spec.items()))), indent=3)
+            extras = {"deadline_ms": 50, "perf": True, "validate": False}
+            if protocol.KIND_REGISTRY[kind].params:
+                extras["params"] = {}
+            same = {**json.loads(text), **extras}
+            assert routing_digest(same) == routing_digest(spec), kind
+            assert (
+                protocol.request_placement(protocol.decode_request(same))
+                == routing_digest(spec)
+            ), kind
+
+    def test_key_changes_with_m(self):
+        for kind, spec in _spec_per_kind().items():
+            if "m" in spec:
+                assert routing_digest({**spec, "m": spec["m"] + 1}) != (
+                    routing_digest(spec)
+                ), kind
+
+    def test_in_process_request_is_untagged(self):
+        req = protocol.DecodedRequest(
+            kind="delay", tasks=(_task(1),), beta=_beta(), budget=None
+        )
+        assert protocol.request_placement(req) is None
+
+    def test_encoders_emit_canonical_numbers(self):
+        """Routing is canonical-JSON identity, so the project's encoders
+        must write each number one way: ``str(Fraction)``."""
+        from repro.io.json_io import curve_to_dict, task_from_dict
+        from repro.mp.io import dag_from_dict, dag_to_dict
+
+        def numbers(doc):
+            # Everything but names: job/vertex names, edge endpoints
+            # and the DAG's [src, dst] pairs.
+            if isinstance(doc, dict):
+                for key, value in doc.items():
+                    if key not in ("name", "src", "dst") and not (
+                        key == "edges" and isinstance(value[0], list)
+                    ):
+                        yield from numbers(value)
+            elif isinstance(doc, list):
+                for value in doc:
+                    yield from numbers(value)
+            else:
+                yield doc
+
+        task = {
+            "name": "hand",
+            "jobs": {
+                "a": {"wcet": "2/4", "deadline": "010"},
+                "b": {"wcet": 3, "deadline": "9/3"},
+            },
+            "edges": [
+                {"src": "a", "dst": "b", "separation": "1.5"},
+                {"src": "b", "dst": "a", "separation": "12/8"},
+            ],
+        }
+        dag = {
+            "name": "d",
+            "period": "060",
+            "deadline": "120/2",
+            "vertices": [{"name": "s", "wcet": "4/6"}, {"name": "t", "wcet": 1}],
+            "edges": [["s", "t"]],
+        }
+        docs = [
+            task_to_dict(task_from_dict(task)),
+            curve_to_dict(rate_latency_service(F(2, 4), F(6, 3))),
+            dag_to_dict(dag_from_dict(dag)),
+        ]
+        for doc in docs:
+            for value in numbers(doc):
+                assert isinstance(value, str) and value == str(F(value)), value
 
     def test_per_edit_digests_differ(self):
         base = routing_digest(
@@ -336,6 +452,14 @@ class TestClusterEndToEnd:
         assert set(doc["workers"]) == {"w0", "w1", "w2"}
         for state in doc["workers"].values():
             assert {"host", "port", "healthy"} <= set(state)
+
+    def test_slow_worker_metrics_do_not_block_healthz(
+        self, cluster, monkeypatch
+    ):
+        """The rollup waits for the workers' documents (each built off
+        its worker's loop) and builds the coordinator's own off its
+        loop: the in-process workers share its result cache."""
+        assert healthz_during_slow_metrics_s(cluster.port, monkeypatch) < 0.1
 
     def test_metrics_rollup_schema(self, cluster):
         client = self._client(cluster)

@@ -600,6 +600,38 @@ class TestPersistentConnections:
         # The child's request came on a connection of its own.
         assert _accepted(client) == before + 1
 
+    def test_pooled_connections_are_closed_at_exit(self, serve):
+        """An interpreter that leaves a pooled :func:`http.fetch`
+        connection behind closes it at exit: no unclosed socket.
+
+        A plain interpreter exit does not always report a socket its
+        module teardown frees, so the child runs the exit handlers and
+        then drops whatever the pool still holds, under a garbage
+        collection that would report it."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import atexit, gc\n"
+            "from repro.service import http\n"
+            f"status, _, _ = http.fetch('127.0.0.1', {serve.port}, "
+            "'GET', '/healthz')\n"
+            "assert status == 200\n"
+            "atexit._run_exitfuncs()\n"
+            "http._BLOCKING_POOL = http._Pool()\n"
+            "gc.collect()\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert child.returncode == 0, child.stderr
+        assert "ResourceWarning" not in child.stderr, child.stderr
+
     def test_drain_closes_idle_keep_alive_connections(self):
         handle = ServerHandle.start(
             ServiceConfig(port=0, drain_grace_s=10.0)

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.drt.model import DRTTask
 from repro.errors import SerializationError, ValidationError
@@ -14,6 +16,7 @@ from repro.io.dot import (
     task_to_dot,
 )
 from repro.io.json_io import (
+    _q_in,
     curve_from_dict,
     curve_to_dict,
     load_task,
@@ -22,6 +25,8 @@ from repro.io.json_io import (
     task_to_dict,
 )
 from repro.minplus.builders import rate_latency, staircase
+
+from .conftest import oracle_settings
 
 
 class TestTaskRoundtrip:
@@ -87,6 +92,59 @@ class TestCurveRoundtrip:
     def test_missing_key(self):
         with pytest.raises(SerializationError):
             curve_from_dict({"segments": [{"start": "0", "value": "1"}]})
+
+
+def _parsed(parse, s):
+    """*parse(s)*, or :class:`SerializationError` when it is refused."""
+    try:
+        return parse(s)
+    except SerializationError:
+        return SerializationError
+
+
+def _fraction_of_str(s):
+    try:
+        return F(str(s))
+    except (ValueError, ZeroDivisionError):
+        raise SerializationError(f"invalid rational {s!r}") from None
+
+
+_digits = st.integers(min_value=0, max_value=10**40).map(str)
+_OFF_GRAMMAR = [
+    "007", "00/5", "3/007", "+3", "-1/2", "1/-2", " 3", "3 ", "1 /2",
+    "1.5", "1e3", "1E-2", "1/0", "0/0", "7/000", "\u0661\u0662", "\uff13",
+    "\u00b2", "1_000", "", "/", "1/", "/2", "1/2/3", "abc", "nan", "inf",
+]
+
+
+class TestRationalFastPath:
+    """``_q_in`` parses ``"n"`` and ``"n/d"`` from ``int`` directly;
+    every input must read as ``Fraction(str(s))`` does, or be refused
+    as it is."""
+
+    @oracle_settings()
+    @given(
+        s=st.one_of(
+            _digits,
+            st.tuples(_digits, _digits).map("/".join),
+            st.sampled_from(_OFF_GRAMMAR),
+            st.text(alphabet="0123456789/+-. e_\u0661\uff13\u00b2", max_size=8),
+            st.integers(),
+            st.floats(),
+            st.booleans(),
+            st.none(),
+            st.fractions(),
+            st.lists(st.integers(), max_size=2),
+        )
+    )
+    def test_q_in_matches_fraction_of_str(self, s):
+        got = _parsed(_q_in, s)
+        assert got == _parsed(_fraction_of_str, s)
+        assert got is SerializationError or type(got) is F
+
+    def test_refusal_names_the_field(self):
+        with pytest.raises(SerializationError, match="for beta.rate"):
+            _q_in("1/0", "beta.rate")
 
 
 class TestLoaderValidation:

@@ -110,15 +110,12 @@ class TestRegistry:
             _memo._registry.remove(memo)
 
     def test_engine_memos_are_registered_under_their_counter_names(self):
-        from repro.cluster import routing
         from repro.minplus import kernels
 
         names = {m.name for m in _memo._registry}
         assert {
             "kernel.memo",
             "kernel.lowered",
-            "cluster.route_memo",
             "drt.int_service",
         } <= names
         assert kernels.OP_MEMO.name == "kernel.memo"
-        assert routing._MEMO.name == "cluster.route_memo"

@@ -80,7 +80,9 @@ def _put_many(config, shard, count):
 
 
 def _write_same_entry(config, value):
-    """All processes store the same value under the same key."""
+    """All processes store the same value under the same key.
+    Ambient fault injection is off: the last write must land."""
+    chaos.apply_config(None)
     result_cache.apply_config(config)
     for _ in range(20):
         result_cache.put("ab" + "c" * 62, value)

@@ -30,6 +30,8 @@ from repro.service import (
 )
 from repro.service.protocol import decode_beta
 
+from .conftest import healthz_during_slow_metrics_s
+
 pytestmark = pytest.mark.usefixtures("no_orphaned_servers")
 
 
@@ -745,6 +747,13 @@ class TestIdleDispatch:
         finally:
             gate.open()
             handle.shutdown()
+
+
+class TestMetricsOffLoop:
+    def test_slow_cache_stats_do_not_block_healthz(self, server, monkeypatch):
+        """``/metrics`` builds its document off the event loop: the
+        cache section walks the cache directory, which grows."""
+        assert healthz_during_slow_metrics_s(server.port, monkeypatch) < 0.1
 
 
 class TestDrain:

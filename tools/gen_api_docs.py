@@ -178,8 +178,7 @@ count is always capped by the number of items.  The CLI exposes
 - nested fan-out is suppressed: inside a worker `resolve_jobs` pins to 1;
 - `fresh_caches=True` resets every process-wide memo (each
   `repro._memo.process_memo` LRU: kernel lowerings and op results,
-  β lowered to int units (`drt.int_service`), cluster routing keys;
-  and the in-memory result
+  β lowered to int units (`drt.int_service`); and the in-memory result
   cache) before each item — the benchmark harness uses it to keep cost
   measurements honest.
 
@@ -403,18 +402,22 @@ fronting pre-started `--worker HOST:PORT` endpoints) or by
 `ClusterHandle.start(n_workers=...)` in-process.  A plain
 `ServiceClient` pointed at the coordinator's port works unchanged.
 
-**Digest-affinity routing** (`repro.cluster.ring`,
-`repro.cluster.routing`).  Every request's routing key is the same
-content digest the persistent result cache keys on —
-`task_digest(task)` + the service curve's digest + the request kind
-(per-*edit* for what-if sweeps, so a sweep's edits shard by their
-cones) — hashed onto a consistent-hash ring with 64 virtual nodes per
-worker.  Identical content therefore always lands on the worker whose
-on-disk result cache, memoized curve operations, and warm explorer
-state already hold it, and when the fleet changes only ~K/N keys move
-(ring `generation` counts churn; property-tested in `tests/test_cluster.py`).
-An undecodable spec falls back to a canonical-JSON digest —
-deterministic, so even malformed requests route stably.
+**Affinity routing** (`repro.cluster.ring`, `repro.cluster.routing`).
+The coordinator routes on the wire form and never decodes a model:
+a request's routing key is `protocol.placement_key(spec)`, SHA-256 of
+the canonical JSON (sorted keys, compact separators) of its content
+fields `kind`/`task`/`tasks`/`beta`/`m` (per-*edit* keys for what-if
+sweeps, so a sweep's edits shard), hashed onto a consistent-hash ring
+with 64 virtual nodes per worker.  The owning worker decodes the
+request once and tags the cache entries it writes with the same key
+(`DecodedRequest.placement`, computed from the same dict), so resize
+migration re-homes them exactly.  Identical content as the project's
+encoders write it (`str(Fraction)` everywhere) always lands on the
+worker whose on-disk result cache, memoized curve operations, and warm
+explorer state already hold it; two spellings of one number (`"2/4"`,
+`"1/2"`) route apart but are answered alike.  When the fleet changes
+only ~K/N keys move (ring `generation` counts churn; property-tested
+in `tests/test_cluster.py`).
 
 **Fan-out & merge** (`repro.cluster.coordinator`).  One split-by-owner
 path: `POST /v1/batch` groups by owning worker, ships each group as one
